@@ -14,7 +14,6 @@ from __future__ import annotations
 import abc
 import time
 
-from ..core.dispatch import KERNEL_TIER_NAMES
 from ..core.result import TruthDiscoveryResult
 from ..data.schema import PropertyKind
 from ..data.table import MultiSourceDataset
@@ -38,12 +37,6 @@ class ConflictResolver(abc.ABC):
         Worker count for the process backend; ignored elsewhere.
     chunk_claims:
         Claims per chunk for the mmap backend; ignored elsewhere.
-    kernel_tier:
-        Segment-kernel implementation tier (``"auto"``, ``"numpy"``,
-        ``"numba"``) the execution session resolves and activates; a
-        ``numba`` request without a working numba falls back to NumPy
-        with the cause recorded on the session.  Bit-identical either
-        way.
     """
 
     #: registry key and display name, e.g. ``"TruthFinder"``
@@ -61,28 +54,20 @@ class ConflictResolver(abc.ABC):
 
     def __init__(self, *, backend: str = "auto",
                  n_workers: int | None = None,
-                 chunk_claims: int | None = None,
-                 kernel_tier: str = "auto") -> None:
+                 chunk_claims: int | None = None) -> None:
         if backend not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
             )
-        if kernel_tier not in KERNEL_TIER_NAMES:
-            raise ValueError(
-                f"kernel_tier must be one of {KERNEL_TIER_NAMES}, "
-                f"got {kernel_tier!r}"
-            )
         self.backend = backend
         self.n_workers = n_workers
         self.chunk_claims = chunk_claims
-        self.kernel_tier = kernel_tier
 
     def _session(self, dataset) -> ExecutionSession:
         """Resolve ``dataset`` through this resolver's backend knobs."""
         return ExecutionSession(dataset, self.backend,
                                 n_workers=self.n_workers,
-                                chunk_claims=self.chunk_claims,
-                                kernel_tier=self.kernel_tier)
+                                chunk_claims=self.chunk_claims)
 
     @abc.abstractmethod
     def fit(self, dataset: MultiSourceDataset) -> TruthDiscoveryResult:
@@ -121,8 +106,7 @@ def resolver_by_name(name: str, **kwargs) -> ConflictResolver:
 
     ``kwargs`` are forwarded to the resolver's constructor — every
     resolver uniformly accepts the execution knobs
-    (``backend``/``n_workers``/``chunk_claims``/``kernel_tier``)
-    alongside its own
+    (``backend``/``n_workers``/``chunk_claims``) alongside its own
     parameters.  An unknown ``name`` raises :class:`KeyError` listing
     the valid names; constructor errors (e.g. an invalid parameter
     value) propagate unchanged instead of being misreported as an

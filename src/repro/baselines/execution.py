@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import dispatch
 from ..core.losses import Loss, TruthState
 from ..core.objective import DeviationOptions, per_source_deviations
 from ..engine import BackendExecutionError, make_backend
@@ -48,11 +47,6 @@ class ExecutionSession:
     backend / n_workers / chunk_claims:
         Forwarded to :func:`repro.engine.make_backend`; the same knobs
         :class:`~repro.core.solver.CRHConfig` exposes.
-    kernel_tier:
-        Kernel-tier request resolved through
-        :func:`repro.core.dispatch.resolve_kernel_tier` at construction;
-        the session activates the resolved tier around every inline
-        step and forwards it to the backend's parallel runner.
 
     Attributes
     ----------
@@ -61,16 +55,11 @@ class ExecutionSession:
         initially the resolution of :func:`~repro.engine.make_backend`,
         rewritten to ``("sparse", <cause>)`` on degradation.  Resolvers
         copy them onto their result via :meth:`stamp`.
-    kernel_tier / kernel_tier_reason:
-        The resolved tier (``"numpy"``/``"numba"``) and the reason for
-        the resolution (request, session default, auto preference, or
-        the NumPy-fallback cause).
     """
 
     def __init__(self, data, backend: str = "auto", *,
                  n_workers: int | None = None,
-                 chunk_claims: int | None = None,
-                 kernel_tier: str = "auto") -> None:
+                 chunk_claims: int | None = None) -> None:
         built = make_backend(data, backend, n_workers=n_workers,
                              chunk_claims=chunk_claims)
         self._backend = built
@@ -79,10 +68,6 @@ class ExecutionSession:
         self._losses: list[Loss] | None = None
         self.backend_name: str = built.name
         self.backend_reason: str = built.resolution
-        #: resolved kernel tier (``numpy``/``numba``) + the reason —
-        #: every session step activates it, inline and runner-served alike
-        self.kernel_tier, self.kernel_tier_reason = (
-            dispatch.resolve_kernel_tier(kernel_tier))
 
     # ------------------------------------------------------------------
     @property
@@ -135,8 +120,7 @@ class ExecutionSession:
         if not getattr(self._backend, "supports_runner", False):
             return
         try:
-            runner = self._backend.start_runner(
-                losses, profiler=profiler, kernel_tier=self.kernel_tier)
+            runner = self._backend.start_runner(losses, profiler=profiler)
             if states is not None:
                 runner.seed(states)
             self._runner = runner
@@ -185,11 +169,10 @@ class ExecutionSession:
                     f"{self._backend.name} backend failed mid-run; "
                     f"finishing inline on sparse claims: {error}"
                 )
-        with dispatch.activate_tier(self.kernel_tier):
-            return [
-                loss.update_truth(prop, weights)
-                for loss, prop in zip(self._losses, self.data.properties)
-            ]
+        return [
+            loss.update_truth(prop, weights)
+            for loss, prop in zip(self._losses, self.data.properties)
+        ]
 
     def per_source(self, states: list[TruthState],
                    options: DeviationOptions = DeviationOptions(),
@@ -207,9 +190,8 @@ class ExecutionSession:
                     f"{self._backend.name} backend failed mid-run; "
                     f"finishing inline on sparse claims: {error}"
                 )
-        with dispatch.activate_tier(self.kernel_tier):
-            return per_source_deviations(self.data, self._losses, states,
-                                         options)
+        return per_source_deviations(self.data, self._losses, states,
+                                     options)
 
     # ------------------------------------------------------------------
     def stamp(self, result):

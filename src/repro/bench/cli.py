@@ -18,12 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..core.dispatch import (
-    KERNEL_TIER_NAMES,
-    activate_tier,
-    resolve_kernel_tier,
-    use_kernel_tier,
-)
 from .compare import (
     DEFAULT_MIN_KIB,
     DEFAULT_MIN_SECONDS,
@@ -61,13 +55,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list", action="store_true",
                         help="list the pinned cases and exit")
-    parser.add_argument(
-        "--kernel-tier", choices=KERNEL_TIER_NAMES, default="auto",
-        help=("kernel tier the suite runs under (resolved through "
-              "repro.core.dispatch and activated for every case, so "
-              "the core/ kernel cases measure the requested tier "
-              "directly; default: auto)"),
-    )
     return parser
 
 
@@ -122,13 +109,8 @@ def bench_main(argv: list[str]) -> int:
     except ValueError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
-    tier, tier_reason = resolve_kernel_tier(args.kernel_tier)
-    print(f"kernel tier: {tier} ({tier_reason})")
-    # Activate for the direct-kernel cases and install as the session
-    # default so solver-driven cases resolve "auto" to the same tier.
-    with use_kernel_tier(tier), activate_tier(tier):
-        snapshot = run_suite(args.label, scale=args.scale,
-                             seed=args.seed, cases=cases)
+    snapshot = run_suite(args.label, scale=args.scale,
+                         seed=args.seed, cases=cases)
     path = write_bench(
         snapshot, default_output_path(args.label, args.output_dir)
     )

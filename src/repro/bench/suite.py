@@ -11,13 +11,12 @@ scales.
 
 The pinned cases:
 
-* ``primitives/weighted_median`` / ``primitives/weighted_vote`` — the
-  Eq. 16 / Eq. 9 segment kernels on a flat synthetic claim array;
-* ``core/median`` / ``core/vote`` / ``core/deviations`` — the same
-  kernels shaped exactly like one solver iteration runs them (cached
-  :class:`~repro.core.kernels.MedianSortPlan`, precomputed effective
-  weights, preallocated deviation scratch), so the active kernel tier's
-  effect on the hot path is measured directly;
+* ``core/median`` / ``core/vote`` / ``core/deviations`` — the Eq. 16
+  median, the Eq. 9 vote and the Eq. 13 deviation pass on a flat
+  synthetic claim array, shaped exactly like one solver iteration runs
+  them (cached :class:`~repro.core.kernels.MedianSortPlan`, precomputed
+  effective weights, preallocated deviation scratch), so the hot-path
+  kernels are timed in isolation from the solver loop;
 * ``backend/dense`` / ``backend/sparse`` — full CRH on a 5%-density
   claims workload under each execution backend (the
   memory-vs-layout trade the profile recommends between);
@@ -82,65 +81,34 @@ class BenchCase:
     run: Callable[[object, MemoryProfiler], object]
 
 
-# -- core primitives ----------------------------------------------------
-
-_PRIMITIVE_REPEATS = 5
-
-
-def _segments_payload(scale: float, seed: int):
-    """Flat sorted claim arrays: values/codes, weights, CSR starts."""
-    rng = np.random.default_rng(seed)
-    n_claims = max(1_000, int(200_000 * scale))
-    n_groups = max(100, int(20_000 * scale))
-    groups = np.sort(rng.integers(0, n_groups, n_claims))
-    starts = np.searchsorted(groups, np.arange(n_groups + 1))
-    return {
-        "values": rng.normal(0.0, 1.0, n_claims),
-        "codes": rng.integers(0, 8, n_claims).astype(np.int64),
-        "weights": rng.uniform(0.1, 1.0, n_claims),
-        "starts": starts,
-    }
-
-
-def _run_weighted_median(payload, profiler: MemoryProfiler):
-    """Repeatedly apply the Eq. 16 weighted-median segment kernel."""
-    with activate(profiler), profiler.phase("run"):
-        for _ in range(_PRIMITIVE_REPEATS):
-            out = kernels.segment_weighted_median(
-                payload["values"], payload["weights"], payload["starts"]
-            )
-    return out
-
-
-def _run_weighted_vote(payload, profiler: MemoryProfiler):
-    """Repeatedly apply the Eq. 9 weighted-vote segment kernel."""
-    with activate(profiler), profiler.phase("run"):
-        for _ in range(_PRIMITIVE_REPEATS):
-            out = kernels.segment_weighted_vote(
-                payload["codes"], payload["weights"], payload["starts"],
-                n_categories=8,
-            )
-    return out
-
-
 # -- solver-shaped kernel microbenches ---------------------------------
 
+_CORE_REPEATS = 5
 _CORE_SOURCES = 50
 
 
 def _core_payload(scale: float, seed: int):
-    """Solver-shaped kernel inputs on top of :func:`_segments_payload`.
+    """Solver-shaped kernel inputs over flat sorted claim arrays.
 
-    Adds what one solver iteration would have on hand: the claim
-    grouping, a cached :class:`~repro.core.kernels.MedianSortPlan`
-    (built once per view lifetime, not per iteration), per-claim source
-    positions, and per-entry stds/truths for the deviation pass.
+    Values/codes, weights and CSR starts, plus what one solver
+    iteration would have on hand: the claim grouping, a cached
+    :class:`~repro.core.kernels.MedianSortPlan` (built once per view
+    lifetime, not per iteration), per-claim source positions, and
+    per-entry stds/truths for the deviation pass.
     """
-    payload = _segments_payload(scale, seed)
+    rng = np.random.default_rng(seed)
+    n_claims = max(1_000, int(200_000 * scale))
+    n_groups = max(100, int(20_000 * scale))
+    groups = np.sort(rng.integers(0, n_groups, n_claims))
+    payload = {
+        "starts": np.searchsorted(groups, np.arange(n_groups + 1)),
+        "values": rng.normal(0.0, 1.0, n_claims),
+        "codes": rng.integers(0, 8, n_claims).astype(np.int64),
+        "weights": rng.uniform(0.1, 1.0, n_claims),
+    }
     rng = np.random.default_rng(seed + 1)
     sizes = np.diff(payload["starts"])
     group = np.repeat(np.arange(sizes.shape[0]), sizes)
-    n_claims = payload["values"].shape[0]
     payload.update(
         group=group,
         source_idx=rng.integers(
@@ -157,7 +125,7 @@ def _run_core_median(payload, profiler: MemoryProfiler):
     """Eq. 16 median as the fused sweep runs it: cached plan, effective
     weights computed once per iteration."""
     with activate(profiler), profiler.phase("run"):
-        for _ in range(_PRIMITIVE_REPEATS):
+        for _ in range(_CORE_REPEATS):
             effective = kernels.effective_claim_weights(
                 payload["weights"], payload["starts"], payload["group"])
             out = kernels.segment_weighted_median(
@@ -172,7 +140,7 @@ def _run_core_vote(payload, profiler: MemoryProfiler):
     """Eq. 9 vote as the fused sweep runs it: precomputed effective
     weights shared with the rest of the iteration."""
     with activate(profiler), profiler.phase("run"):
-        for _ in range(_PRIMITIVE_REPEATS):
+        for _ in range(_CORE_REPEATS):
             effective = kernels.effective_claim_weights(
                 payload["weights"], payload["starts"], payload["group"])
             out = kernels.segment_weighted_vote(
@@ -190,7 +158,7 @@ def _run_core_deviations(payload, profiler: MemoryProfiler):
     scratch = np.empty(payload["values"].shape[0], dtype=np.float64)
     pair = (np.zeros(_CORE_SOURCES), np.zeros(_CORE_SOURCES))
     with activate(profiler), profiler.phase("run"):
-        for _ in range(_PRIMITIVE_REPEATS):
+        for _ in range(_CORE_REPEATS):
             kernels.squared_claim_deviations(
                 payload["values"], payload["truths"], payload["stds"],
                 payload["group"], out=scratch,
@@ -425,18 +393,6 @@ def _run_concurrent(n_shards: int, ingest_threads: int):
 
 #: every case ``python -m repro bench`` measures, in execution order
 SUITE: tuple[BenchCase, ...] = (
-    BenchCase(
-        name="primitives/weighted_median",
-        description="Eq. 16 segment weighted median on flat claims",
-        build=_segments_payload,
-        run=_run_weighted_median,
-    ),
-    BenchCase(
-        name="primitives/weighted_vote",
-        description="Eq. 9 segment weighted vote on flat claims",
-        build=_segments_payload,
-        run=_run_weighted_vote,
-    ),
     BenchCase(
         name="core/median",
         description="Eq. 16 median, solver-shaped (cached sort plan + "

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import experiments as exp
-from .core.dispatch import KERNEL_TIER_NAMES, use_kernel_tier
 from .engine import BACKEND_NAMES, set_default_workers, use_default_backend
 from .observability import JsonlTracer, RunReport, experiment_record
 from .observability.tracer import Tracer
@@ -106,14 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help=("worker process count for the process backend (default: "
               "the usable CPU count); ignored by other backends"),
-    )
-    parser.add_argument(
-        "--kernel-tier", choices=KERNEL_TIER_NAMES, default="auto",
-        help=("segment-kernel implementation tier: numpy (vectorized "
-              "reference), numba (compiled, requires numba and passes a "
-              "bit-identity self-check before activating), or auto "
-              "(numba when available, else numpy); results are "
-              "bit-identical across tiers (default: auto)"),
     )
     return parser
 
@@ -210,8 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     tracer = JsonlTracer(args.trace) if args.trace is not None else None
     set_default_workers(args.workers)
     try:
-        with use_default_backend(args.backend), \
-                use_kernel_tier(args.kernel_tier):
+        with use_default_backend(args.backend):
             if args.experiment == "all":
                 for name in _EXPERIMENTS:
                     _run_one(name, args.seed, args.scale, args.output,

@@ -60,7 +60,6 @@ import numpy as np
 
 from ..data.encoding import MISSING_CODE
 from ..observability import profiling as _profiling
-from . import dispatch as _dispatch
 
 
 def _profiled(fn):
@@ -166,8 +165,8 @@ class MedianSortPlan:
 
     Once the sort is amortized away, the next cost tier is the bundle
     of segment arrays the kernel derives from ``indptr`` on every call
-    — starts, sizes, the occupied-group index, the binary search's
-    initial bounds.  Those are just as iteration-invariant as the sort
+    — starts, the occupied-group index, the binary search's initial
+    bounds.  Those are just as iteration-invariant as the sort
     order, so :meth:`segments` computes them once (lazily, from the
     first ``indptr`` the kernel passes in — the plan's grouping is
     derived from that same ``indptr``, so it never changes for the
@@ -183,7 +182,7 @@ class MedianSortPlan:
     """
 
     __slots__ = ("order", "sorted_values", "weight_scratch",
-                 "starts", "sizes", "occupied", "_hi0",
+                 "starts", "occupied", "_hi0",
                  "_lo", "_hi", "_threshold")
 
     def __init__(self, values: np.ndarray,
@@ -206,10 +205,10 @@ class MedianSortPlan:
         """
         if self.starts is None:
             self.starts = np.asarray(indptr[:-1], dtype=np.int64)
-            self.sizes = np.diff(indptr).astype(np.int64)
-            self.occupied = np.flatnonzero(self.sizes > 0)
-            self._hi0 = np.maximum(self.sizes - 1, 0)
-            n_groups = self.sizes.shape[0]
+            sizes = np.diff(indptr).astype(np.int64)
+            self.occupied = np.flatnonzero(sizes > 0)
+            self._hi0 = np.maximum(sizes - 1, 0)
+            n_groups = sizes.shape[0]
             self._lo = np.empty(n_groups, dtype=np.int64)
             self._hi = np.empty(n_groups, dtype=np.int64)
             self._threshold = np.empty(n_groups, dtype=np.float64)
@@ -287,18 +286,11 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     sorted_weights[-1] = 0.0
 
     starts = plan.starts
-    sizes = plan.sizes
     # totals / 2 is an exact binary scaling, written in place into the
     # plan's threshold scratch to keep the call allocation-free.
     threshold = plan._threshold
     np.divide(totals, 2.0, out=threshold)
     threshold -= 1e-12
-    core = _dispatch.kernel_override("segment_weighted_median")
-    if core is not None:
-        result = np.empty(n_groups, dtype=np.float64)
-        core(sorted_values, sorted_weights, starts, sizes, threshold,
-             result)
-        return result
     # Per-group binary search over the claim rank: find the first sorted
     # row whose segment-local prefix mass reaches the half-mass
     # threshold.  Prefix masses are non-decreasing in the rank (weights
@@ -364,12 +356,6 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
                   else _effective_weights(claim_weights, indptr,
                                           group_of_claim))
     n_groups = indptr.shape[0] - 1
-    core = _dispatch.kernel_override("segment_weighted_vote")
-    if core is not None:
-        winners = np.empty(n_groups, dtype=np.int32)
-        core(codes, weights, np.asarray(indptr, dtype=np.int64),
-             n_categories, MISSING_CODE, winners)
-        return winners
     if n_categories * n_groups > VOTE_DENSE_SCORE_CELLS:
         return _sparse_weighted_vote(codes, weights, group_of_claim,
                                      n_groups, n_categories)
@@ -737,17 +723,6 @@ def accumulate_source_deviations(
     either way).
     """
     claim_deviations = np.asarray(claim_deviations, dtype=np.float64)
-    core = _dispatch.kernel_override("accumulate_source_deviations")
-    if core is not None:
-        if out is None:
-            totals = np.zeros(n_sources, dtype=np.float64)
-            counts = np.zeros(n_sources, dtype=np.float64)
-        else:
-            totals, counts = out
-            totals[:] = 0.0
-            counts[:] = 0.0
-        core(claim_deviations, np.asarray(source_idx), totals, counts)
-        return totals, counts
     finite = np.isfinite(claim_deviations)
     if not finite.all():
         source_idx = np.asarray(source_idx)[finite]

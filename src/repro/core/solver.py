@@ -32,7 +32,6 @@ from ..observability.metrics import (
 )
 from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
-from . import dispatch
 from .initialization import initializer_by_name
 from .losses import Loss, TruthState, loss_by_name
 from .objective import ConvergenceCriterion, DeviationOptions
@@ -80,16 +79,6 @@ class CRHConfig:
         Claims per chunk for the mmap backend (``None`` —
         :data:`repro.data.chunks.DEFAULT_CHUNK_CLAIMS`).  Ignored by
         the other backends.
-    kernel_tier:
-        Segment-kernel implementation tier: ``"numpy"`` (the reference
-        implementations), ``"numba"`` (compiled hot kernels where numba
-        is importable and self-checked, NumPy fallback otherwise), or
-        ``"auto"`` (the session default from
-        :func:`repro.core.dispatch.set_kernel_tier`, else numba when
-        available).  All tiers produce bit-identical results — this is
-        purely a speed choice; the resolved tier and the reason for it
-        are stamped into ``run_start`` traces as ``kernel_tier`` /
-        ``kernel_tier_reason``.
     seed:
         Used only by the random initializer.
     """
@@ -109,7 +98,6 @@ class CRHConfig:
     backend: str = "auto"
     n_workers: int | None = None
     chunk_claims: int | None = None
-    kernel_tier: str = "auto"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -119,11 +107,6 @@ class CRHConfig:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES}, "
                 f"got {self.backend!r}"
-            )
-        if self.kernel_tier not in dispatch.KERNEL_TIER_NAMES:
-            raise ValueError(
-                f"kernel_tier must be one of {dispatch.KERNEL_TIER_NAMES}, "
-                f"got {self.kernel_tier!r}"
             )
         if self.n_workers is not None and self.n_workers < 1:
             raise ValueError("n_workers must be >= 1 when given")
@@ -248,10 +231,8 @@ class CRHSolver:
         owns_backend = False
         runner = None
         degraded_reason: str | None = None
-        tier, tier_reason = dispatch.resolve_kernel_tier(config.kernel_tier)
         try:
-            with activate(prof), activate_metrics(reg), \
-                    dispatch.activate_tier(tier):
+            with activate(prof), activate_metrics(reg):
                 with span(prof, "setup"):
                     backend = make_backend(source, config.backend,
                                            n_workers=config.n_workers,
@@ -265,7 +246,7 @@ class CRHSolver:
                     if getattr(backend, "supports_runner", False):
                         try:
                             runner = backend.start_runner(
-                                losses, profiler=prof, kernel_tier=tier)
+                                losses, profiler=prof)
                             runner.seed(states)
                         except BackendExecutionError as error:
                             degraded_reason = (
@@ -353,8 +334,6 @@ class CRHSolver:
                         n_claims=backend.n_claims(),
                         n_workers=getattr(runner, "n_workers", None),
                         n_chunks=getattr(runner, "n_chunks", None),
-                        kernel_tier=tier,
-                        kernel_tier_reason=tier_reason,
                     ))
 
                 # The aggregate of iteration i's objective is exactly the

@@ -25,8 +25,8 @@ per call.  This module fuses the sweep:
 
 Everything here is pure reuse: the kernels receive precomputed values
 they would otherwise derive themselves, byte for byte, so fused and
-unfused execution are bit-identical (pinned by the solver-equivalence
-tests in ``tests/test_kernel_tiers.py``).
+unfused execution are bit-identical (pinned by ``TestFusedSweepReuse``
+in ``tests/test_kernels.py``).
 
 The solver's inline execution path (the dense and sparse backends, and
 any run degraded off a parallel runner) goes through a

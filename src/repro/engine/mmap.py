@@ -521,15 +521,9 @@ class MmapBackend(_BackendBase):
                 columns.append(piece[0])
         return columns
 
-    def start_runner(self, losses, profiler=None,
-                     kernel_tier: str = "numpy") -> _MmapRunner:
+    def start_runner(self, losses, profiler=None) -> _MmapRunner:
         """A fresh chunked runner for ``losses``.
 
-        ``kernel_tier`` is accepted for signature parity with the
-        process backend but needs no forwarding: the chunked runner
-        executes in the parent process, where the solver's
-        ``activate_tier`` context already governs kernel dispatch
-        (chunk-local sort plans are recomputed per chunk either way).
         Raises :class:`MmapBackendError` when the dataset could not be
         memory-mapped (``mmap_fallback_reason``), a loss has no chunked
         implementation, or the deviation scratch cannot be allocated;

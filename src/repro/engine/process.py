@@ -287,8 +287,7 @@ def _worker_init(segment_name: str, descriptors: dict,
 
 
 def _run_task(mode: str, shard_id: int, fail: bool,
-              want_metrics: bool = False,
-              kernel_tier: str = "numpy") -> dict:
+              want_metrics: bool = False) -> dict:
     """One shard task: truth step and/or deviation fill for every
     property; returns per-phase busy seconds for efficiency accounting.
 
@@ -299,17 +298,11 @@ def _run_task(mode: str, shard_id: int, fail: bool,
     carries the worker's pid plus a cumulative snapshot of its partial
     registry (``worker_tasks`` / per-phase ``worker_busy_seconds``),
     which the parent merges with ``worker=<pid>`` labels.
-
-    ``kernel_tier`` is the parent's *resolved* tier, shipped with every
-    task so sharded kernels follow the same tier decision as inline
-    execution (the install is idempotent when the tier is unchanged).
     """
-    from ..core import dispatch as _kernel_dispatch
     from ..core.losses import TruthState
 
     if fail:
         raise RuntimeError("injected worker failure (fail_after)")
-    _kernel_dispatch.ensure_tier(kernel_tier)
     state = _WORKER
     assert state is not None, "worker used before initialization"
     timings = {"truth": 0.0, "deviation": 0.0}
@@ -375,8 +368,7 @@ class _ProcessRunner:
     """
 
     def __init__(self, data: ClaimsMatrix, losses, n_workers: int,
-                 fail_after: int | None = None, profiler=None,
-                 kernel_tier: str = "numpy") -> None:
+                 fail_after: int | None = None, profiler=None) -> None:
         names = [loss.name for loss in losses]
         unsupported = [n for n in names if n not in WORKER_LOSSES]
         if unsupported:
@@ -391,8 +383,6 @@ class _ProcessRunner:
         self._fail_after = fail_after
         self._tasks_sent = 0
         self.profiler = profiler
-        #: resolved kernel tier shipped with every worker task
-        self.kernel_tier = kernel_tier
         self._segment: shared_memory.SharedMemory | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._scratch_fresh = False
@@ -484,11 +474,10 @@ class _ProcessRunner:
         """Whether the pool is (still) usable."""
         return self._pool is not None
 
-    def reset(self, profiler=None, kernel_tier: str = "numpy") -> None:
-        """Start a fresh run on the warm pool: new profiler target and
-        kernel tier, zeroed efficiency accounting, stale scratch."""
+    def reset(self, profiler=None) -> None:
+        """Start a fresh run on the warm pool: new profiler target,
+        zeroed efficiency accounting, stale scratch."""
         self.profiler = profiler
-        self.kernel_tier = kernel_tier
         self._scratch_fresh = False
         self._busy = {"truth": 0.0, "deviation": 0.0}
         self._parallel_wall = 0.0
@@ -527,7 +516,7 @@ class _ProcessRunner:
         begun = time.perf_counter()
         try:
             futures = [self._pool.submit(_run_task, mode, shard, flag,
-                                         want_metrics, self.kernel_tier)
+                                         want_metrics)
                        for shard, flag in enumerate(flags)]
             results = [future.result() for future in futures]
         except (BrokenProcessPool, OSError, RuntimeError) as error:
@@ -673,27 +662,22 @@ class ProcessBackend(_BackendBase):
         self._runner: _ProcessRunner | None = None
         self._runner_key: tuple | None = None
 
-    def start_runner(self, losses, profiler=None,
-                     kernel_tier: str = "numpy") -> _ProcessRunner:
+    def start_runner(self, losses, profiler=None) -> _ProcessRunner:
         """The warm runner for ``losses`` (created or reused).
 
-        ``kernel_tier`` is the parent's resolved tier; workers install
-        it per task so sharded execution follows the same tier decision
-        as inline execution.  Raises :class:`ProcessBackendError` when
-        the configuration has no worker implementation or the pool
-        cannot start; the solver degrades to inline execution in that
-        case.
+        Raises :class:`ProcessBackendError` when the configuration has
+        no worker implementation or the pool cannot start; the solver
+        degrades to inline execution in that case.
         """
         key = tuple(loss.name for loss in losses)
         if (self._runner is not None and self._runner.alive
                 and self._runner_key == key):
-            self._runner.reset(profiler, kernel_tier=kernel_tier)
+            self._runner.reset(profiler)
             return self._runner
         self.close()
         runner = _ProcessRunner(self.data, losses, self.n_workers,
                                 fail_after=self._fail_after,
-                                profiler=profiler,
-                                kernel_tier=kernel_tier)
+                                profiler=profiler)
         self._runner = runner
         self._runner_key = key
         return runner

@@ -28,7 +28,9 @@ import numpy as np
 #: concurrent-serving provenance fields ``n_shards`` / ``ingest_mode``
 #: on ``ingest`` and ``read`` records, and made the read cache split
 #: optional (sharded routers report reads without a router-level
-#: hit/miss notion).
+#: hit/miss notion).  v4 files written by older releases may still
+#: carry two ``run_start`` fields naming the since-removed compiled
+#: kernel tier and its resolution reason; readers ignore them.
 SCHEMA_VERSION = 4
 
 #: Glossary of every field a trace record can carry — and of every
@@ -68,18 +70,6 @@ METRIC_FIELDS: dict[str, str] = {
     "n_chunks": "claim chunks per truth-step sweep of the mmap "
                 "backend's largest property (absent for non-chunked "
                 "backends)",
-    "kernel_tier": "segment-kernel implementation tier the run "
-                   "resolved to: numpy (the reference NumPy kernels) "
-                   "or numba (compiled hot kernels); all tiers are "
-                   "bit-identical, so this is purely a speed "
-                   "provenance tag",
-    "kernel_tier_reason": "why the run resolved to its kernel tier: an "
-                          "explicit request, the session default, the "
-                          "auto preference when the compiled tier is "
-                          "available and self-checked, or the fallback "
-                          "cause (numba unimportable or a failed "
-                          "self-check) when the compiled tier was "
-                          "requested but could not be activated",
     "parallel_efficiency": "busy fraction of the process backend's pool: "
                            "sum of worker busy seconds / (n_workers x "
                            "parallel round wall seconds); 1.0 would be "
@@ -270,9 +260,7 @@ def run_started(method: str, *, n_sources: int | None = None,
                 backend_reason: str | None = None,
                 n_claims: int | None = None,
                 n_workers: int | None = None,
-                n_chunks: int | None = None,
-                kernel_tier: str | None = None,
-                kernel_tier_reason: str | None = None) -> dict:
+                n_chunks: int | None = None) -> dict:
     """A ``run_start`` record: method name plus dataset shape.
 
     ``backend`` tags which execution backend the engine resolved
@@ -282,19 +270,14 @@ def run_started(method: str, *, n_sources: int | None = None,
     (explicit request, session default, or the footprint
     recommendation).  ``n_workers`` is the process backend's pool size
     and ``n_chunks`` the mmap backend's chunks-per-sweep (each absent
-    for the other backends).  ``kernel_tier`` /
-    ``kernel_tier_reason`` record the resolved segment-kernel tier
-    (numpy or numba) and why — the same provenance pattern as
-    ``backend`` / ``backend_reason``.
+    for the other backends).
     """
     return _record("run_start", method=method, n_sources=n_sources,
                    n_objects=n_objects, n_properties=n_properties,
                    backend=backend, backend_reason=backend_reason,
                    n_claims=None if n_claims is None else int(n_claims),
                    n_workers=None if n_workers is None else int(n_workers),
-                   n_chunks=None if n_chunks is None else int(n_chunks),
-                   kernel_tier=kernel_tier,
-                   kernel_tier_reason=kernel_tier_reason)
+                   n_chunks=None if n_chunks is None else int(n_chunks))
 
 
 def profile_record(*, phase: str | None = None, kernel: str | None = None,

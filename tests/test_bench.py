@@ -20,7 +20,7 @@ from repro.bench.harness import default_output_path, run_case
 from repro.cli import main
 
 #: the cheapest cases, for tests that only need a populated snapshot
-_FAST = ["primitives/weighted_vote"]
+_FAST = ["core/vote"]
 _TINY = 0.02
 
 
@@ -35,8 +35,6 @@ class TestSuite:
     def test_pinned_names_are_stable(self):
         names = [case.name for case in SUITE]
         assert names == [
-            "primitives/weighted_median",
-            "primitives/weighted_vote",
             "core/median",
             "core/vote",
             "core/deviations",
@@ -69,7 +67,7 @@ class TestSuite:
             cases_by_name(["no/such"])
 
     def test_run_case_metrics_shape(self):
-        case = cases_by_name(["primitives/weighted_vote"])[0]
+        case = cases_by_name(["core/vote"])[0]
         metrics = run_case(case, scale=_TINY)
         assert metrics["seconds"] > 0
         assert 0.0 < metrics["phase_coverage"] <= 1.0
@@ -115,26 +113,26 @@ class TestCompare:
     def test_regression_beyond_threshold_fails(self):
         a = _tiny_snapshot("a")
         b = json.loads(json.dumps(a))
-        case = b["cases"]["primitives/weighted_vote"]
-        case["seconds"] = a["cases"]["primitives/weighted_vote"][
+        case = b["cases"]["core/vote"]
+        case["seconds"] = a["cases"]["core/vote"][
             "seconds"] * 10 + 1.0
         result = compare_benches(a, b, threshold=1.5)
         assert not result.ok
-        assert result.regressions[0].name == "primitives/weighted_vote"
+        assert result.regressions[0].name == "core/vote"
         assert "REGRESSION" in result.render()
 
     def test_small_absolute_deltas_never_gate(self):
         a = _tiny_snapshot("a")
         b = json.loads(json.dumps(a))
         # 10x slower but still under the absolute noise floor.
-        b["cases"]["primitives/weighted_vote"]["seconds"] = 0.001
-        a["cases"]["primitives/weighted_vote"]["seconds"] = 0.0001
+        b["cases"]["core/vote"]["seconds"] = 0.001
+        a["cases"]["core/vote"]["seconds"] = 0.0001
         assert compare_benches(a, b, min_seconds=0.02).ok
 
     def test_memory_regression_gates(self):
         a = _tiny_snapshot("a")
         b = json.loads(json.dumps(a))
-        b["cases"]["primitives/weighted_vote"][
+        b["cases"]["core/vote"][
             "peak_tracemalloc_kib"] = 10_000_000
         result = compare_benches(a, b)
         assert not result.ok
@@ -149,7 +147,7 @@ class TestCompare:
     def test_unmatched_cases_reported_but_do_not_gate(self):
         a = _tiny_snapshot("a")
         b = json.loads(json.dumps(a))
-        b["cases"]["extra/case"] = b["cases"]["primitives/weighted_vote"]
+        b["cases"]["extra/case"] = b["cases"]["core/vote"]
         result = compare_benches(a, b)
         assert result.ok
         assert result.only_cand == ["extra/case"]
@@ -163,12 +161,12 @@ class TestBenchCli:
 
     def test_run_writes_snapshot(self, tmp_path, capsys):
         code = main(["bench", "--label", "clitest", "--scale",
-                     str(_TINY), "--case", "primitives/weighted_vote",
+                     str(_TINY), "--case", "core/vote",
                      "--output-dir", str(tmp_path)])
         assert code == 0
         snapshot = load_bench(tmp_path / "BENCH_clitest.json")
         assert snapshot["label"] == "clitest"
-        assert "primitives/weighted_vote" in snapshot["cases"]
+        assert "core/vote" in snapshot["cases"]
         assert "wrote" in capsys.readouterr().out
 
     def test_unknown_case_exits_2(self, capsys):
@@ -182,7 +180,7 @@ class TestBenchCli:
         assert main(["bench", "compare", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 0
         slow = json.loads(json.dumps(a))
-        slow["cases"]["primitives/weighted_vote"]["seconds"] += 100.0
+        slow["cases"]["core/vote"]["seconds"] += 100.0
         write_bench(slow, tmp_path / "slow.json")
         assert main(["bench", "compare", str(tmp_path / "a.json"),
                      str(tmp_path / "slow.json")]) == 1

@@ -266,10 +266,18 @@ class TestConcurrentStress:
         assert_equivalent(service, reference)
         service.close()
 
-    def test_no_torn_reads_deterministic_interleaving(self):
+    def test_no_torn_reads_deterministic_interleaving(self, monkeypatch):
         """Every ``read_truth`` row matches the same row of *some*
         snapshot the owning shard ever published — values from two
-        different publications can never mix inside one object row."""
+        different publications can never mix inside one object row.
+
+        The oracle sees every publication, including those the async
+        ingest workers make between two writer calls: each shard's
+        ``_publish`` is wrapped to record its snapshot under the
+        history lock, atomically with the publication itself, so a
+        reader holding that lock sees each snapshot it could have read
+        either in the history or as the shard's current view.
+        """
         dataset = weather(29, n_cities=5, n_days=8)
         claims = list(iter_dataset_claims(dataset))
         service = ShardedTruthService(dataset.schema, n_shards=3,
@@ -278,11 +286,21 @@ class TestConcurrentStress:
         published: list[dict] = [dict() for _ in range(3)]
         history_lock = threading.Lock()
 
-        def record_snapshots():
-            for shard_index, shard in enumerate(service.shards):
-                view = shard.snapshot_view()
+        def recording(shard_index, shard):
+            publish = shard._publish
+
+            def wrapper():
                 with history_lock:
+                    publish()
+                    view = shard.snapshot_view()
                     published[shard_index][view.seq] = view
+            return wrapper
+
+        for shard_index, shard in enumerate(service.shards):
+            view = shard.snapshot_view()
+            published[shard_index][view.seq] = view
+            monkeypatch.setattr(shard, "_publish",
+                                recording(shard_index, shard))
 
         barrier = threading.Barrier(2)
         stop = threading.Event()
@@ -292,9 +310,7 @@ class TestConcurrentStress:
             barrier.wait()
             for start in range(0, len(claims), 17):
                 service.ingest(claims[start:start + 17])
-                record_snapshots()
             service.flush()
-            record_snapshots()
             stop.set()
 
         def reader():
@@ -315,7 +331,7 @@ class TestConcurrentStress:
                 row = [column[0] for column in table.columns]
                 with history_lock:
                     views = list(published[shard_index].values())
-                views.append(shard.snapshot_view())
+                    views.append(shard.snapshot_view())
                 ok = any(
                     local < view.n_objects and all(
                         (value == view.columns[m][local])

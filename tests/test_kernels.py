@@ -3,20 +3,30 @@
 Every segment kernel is checked against the scalar oracles in
 ``repro.core.weighted_stats`` on randomized segmented inputs, plus the
 edge cases the engines rely on: empty segments, zero-total-weight
-segments, value ties, and single-claim segments.
+segments, value ties, and single-claim segments.  Also pinned: the
+fused sweep (cached median plans, precomputed effective weights,
+preallocated deviation scratch) being pure reuse, and the vote
+kernel's sparse-scores fallback (same winners, O(claims) peak memory
+instead of O(categories * objects)).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.sweep import resolve_properties
 from repro.core.weighted_stats import (
     column_std,
     weighted_mean,
     weighted_median,
     weighted_mode,
 )
+from repro.data import ClaimsMatrix
 from repro.data.encoding import MISSING_CODE
+
+from .test_engine_equivalence import _fuzz_dataset
 
 
 def _random_segments(rng, n_groups, max_size=6, allow_empty=True):
@@ -32,6 +42,23 @@ def _random_segments(rng, n_groups, max_size=6, allow_empty=True):
     weights = rng.random(n)
     weights[rng.random(n) < 0.2] = 0.0
     return values, weights, indptr
+
+
+def _segment_case(seed: int, n_groups: int = 14, max_size: int = 24):
+    """Random segmented claims: ties, empty and zero-total groups."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, max_size, n_groups)
+    sizes[rng.integers(0, n_groups)] = 0
+    indptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    n = int(indptr[-1])
+    group = np.repeat(np.arange(n_groups), sizes)
+    values = np.round(rng.normal(size=n), 1)
+    weights = rng.random(n) * rng.choice([0.0, 1e-7, 1.0, 1e7], n)
+    if n_groups > 1 and sizes[1] > 0:
+        weights[group == 1] = 0.0  # zero-total group -> uniform fallback
+    codes = rng.integers(0, 6, n).astype(np.int32)
+    return values, weights, codes, indptr, group
 
 
 class TestSegmentReductions:
@@ -218,3 +245,141 @@ class TestClaimDeviations:
         view = prop.claim_view()
         matrix = kernels.scatter_claims_to_matrix(view, view.values)
         assert np.array_equal(matrix, prop.values, equal_nan=True)
+
+
+class TestFusedSweepReuse:
+    """Plans / effective weights / scratch are pure reuse, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_median_plan_and_effective_are_pure_reuse(self, seed):
+        values, weights, codes, indptr, group = _segment_case(seed)
+        plain = kernels.segment_weighted_median(
+            values, weights, indptr, group_of_claim=group)
+        plan = kernels.MedianSortPlan(
+            np.asarray(values, dtype=np.float64), group)
+        effective = kernels.effective_claim_weights(weights, indptr, group)
+        fused = kernels.segment_weighted_median(
+            values, weights, indptr, group_of_claim=group,
+            plan=plan, effective=effective)
+        refused = kernels.segment_weighted_median(
+            values, weights, indptr, group_of_claim=group,
+            plan=plan, effective=effective)  # plan scratch reused
+        assert np.array_equal(plain, fused, equal_nan=True)
+        assert np.array_equal(plain, refused, equal_nan=True)
+        assert np.array_equal(
+            kernels.segment_weighted_vote(
+                codes, weights, indptr, 6, group_of_claim=group),
+            kernels.segment_weighted_vote(
+                codes, weights, indptr, 6, group_of_claim=group,
+                effective=effective),
+        )
+
+    def test_claim_view_caches_one_plan(self):
+        dataset = _fuzz_dataset(3)
+        sparse = ClaimsMatrix.from_dense(dataset)
+        view = sparse.properties[0].claim_view()
+        plan = view.median_plan()
+        assert view.median_plan() is plan
+        assert isinstance(plan, kernels.MedianSortPlan)
+
+    def test_deviation_out_buffers_are_pure_reuse(self):
+        rng = np.random.default_rng(9)
+        n_groups, n = 8, 60
+        object_idx = np.sort(rng.integers(0, n_groups, n))
+        values = rng.normal(size=n)
+        truths = rng.normal(size=n_groups)
+        stds = rng.uniform(0.5, 2.0, n_groups)
+        out = np.empty(n, dtype=np.float64)
+        for fn in (kernels.squared_claim_deviations,
+                   kernels.absolute_claim_deviations):
+            expected = fn(values, truths, stds, object_idx)
+            got = fn(values, truths, stds, object_idx, out=out)
+            assert got is out
+            assert np.array_equal(expected, got)
+        expected = kernels.huber_claim_deviations(
+            values, truths, stds, object_idx, 1.0)
+        got = kernels.huber_claim_deviations(
+            values, truths, stds, object_idx, 1.0, out=out)
+        assert np.array_equal(expected, got)
+        pair = (np.zeros(4), np.zeros(4))
+        src = rng.integers(0, 4, n).astype(np.int32)
+        fresh = kernels.accumulate_source_deviations(expected, src, 4)
+        reused = kernels.accumulate_source_deviations(
+            expected, src, 4, out=pair)
+        assert reused[0] is pair[0] and reused[1] is pair[1]
+        assert np.array_equal(fresh[0], reused[0])
+        assert np.array_equal(fresh[1], reused[1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_resolve_properties_matches_unfused_loop(self, seed):
+        dataset = ClaimsMatrix.from_dense(_fuzz_dataset(seed + 40))
+        from repro.core.losses import loss_by_name
+
+        losses = [
+            loss_by_name("zero_one" if prop.schema.uses_codec
+                         else "absolute")
+            for prop in dataset.properties
+        ]
+        rng = np.random.default_rng(seed)
+        weights = rng.random(dataset.n_sources)
+        fused = resolve_properties(dataset, losses, weights)
+        unfused = [loss.update_truth(prop, weights)
+                   for loss, prop in zip(losses, dataset.properties)]
+        for a, b in zip(fused, unfused):
+            assert np.array_equal(np.asarray(a.column),
+                                  np.asarray(b.column), equal_nan=True)
+
+
+class TestVoteSparseFallback:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_and_dense_paths_agree(self, seed, monkeypatch):
+        values, weights, codes, indptr, group = _segment_case(seed)
+        dense = kernels.segment_weighted_vote(
+            codes, weights, indptr, 6, group_of_claim=group)
+        monkeypatch.setattr(kernels, "VOTE_DENSE_SCORE_CELLS", 0)
+        sparse = kernels.segment_weighted_vote(
+            codes, weights, indptr, 6, group_of_claim=group)
+        assert np.array_equal(dense, sparse)
+
+    def test_empty_groups_stay_missing_on_sparse_path(self, monkeypatch):
+        monkeypatch.setattr(kernels, "VOTE_DENSE_SCORE_CELLS", 0)
+        indptr = np.array([0, 2, 2, 3], dtype=np.int64)
+        codes = np.array([4, 4, 1], dtype=np.int32)
+        weights = np.array([0.5, 0.25, 1.0])
+        winners = kernels.segment_weighted_vote(codes, weights, indptr, 6)
+        assert winners.tolist() == [4, MISSING_CODE, 1]
+
+    def test_huge_vocabulary_peak_memory_is_bounded(self):
+        """Above the cell threshold, peak allocation tracks the claim
+        count, not the (categories x groups) score matrix — the dense
+        path here would allocate 50_000 * 120 * 8 bytes = ~46 MiB."""
+        rng = np.random.default_rng(0)
+        n_categories, n_groups, n = 50_000, 120, 2_000
+        assert n_categories * n_groups > kernels.VOTE_DENSE_SCORE_CELLS
+        group = np.sort(rng.integers(0, n_groups, n))
+        indptr = np.searchsorted(group, np.arange(n_groups + 1)).astype(
+            np.int64)
+        codes = rng.integers(0, n_categories, n).astype(np.int64)
+        weights = rng.random(n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            winners = kernels.segment_weighted_vote(
+                codes, weights, indptr, n_categories,
+                group_of_claim=group)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert winners.shape == (n_groups,)
+        assert peak < 2 * 1024 * 1024, f"peak {peak} bytes"
+        # and the winners match a directly computed per-group argmax
+        for g in range(0, n_groups, 17):
+            lo, hi = indptr[g], indptr[g + 1]
+            if lo == hi:
+                assert winners[g] == MISSING_CODE
+                continue
+            scores: dict[int, float] = {}
+            for c, w in zip(codes[lo:hi], weights[lo:hi]):
+                scores[int(c)] = scores.get(int(c), 0.0) + w
+            best = max(sorted(scores), key=lambda c: scores[c])
+            assert winners[g] == best

@@ -22,13 +22,7 @@ on the weather stream and enforces the serving acceptance bars:
   :class:`~repro.observability.MetricsRegistry` enabled must stay
   within 5% of a metrics-disabled replay — asserted only at full
   scale, where the per-batch instrument updates are amortized over
-  real sealing/recompute work;
-* **concurrent scaling** (this PR): claims/sec through the
-  :class:`~repro.streaming.ShardedTruthService` router at 1, 2 and 4
-  shards/ingest-threads.  The throughput curve must be monotonically
-  increasing from 1 to 4 threads — asserted only on runners with at
-  least 4 CPUs (``os.cpu_count() >= 4``) at full scale; on smaller
-  machines the curve is reported without gating.
+  real sealing/recompute work.
 
 Runs two ways:
 
@@ -53,13 +47,7 @@ import time
 import numpy as np
 
 from repro.datasets import WeatherConfig, generate_weather_dataset
-from repro.streaming import (
-    Claim,
-    ShardedTruthService,
-    TruthService,
-    icrh,
-    iter_dataset_claims,
-)
+from repro.streaming import Claim, TruthService, icrh, iter_dataset_claims
 
 WINDOW = 2
 BATCH = 1_000
@@ -69,10 +57,6 @@ METRICS_OVERHEAD_BAR = 1.05
 READ_SAMPLES = 200
 #: distinct sources the churn case drips into the stream
 CHURN_SOURCES = 2_000
-#: (n_shards, ingest_threads) points on the concurrent scaling curve
-SCALING_TOPOLOGIES = ((1, 1), (2, 2), (4, 4))
-#: the scaling curve is gated only on runners with this many CPUs
-SCALING_MIN_CPUS = 4
 
 
 def _smoke() -> bool:
@@ -210,43 +194,6 @@ def run_source_churn() -> dict:
             "growth_events": growth}
 
 
-def measure_concurrent_scaling(dataset, claims) -> dict:
-    """Claims/sec through the sharded router at each scaling topology.
-
-    Each :data:`SCALING_TOPOLOGIES` point replays the full stream
-    through a fresh :class:`~repro.streaming.ShardedTruthService`
-    (drain included in the timing, so queued work cannot flatter the
-    async configurations).  Returns per-topology rates plus whether
-    the 1 -> 4 curve is monotonically increasing.  The acceptance bar
-    (monotone curve) only applies on runners with at least
-    :data:`SCALING_MIN_CPUS` CPUs — a single-CPU box serializes the
-    workers, so the threaded points measure queue overhead, not
-    parallelism.
-    """
-    points = []
-    for n_shards, threads in SCALING_TOPOLOGIES:
-        service = ShardedTruthService(
-            dataset.schema, n_shards=n_shards, window=WINDOW,
-            codecs=dataset.codecs(), ingest_threads=threads,
-        )
-        started = time.perf_counter()
-        for start in range(0, len(claims), BATCH):
-            service.ingest(claims[start:start + BATCH])
-        service.flush()
-        service.drain()
-        seconds = time.perf_counter() - started
-        service.close()
-        points.append({"n_shards": n_shards, "ingest_threads": threads,
-                       "seconds": seconds,
-                       "claims_per_sec": len(claims) / seconds})
-    rates = [point["claims_per_sec"] for point in points]
-    return {
-        "points": points,
-        "monotone": all(b > a for a, b in zip(rates, rates[1:])),
-        "gated": (os.cpu_count() or 1) >= SCALING_MIN_CPUS,
-    }
-
-
 def run_comparison() -> dict:
     """Measure ingest, read latency and the update bar; print the table."""
     dataset = build_stream()
@@ -283,12 +230,6 @@ def run_comparison() -> dict:
           f"{overhead['metrics_off_seconds']:>6.2f} s "
           f"({(overhead['ratio'] - 1) * 100:+.1f}%)")
 
-    scaling = measure_concurrent_scaling(dataset, claims)
-    for point in scaling["points"]:
-        print(f"  concurrent {point['n_shards']}x"
-              f"{point['ingest_threads']:<13}{point['seconds']:>8.2f} s "
-              f"({point['claims_per_sec']:,.0f} claims/sec)")
-
     if not _smoke():
         assert speedup >= UPDATE_SPEEDUP_BAR, (
             f"single-object update only {speedup:.1f}x faster than full "
@@ -299,13 +240,6 @@ def run_comparison() -> dict:
             f"slower than metrics-off; acceptance bar is "
             f"{(METRICS_OVERHEAD_BAR - 1) * 100:.0f}%"
         )
-        if scaling["gated"]:
-            assert scaling["monotone"], (
-                "claims/sec did not increase monotonically from 1 to "
-                f"{SCALING_TOPOLOGIES[-1][1]} ingest threads: "
-                + ", ".join(f"{p['claims_per_sec']:,.0f}"
-                            for p in scaling["points"])
-            )
     return {
         "claims_per_sec": rate,
         "replay_seconds": replay_seconds,
@@ -314,7 +248,6 @@ def run_comparison() -> dict:
         "update_speedup": speedup,
         "churn": churn,
         "metrics_overhead": overhead,
-        "concurrent_scaling": scaling,
     }
 
 
@@ -322,10 +255,7 @@ def run_check() -> None:
     """CI smoke round-trip: ingest -> read -> snapshot -> restore -> read.
 
     Asserts the restored service answers bit-identical truths and
-    weights, the contract ``TruthService.restore`` documents, and that
-    a drained 4-shard/2-thread :class:`ShardedTruthService` answers
-    the same truths and weights as the unsharded replay (the sequential
-    -equivalence contract the concurrency tests fuzz).
+    weights, the contract ``TruthService.restore`` documents.
     """
     dataset = build_stream()
     claims = list(iter_dataset_claims(dataset))
@@ -341,24 +271,11 @@ def run_check() -> None:
         np.testing.assert_array_equal(col_a, col_b)
     np.testing.assert_array_equal(service.get_weights(),
                                   restored.get_weights())
-    with ShardedTruthService(dataset.schema, n_shards=4, window=WINDOW,
-                             codecs=dataset.codecs(),
-                             ingest_threads=2) as sharded:
-        for start in range(0, len(claims), BATCH):
-            sharded.ingest(claims[start:start + BATCH])
-        sharded.flush()
-        sharded.drain()
-        assert sharded.object_ids == service.object_ids
-        sharded_truth = sharded.get_truth(sharded.object_ids)
-        for col_a, col_b in zip(before.columns, sharded_truth.columns):
-            np.testing.assert_array_equal(col_a, col_b)
-        np.testing.assert_array_equal(service.get_weights(),
-                                      sharded.get_weights())
     metrics = service.metrics()
     print(f"Serving check: {metrics['ingested_claims']:,} claims "
           f"ingested, {metrics['windows_sealed']} windows sealed, "
-          f"snapshot/restore read-identical, 4-shard router "
-          f"sequential-equivalent{' [smoke]' if _smoke() else ''}")
+          f"snapshot/restore read-identical"
+          f"{' [smoke]' if _smoke() else ''}")
 
 
 def test_serving_throughput(benchmark):

@@ -32,10 +32,6 @@ The pinned cases:
 * ``serving/ingest_read`` — the same stream pushed claim batches at a
   time through :class:`~repro.streaming.TruthService` (window sealing,
   dirty-set recompute) followed by a full-corpus truth read;
-* ``serving/concurrent_sync`` / ``serving/concurrent_threads`` — the
-  same serving workload through the 4-shard
-  :class:`~repro.streaming.ShardedTruthService` router, synchronously
-  and with 2 async ingest workers (drain included in the timing);
 * ``baseline/median-sparse`` / ``baseline/catd-process-w2`` /
   ``baseline/truthfinder-sparse`` — baseline resolvers through the
   unified execution layer (``docs/RESOLVERS.md``): a uniform-weight
@@ -57,12 +53,7 @@ from ..datasets import WeatherConfig, generate_weather_dataset
 from ..experiments.scaling import _adult_workload
 from ..observability.profiling import MemoryProfiler, activate
 from ..parallel import ParallelCRHConfig, parallel_crh
-from ..streaming import (
-    ShardedTruthService,
-    TruthService,
-    icrh,
-    iter_dataset_claims,
-)
+from ..streaming import TruthService, icrh, iter_dataset_claims
 
 
 @dataclass(frozen=True)
@@ -365,30 +356,6 @@ def _run_serving_metrics_overhead(payload, profiler: MemoryProfiler):
     return sealed
 
 
-def _run_concurrent(n_shards: int, ingest_threads: int):
-    """A measured body replaying the stream through the sharded router.
-
-    Builds the router inside the measured ``run`` phase (worker start-up
-    is part of what async ingest costs), ingests the full stream,
-    flushes the window tail, drains every worker queue, and finishes
-    with a full-corpus read — so the timing covers the same work as
-    ``serving/ingest_read`` plus routing, locking and queue hand-off.
-    """
-    def run(payload, profiler: MemoryProfiler):
-        claims = payload["claims"]
-        with activate(profiler), profiler.phase("run"):
-            with ShardedTruthService(
-                    payload["schema"], n_shards=n_shards, window=2,
-                    codecs=payload["codecs"],
-                    ingest_threads=ingest_threads) as service:
-                for start in range(0, len(claims), _SERVING_BATCH):
-                    service.ingest(claims[start:start + _SERVING_BATCH])
-                service.flush()
-                service.drain()
-                return service.get_truth(payload["object_ids"])
-    return run
-
-
 # -- the pinned suite ---------------------------------------------------
 
 #: every case ``python -m repro bench`` measures, in execution order
@@ -475,20 +442,6 @@ SUITE: tuple[BenchCase, ...] = (
                     "enabled vs disabled",
         build=_serving_payload,
         run=_run_serving_metrics_overhead,
-    ),
-    BenchCase(
-        name="serving/concurrent_sync",
-        description="4-shard router, synchronous ingest + full-corpus "
-                    "read over the weather stream",
-        build=_serving_payload,
-        run=_run_concurrent(4, 0),
-    ),
-    BenchCase(
-        name="serving/concurrent_threads",
-        description="4-shard router, 2 async ingest workers + "
-                    "full-corpus read over the weather stream",
-        build=_serving_payload,
-        run=_run_concurrent(4, 2),
     ),
     BenchCase(
         name="baseline/median-sparse",

@@ -24,13 +24,14 @@ import numpy as np
 #: ``profile`` event (phase/kernel wall-time and memory breakdowns) and
 #: the ``backend_reason`` field on ``run_start``.  v3 added the serving
 #: events ``ingest`` and ``read`` (TruthService batch/read telemetry:
-#: dirty-set size, cache hit rate, recompute counts).  v4 added the
-#: concurrent-serving provenance fields ``n_shards`` / ``ingest_mode``
-#: on ``ingest`` and ``read`` records, and made the read cache split
-#: optional (sharded routers report reads without a router-level
-#: hit/miss notion).  v4 files written by older releases may still
-#: carry two ``run_start`` fields naming the since-removed compiled
-#: kernel tier and its resolution reason; readers ignore them.
+#: dirty-set size, cache hit rate, recompute counts).  v4 added
+#: sharded-router topology stamps on ``ingest`` and ``read`` records
+#: and made the read cache split optional (the router reported reads
+#: without a hit/miss notion).  v4 files written by older releases may
+#: still carry two ``run_start`` fields naming the since-removed
+#: compiled kernel tier and its resolution reason; readers ignore them.
+#: v4 files written before the router was removed may carry
+#: ``n_shards`` / ``ingest_mode``, and readers ignore them too.
 SCHEMA_VERSION = 4
 
 #: Glossary of every field a trace record can carry — and of every
@@ -173,32 +174,6 @@ METRIC_FIELDS: dict[str, str] = {
     "health_status": "SLO verdict of the health evaluator: 0 healthy, "
                      "1 degraded, 2 unhealthy (exported alongside the "
                      "registry by the metrics exporter)",
-    "n_shards": "shard count of the sharded truth router that handled "
-                "the traced ingest/read (1 for an unsharded service)",
-    "ingest_mode": "how the sharded router applies shard work: sync "
-                   "(inline on the calling thread) or threads (bounded "
-                   "worker queues drained asynchronously)",
-    "submitted_claims": "claims accepted into the sharded router's "
-                        "ingest path (routing done; with threaded "
-                        "ingest the shard-side absorption may still be "
-                        "queued — ingested_claims catches up at drain)",
-    "rejected_claims": "claims refused by reject-mode backpressure "
-                       "because a worker queue was full (whole batches "
-                       "reject atomically; resubmit after a drain)",
-    "shard_busy_retries": "timed-out shard-lock acquisition attempts "
-                          "that were retried (lock contention signal; "
-                          "each retry re-waits on the same shard lock)",
-    "queue_depth": "ingest tasks currently buffered across the "
-                   "router's worker queues (0 in sync mode; sustained "
-                   "growth means ingest outruns the workers)",
-    "shard_imbalance": "max over shards of claims routed to the shard "
-                       "divided by the mean per-shard claim count (1.0 "
-                       "is perfectly balanced; the shard-policy "
-                       "quality gauge)",
-    "lock_wait_seconds": "latency histogram of shard-lock acquisition "
-                         "waits, labeled shard=<i> (the lock-contention "
-                         "cost the per-shard locking is meant to keep "
-                         "near zero)",
     "snapshot_reads": "objects served by lock-free read_truth calls "
                       "against a published copy-on-write truth "
                       "snapshot (never blocks, bounded staleness)",
@@ -372,17 +347,13 @@ def stream_chunk_record(chunk: int, *, n_objects: int, n_sources: int,
 def ingest_record(*, ingested_claims: int, new_objects: int,
                   new_sources: int, windows_sealed: int,
                   dirty_objects: int, recomputed_objects: int,
-                  elapsed_seconds: float | None = None,
-                  n_shards: int | None = None,
-                  ingest_mode: str | None = None) -> dict:
+                  elapsed_seconds: float | None = None) -> dict:
     """An ``ingest`` record: one TruthService ingest batch.
 
     Carries how much arrived (claims, first-seen objects/sources), how
     the stream advanced (windows sealed), and what invalidation cost:
     the dirty-set size the batch left behind and how many objects the
-    recompute planner re-resolved.  Sharded routers stamp ``n_shards``
-    and ``ingest_mode`` so a trace names the concurrency setup it ran
-    under; unsharded services omit both.
+    recompute planner re-resolved.
     """
     return _record(
         "ingest",
@@ -393,35 +364,25 @@ def ingest_record(*, ingested_claims: int, new_objects: int,
         dirty_objects=int(dirty_objects),
         recomputed_objects=int(recomputed_objects),
         elapsed_seconds=elapsed_seconds,
-        n_shards=None if n_shards is None else int(n_shards),
-        ingest_mode=ingest_mode,
     )
 
 
-def read_record(*, read_objects: int, cache_hits: int | None = None,
-                cache_misses: int | None = None,
-                cache_hit_rate: float | None = None,
-                elapsed_seconds: float | None = None,
-                n_shards: int | None = None,
-                ingest_mode: str | None = None) -> dict:
+def read_record(*, read_objects: int, cache_hits: int,
+                cache_misses: int, cache_hit_rate: float,
+                elapsed_seconds: float | None = None) -> dict:
     """A ``read`` record: one TruthService ``get_truth`` call.
 
     The hit/miss split is per requested object: a hit is served from
     the warm versioned cache, a miss is resolved on demand through the
-    segment kernels under the current weights.  Sharded routers omit
-    the split (each shard keeps its own) and stamp ``n_shards`` /
-    ``ingest_mode`` instead.
+    segment kernels under the current weights.
     """
     return _record(
         "read",
         read_objects=int(read_objects),
-        cache_hits=None if cache_hits is None else int(cache_hits),
-        cache_misses=None if cache_misses is None else int(cache_misses),
-        cache_hit_rate=(None if cache_hit_rate is None
-                        else float(cache_hit_rate)),
+        cache_hits=int(cache_hits),
+        cache_misses=int(cache_misses),
+        cache_hit_rate=float(cache_hit_rate),
         elapsed_seconds=elapsed_seconds,
-        n_shards=None if n_shards is None else int(n_shards),
-        ingest_mode=ingest_mode,
     )
 
 

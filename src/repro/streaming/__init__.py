@@ -7,11 +7,10 @@ Algorithm 2):
   time window and runs :class:`IncrementalCRH` chunk by chunk;
 * long-lived serving — :class:`TruthService` ingests claims one at a
   time (:class:`Claim`), seals windows as they complete, serves warm
-  truths/weights, and snapshots/restores its full state; and
-* concurrent serving — :class:`ShardedTruthService` routes object
-  keys across per-shard ``TruthService`` instances under one global
-  weight plane, with optional async ingest workers and lock-free
-  snapshot reads (``docs/ARCHITECTURE.md``, "Concurrent serving").
+  truths/weights, and snapshots/restores its full state.  One writer
+  thread ingests while any number of reader threads call the lock-free,
+  snapshot-isolated :meth:`TruthService.read_truth`
+  (``docs/ARCHITECTURE.md``, "Concurrent reads").
 
 The layers underneath: :class:`ClaimStore` (appendable claim index +
 dirty set), :class:`~repro.streaming.state.TruthState` /
@@ -20,14 +19,6 @@ versioned truth cache) and :class:`RecomputePlanner` (dirty-set
 re-resolution through the shared segment kernels).
 """
 
-from .concurrent import (
-    SHARD_POLICIES,
-    BackpressureError,
-    IngestWorkerError,
-    MergedRegistryView,
-    ShardedTruthService,
-    shard_policy_by_name,
-)
 from .icrh import ICRHConfig, ICRHResult, IncrementalCRH, icrh
 from .planner import RecomputePlan, RecomputePlanner
 from .service import (
@@ -42,7 +33,6 @@ from .store import Claim, ClaimStore, GrowableArray
 from .windows import StreamChunk, chunk_by_window, n_chunks
 
 __all__ = [
-    "BackpressureError",
     "Claim",
     "ClaimStore",
     "GrowableArray",
@@ -50,12 +40,8 @@ __all__ = [
     "ICRHResult",
     "IncrementalCRH",
     "IngestReport",
-    "IngestWorkerError",
-    "MergedRegistryView",
     "RecomputePlan",
     "RecomputePlanner",
-    "SHARD_POLICIES",
-    "ShardedTruthService",
     "StreamChunk",
     "TruthCache",
     "TruthService",
@@ -66,5 +52,4 @@ __all__ = [
     "icrh",
     "iter_dataset_claims",
     "n_chunks",
-    "shard_policy_by_name",
 ]

@@ -74,7 +74,7 @@ class TruthSnapshot:
     them in place.  ``seq`` increases by one per publication and
     ``epoch`` records the Algorithm-2 weight epoch the snapshot's
     freshest truths were resolved under, which is what the torn-read
-    fuzz in ``tests/test_concurrent_serving.py`` checks against.
+    test in ``tests/test_serving.py`` checks against.
     """
 
     #: monotone publication number (0 is the empty initial snapshot)
@@ -260,10 +260,6 @@ class TruthService:
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
         self._sealed_high: float | None = None
-        #: router hook: () -> (weights over store sources, weight epoch);
-        #: installed by ShardedTruthService so shard-local resolution
-        #: runs under the router's *global* Algorithm-2 weights
-        self._external_state = None
         registry = self.registry
         self._c_ingested = registry.counter("ingested_claims")
         self._c_sealed = registry.counter("windows_sealed")
@@ -463,24 +459,15 @@ class TruthService:
         self._store.dirty.clear()
         return plan.n_objects
 
-    def _serving_state(self) -> tuple[np.ndarray, int]:
-        """The weights (over store sources) and epoch resolution runs
-        under: the service's own model, unless a router installed a
-        global-state hook (sharded serving)."""
-        if self._external_state is not None:
-            weights, epoch = self._external_state()
-            return np.asarray(weights, dtype=np.float64), int(epoch)
-        return self._current_weights(), self._model.state.epoch
-
     def _resolve_into_cache(self, indices: np.ndarray, *,
                             plan=None) -> None:
         """Re-resolve ``indices`` under current weights into the cache."""
-        weights, epoch = self._serving_state()
         columns = resolve_truths(self._store, indices,
-                                 weights, self._losses,
+                                 self._current_weights(), self._losses,
                                  plan=plan)
         self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, columns, version=epoch)
+        self._cache.store(indices, columns,
+                          version=self._model.state.epoch)
 
     def recompute_all(self) -> int:
         """Re-resolve *every* object under the current weights.
@@ -499,63 +486,6 @@ class TruthService:
         return int(indices.size)
 
     # ------------------------------------------------------------------
-    # shard-facing API (driven by ShardedTruthService)
-    # ------------------------------------------------------------------
-    def absorb(self, claims: Iterable) -> tuple[int, int]:
-        """Absorb claims into the store *without* window bookkeeping.
-
-        The sharded router owns the global window clock: it decides
-        what seals and when, so a shard only appends claims (marking
-        their objects dirty) and leaves sealing to
-        :meth:`apply_seal` / recomputation to :meth:`drain_dirty`.
-        Returns ``(claims_absorbed, objects_first_seen)``.  The
-        published truth snapshot is *not* advanced — absorbed claims
-        become readable once the router seals or drains.
-        """
-        store = self._store
-        absorbed = 0
-        new_objects = 0
-        for item in claims:
-            _, created = store.add(as_claim(item))
-            absorbed += 1
-            if created:
-                new_objects += 1
-        self._c_ingested.inc(absorbed)
-        return absorbed, new_objects
-
-    def apply_seal(self, object_indices, columns, version: int) -> None:
-        """Install router-computed sealed truths for local objects.
-
-        ``object_indices`` are *this shard's* store indices,
-        ``columns`` the matching rows of the global chunk's truth
-        columns (shared codec space, so categorical codes line up),
-        and ``version`` the global weight epoch of the seal.  The
-        objects leave the dirty set and a fresh truth snapshot is
-        published.
-        """
-        indices = np.asarray(object_indices, dtype=np.int64)
-        self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, columns, version=int(version))
-        self._store.dirty.difference_update(int(i) for i in indices)
-        self._update_gauges()
-        self._publish()
-
-    def drain_dirty(self) -> int:
-        """Drain this shard's dirty set under the serving weights.
-
-        The sharded-mode equivalent of the recompute pass
-        :meth:`ingest` runs after each batch: resolves every dirty
-        object (through the planner) under :meth:`_serving_state`'s
-        weights — the router's global weights when sharded — and
-        publishes a fresh snapshot.  Returns the objects re-resolved.
-        """
-        recomputed = self._recompute_dirty()
-        self._c_recomputed.inc(recomputed)
-        self._update_gauges()
-        self._publish()
-        return recomputed
-
-    # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def _publish(self) -> None:
@@ -569,10 +499,10 @@ class TruthService:
         columns, versions = self._cache.publish()
         previous = self._snapshot
         seq = 0 if previous is None else previous.seq + 1
-        _, epoch = self._serving_state()
         self._snapshot = TruthSnapshot(
-            seq=seq, epoch=epoch, n_objects=int(versions.size),
-            columns=columns, versions=versions,
+            seq=seq, epoch=self._model.state.epoch,
+            n_objects=int(versions.size), columns=columns,
+            versions=versions,
         )
         if self.registry.enabled:
             self.registry.gauge("snapshot_seq").set(seq)

@@ -39,7 +39,6 @@ from ..observability import (
     parse_rule,
 )
 from ..observability.export import flatten_snapshot
-from .concurrent import ShardedTruthService
 from .icrh import ICRHConfig
 from .service import TruthService, iter_dataset_claims
 
@@ -67,16 +66,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "ingest batches (default 3)")
     parser.add_argument("--decay", type=float, default=1.0,
                         help="I-CRH decay factor alpha (default 1.0)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition objects across this many "
-                             "TruthService shards behind a "
-                             "ShardedTruthService router (default 1 = "
-                             "unsharded)")
-    parser.add_argument("--ingest-threads", type=int, default=0,
-                        help="async ingest worker threads draining "
-                             "bounded per-worker queues (default 0 = "
-                             "synchronous ingest; implies the sharded "
-                             "router)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="write ingest/read JSONL trace records "
                              "to this file")
@@ -161,26 +150,12 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     claims = list(iter_dataset_claims(dataset))
     rng = np.random.default_rng(args.seed)
     tracer = JsonlTracer(args.trace) if args.trace is not None else None
-    if args.shards < 1 or args.ingest_threads < 0:
-        print("serve-sim: --shards must be >= 1 and --ingest-threads "
-              ">= 0", file=sys.stderr)
-        return 2
-    sharded = args.shards > 1 or args.ingest_threads > 0
-    if sharded:
-        service = ShardedTruthService(
-            dataset.schema, n_shards=args.shards, window=args.window,
-            config=ICRHConfig(decay=args.decay),
-            codecs=dataset.codecs(), tracer=tracer,
-            ingest_threads=args.ingest_threads,
-        )
-        registry = service.registry_view()
-    else:
-        service = TruthService(
-            dataset.schema, window=args.window,
-            config=ICRHConfig(decay=args.decay),
-            codecs=dataset.codecs(), tracer=tracer,
-        )
-        registry = service.registry
+    service = TruthService(
+        dataset.schema, window=args.window,
+        config=ICRHConfig(decay=args.decay),
+        codecs=dataset.codecs(), tracer=tracer,
+    )
+    registry = service.registry
     try:
         rules = ([parse_rule(text) for text in args.slo]
                  if args.slo else None)
@@ -198,12 +173,9 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
         server = _start_http_server(args.http, registry, health)
         print(f"serving /metrics and /healthz on "
               f"http://127.0.0.1:{args.http}")
-    topology = (f"shards={args.shards}, "
-                f"ingest_threads={args.ingest_threads}"
-                if sharded else "unsharded")
     print(f"serve-sim: {len(claims):,} claims over {args.days} days, "
           f"{dataset.n_objects} objects, window={args.window}, "
-          f"batch={args.batch}, {topology}")
+          f"batch={args.batch}")
     started = time.perf_counter()
     try:
         for batch_index, start in enumerate(
@@ -222,13 +194,9 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
                     and batch_index % args.export_every == 0):
                 exporter.export()
         service.flush()
-        if sharded:
-            service.drain()
         if exporter is not None:
             exporter.export()
     finally:
-        if sharded:
-            service.close()
         if tracer is not None:
             tracer.close()
         if server is not None:

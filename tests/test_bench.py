@@ -48,8 +48,6 @@ class TestSuite:
             "streaming/icrh_chunks",
             "serving/ingest_read",
             "serving/metrics_overhead",
-            "serving/concurrent_sync",
-            "serving/concurrent_threads",
             "baseline/median-sparse",
             "baseline/catd-process-w2",
             "baseline/truthfinder-sparse",

@@ -152,32 +152,3 @@ def test_serving_metrics_use_glossary_names_only():
         f"registry instruments missing from the glossary: {undocumented}"
     )
 
-
-def test_sharded_metrics_use_glossary_names_only():
-    """The concurrent router speaks the same vocabulary: every key
-    ``ShardedTruthService.metrics()`` returns and every instrument in
-    its merged (router + per-shard) registry must be a
-    :data:`METRIC_FIELDS` glossary entry."""
-    from repro.data import DatasetSchema, continuous
-    from repro.observability import METRIC_FIELDS
-    from repro.streaming import Claim, ShardedTruthService
-
-    with ShardedTruthService(DatasetSchema.of(continuous("p0")),
-                             n_shards=2, window=1,
-                             ingest_threads=1) as service:
-        service.ingest([Claim(0, "p0", "s0", 1.0, 0.0),
-                        Claim(1, "p0", "s1", 2.0, 1.0)])
-        service.flush()
-        service.drain()
-        service.get_truth([0, 1])
-        undocumented = sorted(set(service.metrics()) - set(METRIC_FIELDS))
-        assert not undocumented, (
-            f"metrics() keys missing from the glossary: {undocumented}"
-        )
-        names = {instrument.name
-                 for instrument in service.merged_registry().instruments()}
-    undocumented = sorted(names - set(METRIC_FIELDS))
-    assert not undocumented, (
-        f"merged registry instruments missing from the glossary: "
-        f"{undocumented}"
-    )

@@ -1,16 +1,22 @@
 """Tests for the layered truth-serving engine (store, planner, service).
 
-The two load-bearing guarantees are fuzzed here:
+The load-bearing guarantees checked here:
 
 * **replay equivalence** — ingesting a timestamped dataset claim by
   claim through :class:`TruthService` and flushing produces weights and
   truths bit-identical to the batch :func:`icrh` oracle;
 * **dirty-set recompute** — re-resolving only dirty objects matches the
   full-recompute oracle on every touched object, and late claims never
-  rewrite sealed weight history.
+  rewrite sealed weight history;
+* **snapshot-isolated reads** — with one writer thread ingesting,
+  reader threads calling the lock-free ``read_truth`` only ever observe
+  rows of some published snapshot, published snapshots never change,
+  and the end state equals the sequential replay.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -413,3 +419,212 @@ class TestServiceSurface:
     def test_invalid_window(self, mixed_schema):
         with pytest.raises(ValueError, match="window"):
             TruthService(mixed_schema, window=0)
+
+
+def assert_tables_equal(actual, expected):
+    assert list(actual.object_ids) == list(expected.object_ids)
+    for got, want in zip(actual.columns, expected.columns):
+        np.testing.assert_array_equal(got, want)
+
+
+def same_row(row, view, position) -> bool:
+    """Whether ``row`` equals ``view``'s row ``position`` (NaN == NaN)."""
+    return position < view.n_objects and all(
+        (value == view.columns[m][position])
+        or (isinstance(value, float) and np.isnan(value)
+            and np.isnan(view.columns[m][position]))
+        for m, value in enumerate(row)
+    )
+
+
+@pytest.mark.concurrency
+class TestConcurrentStress:
+    """The single-writer / many-reader contract of :class:`TruthService`:
+    one thread calls ``ingest`` while readers call ``read_truth``."""
+
+    def test_barrier_started_writers_and_readers(self):
+        """A writer ingests the stream in slices while barrier-started
+        readers hammer ``read_truth``; afterwards the state matches the
+        sequential replay of the same claims."""
+        dataset = weather(23, n_cities=6, n_days=10)
+        claims = list(iter_dataset_claims(dataset))
+        service = TruthService(dataset.schema, window=2,
+                               codecs=dataset.codecs())
+        step = max(1, len(claims) // 8)
+        barrier = threading.Barrier(1 + 3)
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def writer():
+            barrier.wait()
+            try:
+                for start in range(0, len(claims), step):
+                    service.ingest(claims[start:start + step])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                stop.set()
+
+        def reader():
+            barrier.wait()
+            rng = np.random.default_rng(threading.get_ident() % 2**31)
+            try:
+                while not stop.is_set():
+                    known = service.object_ids
+                    if not known:
+                        continue
+                    pick = [known[int(i)] for i in
+                            rng.integers(0, len(known), size=3)]
+                    try:
+                        service.read_truth(pick)
+                    except KeyError:
+                        pass  # not yet in the published snapshot: allowed
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        service.flush()
+        reference = replay(dataset, window=2, batch=step)
+        np.testing.assert_array_equal(service.get_weights(),
+                                      reference.get_weights())
+        assert service.source_ids == reference.source_ids
+        assert service.object_ids == reference.object_ids
+        ids = list(reference.object_ids)
+        assert_tables_equal(service.get_truth(ids), reference.get_truth(ids))
+        assert_tables_equal(service.read_truth(ids),
+                            reference.get_truth(ids))
+        assert (service.metrics()["windows_sealed"]
+                == reference.metrics()["windows_sealed"])
+
+    def test_no_torn_reads_deterministic_interleaving(self, monkeypatch):
+        """Every ``read_truth`` row matches the same row of *some*
+        snapshot the service ever published — values from two
+        different publications can never mix inside one object row.
+
+        The oracle sees every publication: ``_publish`` is wrapped to
+        record its snapshot under the history lock, atomically with the
+        publication itself, so a reader holding that lock finds each
+        snapshot it could have read either in the history or as the
+        service's current view.
+        """
+        dataset = weather(29, n_cities=5, n_days=8)
+        claims = list(iter_dataset_claims(dataset))
+        service = TruthService(dataset.schema, window=2,
+                               codecs=dataset.codecs())
+        view = service.snapshot_view()
+        published = {view.seq: view}
+        history_lock = threading.Lock()
+        publish = service._publish
+
+        def recording_publish():
+            with history_lock:
+                publish()
+                view = service.snapshot_view()
+                published[view.seq] = view
+
+        monkeypatch.setattr(service, "_publish", recording_publish)
+
+        barrier = threading.Barrier(2)
+        stop = threading.Event()
+        torn: list[str] = []
+
+        def writer():
+            barrier.wait()
+            try:
+                for start in range(0, len(claims), 17):
+                    service.ingest(claims[start:start + 17])
+                service.flush()
+            finally:
+                stop.set()
+
+        def reader():
+            barrier.wait()
+            rng = np.random.default_rng(12345)
+            while not stop.is_set():
+                known = service.object_ids
+                if not known:
+                    continue
+                object_id = known[int(rng.integers(0, len(known)))]
+                try:
+                    table = service.read_truth([object_id])
+                except KeyError:
+                    continue
+                position = service.store.object_position(object_id)
+                row = [column[0] for column in table.columns]
+                with history_lock:
+                    views = list(published.values())
+                    views.append(service.snapshot_view())
+                if not any(same_row(row, view, position)
+                           for view in views):  # pragma: no cover
+                    torn.append(f"{object_id}: {row}")
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(published) > 2
+        assert torn == []
+
+    def test_published_snapshots_are_immutable(self):
+        """A published snapshot keeps its exact values while a writer
+        thread rewrites every cached row in place and readers call
+        ``read_truth`` (copy-on-write contract)."""
+        dataset = weather(31)
+        claims = list(iter_dataset_claims(dataset))
+        service = TruthService(dataset.schema, window=2,
+                               codecs=dataset.codecs())
+        service.ingest(claims)
+        service.flush()
+        early = service.snapshot_view()
+        frozen = [column.copy() for column in early.columns]
+        ids = list(service.object_ids)
+        # Late outliers from three new sources: every object turns
+        # dirty and is re-resolved into the existing cache rows (no
+        # object is new, so no buffer growth hides an in-place write).
+        firsts = {}
+        for claim in claims:
+            if claim.property_name == "high_temp":
+                firsts.setdefault(claim.object_id, claim)
+        late = [Claim(c.object_id, "high_temp", f"late{k}",
+                      c.value + 100.0, c.timestamp)
+                for c in firsts.values() for k in range(3)]
+        stop = threading.Event()
+        changed: list[int] = []
+
+        def writer():
+            try:
+                for start in range(0, len(late), 12):
+                    service.ingest(late[start:start + 12])
+            finally:
+                stop.set()
+
+        def reader():
+            while not stop.is_set():
+                service.read_truth(ids)
+                for m, (live, saved) in enumerate(
+                        zip(early.columns, frozen)):
+                    if not np.array_equal(live, saved, equal_nan=True):
+                        changed.append(m)  # pragma: no cover
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert changed == []
+        latest = service.snapshot_view()
+        assert latest.seq > early.seq
+        assert not np.array_equal(latest.columns[0], frozen[0])
+        for live, saved in zip(early.columns, frozen):
+            np.testing.assert_array_equal(live, saved)
+        with pytest.raises(ValueError):
+            early.columns[0][...] = 0  # read-only

@@ -91,46 +91,6 @@ def test_crh_linear_in_observations(benchmark):
     assert per_obs_large < per_obs_small * 2.0
 
 
-def test_profiling_disabled_overhead(benchmark):
-    """With no active profiler the kernel instrumentation is one module
-    attribute read: wall time must match the raw (unwrapped) kernel
-    within noise, and outputs must stay bit-identical."""
-    import time
-
-    from repro.core import kernels
-    from repro.observability.profiling import ACTIVE
-
-    assert ACTIVE is None  # nothing left a profiler installed
-    rng = np.random.default_rng(3)
-    n_claims, n_groups = 400_000, 40_000
-    groups = np.sort(rng.integers(0, n_groups, n_claims))
-    starts = np.searchsorted(groups, np.arange(n_groups + 1))
-    values = rng.normal(0.0, 1.0, n_claims)
-    weights = rng.uniform(0.1, 1.0, n_claims)
-    wrapped_fn = kernels.segment_weighted_median
-    raw_fn = wrapped_fn.__wrapped__
-
-    def best_of(fn, rounds=5):
-        best = float("inf")
-        for _ in range(rounds):
-            started = time.perf_counter()
-            fn(values, weights, starts)
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    def measure():
-        return best_of(wrapped_fn), best_of(raw_fn)
-
-    wrapped, raw = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\ndisabled-profiler wrapper: {wrapped * 1e3:.2f} ms vs raw "
-          f"{raw * 1e3:.2f} ms ({wrapped / raw:.3f}x)")
-    np.testing.assert_array_equal(wrapped_fn(values, weights, starts),
-                                  raw_fn(values, weights, starts))
-    # generous noise margin: the wrapper is nanoseconds on a
-    # multi-millisecond kernel body
-    assert wrapped < raw * 1.2 + 0.005
-
-
 def test_metrics_disabled_overhead(benchmark):
     """A disabled MetricsRegistry hands out shared null instruments:
     per-operation cost must stay within noise of an enabled registry's

@@ -106,8 +106,7 @@ class ExecutionSession:
         ]
 
     def start(self, losses: list[Loss],
-              states: list[TruthState] | None = None,
-              profiler=None) -> None:
+              states: list[TruthState] | None = None) -> None:
         """Arm the backend's parallel runner for ``losses``, if any.
 
         Dense and sparse backends have no runner — the session simply
@@ -120,7 +119,7 @@ class ExecutionSession:
         if not getattr(self._backend, "supports_runner", False):
             return
         try:
-            runner = self._backend.start_runner(losses, profiler=profiler)
+            runner = self._backend.start_runner(losses)
             if states is not None:
                 runner.seed(states)
             self._runner = runner

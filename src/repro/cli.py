@@ -9,6 +9,7 @@ Usage::
     crh-repro table2 --scale 3        # 3x larger stock/flight workloads
     crh-repro table2 --backend sparse # CSR claims execution everywhere
     crh-repro profile                 # conflict/density/memory profile
+    crh-repro trace summarize run.jsonl  # RunReport summary of a trace
     python -m repro table6
 
 Each experiment prints the same rows/series the paper's table or figure
@@ -160,16 +161,28 @@ def _run_one(name: str, seed: int, scale: float,
             handle.write(f"\n```\n\n_{elapsed:.1f}s, seed {seed}_\n\n")
 
 
+def trace_main(argv: list[str]) -> int:
+    """Entry point of ``repro trace``; returns exit code."""
+    parser = argparse.ArgumentParser(
+        prog="repro trace",
+        description="Inspect JSONL trace files",
+    )
+    parser.add_argument("command", choices=["summarize"],
+                        help="trace operation (summarize: RunReport)")
+    parser.add_argument("path", type=Path, help="JSONL trace file")
+    args = parser.parse_args(argv)
+    if not args.path.exists():
+        print(f"trace: no such file: {args.path}", file=sys.stderr)
+        return 2
+    print(RunReport.from_file(args.path).summary())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Tool subcommands live outside the experiment parser: ``bench``
-    # runs/compares performance snapshots, ``trace`` inspects traces.
-    if argv and argv[0] == "bench":
-        from .bench.cli import bench_main
-        return bench_main(argv[1:])
+    # Tool subcommands live outside the experiment parser.
     if argv and argv[0] == "trace":
-        from .bench.cli import trace_main
         return trace_main(argv[1:])
     if argv and argv[0] == "serve-sim":
         from .streaming.sim import serve_sim_main
@@ -183,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:8s} {description}")
         print("profile  conflict / claim-density / memory profile of the "
               "generated workloads")
-        print("bench    performance suite -> BENCH_<label>.json "
-              "(also: bench compare A B)")
         print("trace    trace tools (trace summarize run.jsonl)")
         print("serve-sim  stream the weather workload through the "
               "truth-serving layer")

@@ -42,47 +42,15 @@ and zero-total-weight groups fall back to uniform weights — matching the
 scalar oracles in :mod:`repro.core.weighted_stats`.  Because both
 execution backends feed kernels the identical canonically-ordered claim
 view, dense and sparse runs are bit-identical.
-
-Every public kernel reports wall time and call counts to the active
-:class:`~repro.observability.profiling.MemoryProfiler` when one is
-installed (see :func:`repro.observability.profiling.activate`); with no
-active profiler — the default — the per-call cost is one module
-attribute read and an ``is None`` branch, and results are bit-identical.
 """
 
 from __future__ import annotations
 
-import functools
-import time
 from typing import Callable
 
 import numpy as np
 
 from ..data.encoding import MISSING_CODE
-from ..observability import profiling as _profiling
-
-
-def _profiled(fn):
-    """Report the wrapped kernel's wall time to the active profiler.
-
-    With no active profiler the wrapper is a single global read plus a
-    branch — unmeasurable next to the vectorized kernel bodies (bounded
-    by ``benchmarks/bench_core_primitives.py``) and numerically inert.
-    """
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        profiler = _profiling.ACTIVE
-        if profiler is None:
-            return fn(*args, **kwargs)
-        started = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            profiler.record_kernel(name, time.perf_counter() - started)
-
-    return wrapper
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -173,12 +141,12 @@ class MedianSortPlan:
     plan's lifetime) together with per-call ``lo`` / ``hi`` /
     ``threshold`` scratch buffers.
 
-    The scratch buffers make a plan single-threaded state, like the
-    profiler: two concurrent median calls over one plan would race on
-    them.  Every engine (including the process backend, whose workers
-    hold per-shard views in distinct processes) runs kernels on one
-    thread, so this is the same contract the rest of the kernel layer
-    already has.
+    The scratch buffers make a plan single-threaded state: two
+    concurrent median calls over one plan would race on them.  Every
+    engine (including the process backend, whose workers hold
+    per-shard views in distinct processes) runs kernels on one thread,
+    so this is the same contract the rest of the kernel layer already
+    has.
     """
 
     __slots__ = ("order", "sorted_values", "weight_scratch",
@@ -215,7 +183,6 @@ class MedianSortPlan:
         return self
 
 
-@_profiled
 def segment_weighted_mean(values: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray,
                           group_of_claim: np.ndarray | None = None,
@@ -239,7 +206,6 @@ def segment_weighted_mean(values: np.ndarray, claim_weights: np.ndarray,
     return np.where(totals > 0, result, np.nan)
 
 
-@_profiled
 def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
                             indptr: np.ndarray,
                             group_of_claim: np.ndarray | None = None,
@@ -325,7 +291,6 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
 VOTE_DENSE_SCORE_CELLS = 4_000_000
 
 
-@_profiled
 def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray, n_categories: int,
                           group_of_claim: np.ndarray | None = None,
@@ -397,7 +362,6 @@ def _sparse_weighted_vote(codes: np.ndarray, weights: np.ndarray,
     return winners
 
 
-@_profiled
 def segment_label_distribution(
     codes: np.ndarray, claim_weights: np.ndarray, indptr: np.ndarray,
     n_categories: int, group_of_claim: np.ndarray | None = None,
@@ -430,7 +394,6 @@ def segment_label_distribution(
     return distribution, column
 
 
-@_profiled
 def segment_std(values: np.ndarray, indptr: np.ndarray,
                 group_of_claim: np.ndarray | None = None,
                 floor: float = 1e-12) -> np.ndarray:
@@ -453,7 +416,6 @@ def segment_std(values: np.ndarray, indptr: np.ndarray,
     return np.where((std <= floor) | (counts < 2), 1.0, std)
 
 
-@_profiled
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Plain per-group sums over a CSR segmentation; empty groups sum to 0.
 
@@ -465,7 +427,6 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return _segment_sums(values, indptr)
 
 
-@_profiled
 def segment_huber_irls(
     values: np.ndarray, claim_weights: np.ndarray, indptr: np.ndarray,
     stds: np.ndarray, initial: np.ndarray, *, delta: float,
@@ -521,7 +482,6 @@ def segment_huber_irls(
     return truth
 
 
-@_profiled
 def segment_weighted_medoid(
     codes: np.ndarray, claim_weights: np.ndarray, indptr: np.ndarray,
     pair_distance: Callable[[int, int], float],
@@ -568,7 +528,6 @@ def segment_weighted_medoid(
 # per-claim deviations (the d_m terms of Eq. 2/5)
 # ----------------------------------------------------------------------
 
-@_profiled
 def zero_one_claim_deviations(codes: np.ndarray, truth_codes: np.ndarray,
                               object_idx: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
@@ -586,7 +545,6 @@ def zero_one_claim_deviations(codes: np.ndarray, truth_codes: np.ndarray,
     return out
 
 
-@_profiled
 def probability_claim_deviations(codes: np.ndarray,
                                  distribution: np.ndarray,
                                  object_idx: np.ndarray,
@@ -609,7 +567,6 @@ def probability_claim_deviations(codes: np.ndarray,
     return out
 
 
-@_profiled
 def squared_claim_deviations(values: np.ndarray, truths: np.ndarray,
                              stds: np.ndarray, object_idx: np.ndarray,
                              out: np.ndarray | None = None) -> np.ndarray:
@@ -627,7 +584,6 @@ def squared_claim_deviations(values: np.ndarray, truths: np.ndarray,
     return out
 
 
-@_profiled
 def absolute_claim_deviations(values: np.ndarray, truths: np.ndarray,
                               stds: np.ndarray, object_idx: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
@@ -645,7 +601,6 @@ def absolute_claim_deviations(values: np.ndarray, truths: np.ndarray,
     return out
 
 
-@_profiled
 def huber_claim_deviations(values: np.ndarray, truths: np.ndarray,
                            stds: np.ndarray, object_idx: np.ndarray,
                            delta: float,
@@ -672,7 +627,6 @@ def huber_claim_deviations(values: np.ndarray, truths: np.ndarray,
     return out
 
 
-@_profiled
 def bregman_claim_deviations(values: np.ndarray, truths: np.ndarray,
                              indptr: np.ndarray, object_idx: np.ndarray,
                              divergence,
@@ -708,7 +662,6 @@ def bregman_claim_deviations(values: np.ndarray, truths: np.ndarray,
     return out
 
 
-@_profiled
 def accumulate_source_deviations(
     claim_deviations: np.ndarray, source_idx: np.ndarray, n_sources: int,
     out: tuple[np.ndarray, np.ndarray] | None = None,
@@ -739,7 +692,6 @@ def accumulate_source_deviations(
     return totals, counts
 
 
-@_profiled
 def scatter_claims_to_matrix(view, claim_values: np.ndarray,
                              fill=np.nan) -> np.ndarray:
     """Scatter per-claim values back into a dense ``(K, N)`` matrix.

@@ -30,7 +30,6 @@ from ..observability.metrics import (
     activate_metrics,
     active_registry,
 )
-from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
 from .initialization import initializer_by_name
 from .losses import Loss, TruthState, loss_by_name
@@ -172,7 +171,6 @@ class CRHSolver:
 
     # ------------------------------------------------------------------
     def fit(self, dataset, tracer: Tracer | None = None,
-            profiler: Profiler | None = None,
             metrics: MetricsRegistry | None = None
             ) -> TruthDiscoveryResult:
         """Run Algorithm 1 on ``dataset`` and return truths + weights.
@@ -187,13 +185,7 @@ class CRHSolver:
         Pass a :class:`~repro.observability.Tracer` to receive one
         ``iteration`` record per loop pass (objective, weights, weight
         delta, truth-change count, per-step wall time) bracketed by
-        ``run_start``/``run_end`` records.  Pass a
-        :class:`~repro.observability.MemoryProfiler` to additionally
-        collect the phase/kernel wall-time breakdown (``setup``,
-        ``weight_step``, ``truth_step``, ``objective`` spans plus every
-        :mod:`repro.core.kernels` counter); when both are given the
-        profiler's aggregate is flushed into the trace as ``profile``
-        records just before ``run_end``.  With neither (the default) no
+        ``run_start``/``run_end`` records.  Without one (the default) no
         record is ever constructed, so the uninstrumented hot path is
         unchanged and results are bit-identical.
 
@@ -221,8 +213,6 @@ class CRHSolver:
         """
         started = time.perf_counter()
         config = self.config
-        prof = (profiler if profiler is not None and profiler.enabled
-                else None)
         registry = metrics if metrics is not None else active_registry()
         reg = (registry if registry is not None and registry.enabled
                else None)
@@ -232,31 +222,29 @@ class CRHSolver:
         runner = None
         degraded_reason: str | None = None
         try:
-            with activate(prof), activate_metrics(reg):
-                with span(prof, "setup"):
-                    backend = make_backend(source, config.backend,
-                                           n_workers=config.n_workers,
-                                           chunk_claims=config.chunk_claims)
-                    owns_backend = backend is not source
-                    dataset = backend.data
-                    options = config.deviation_options()
-                    losses = self._losses_for(dataset)
-                    states = self._initial_states(dataset, losses,
-                                                  backend=backend)
-                    if getattr(backend, "supports_runner", False):
-                        try:
-                            runner = backend.start_runner(
-                                losses, profiler=prof)
-                            runner.seed(states)
-                        except BackendExecutionError as error:
-                            degraded_reason = (
-                                f"{backend.name} backend degraded to "
-                                f"inline sparse execution: {error}"
-                            )
-                            if reg is not None:
-                                reg.counter("degradation_events",
-                                            backend=backend.name).inc()
-                            runner = None
+            with activate_metrics(reg):
+                backend = make_backend(source, config.backend,
+                                       n_workers=config.n_workers,
+                                       chunk_claims=config.chunk_claims)
+                owns_backend = backend is not source
+                dataset = backend.data
+                options = config.deviation_options()
+                losses = self._losses_for(dataset)
+                states = self._initial_states(dataset, losses,
+                                              backend=backend)
+                if getattr(backend, "supports_runner", False):
+                    try:
+                        runner = backend.start_runner(losses)
+                        runner.seed(states)
+                    except BackendExecutionError as error:
+                        degraded_reason = (
+                            f"{backend.name} backend degraded to "
+                            f"inline sparse execution: {error}"
+                        )
+                        if reg is not None:
+                            reg.counter("degradation_events",
+                                        backend=backend.name).inc()
+                        runner = None
 
                 def degrade(error: BackendExecutionError) -> None:
                     nonlocal runner, degraded_reason
@@ -347,22 +335,19 @@ class CRHSolver:
                     step_started = time.perf_counter() if tracing else 0.0
                     # Step I (Eq. 2): weights from deviations under
                     # current truths.
-                    with span(prof, "weight_step"):
-                        if aggregated is None:
-                            aggregated = aggregate_deviations(states)
-                        previous_weights = weights
-                        weights = config.weight_scheme.weights(aggregated)
+                    if aggregated is None:
+                        aggregated = aggregate_deviations(states)
+                    previous_weights = weights
+                    weights = config.weight_scheme.weights(aggregated)
                     if tracing:
                         weight_seconds = time.perf_counter() - step_started
                         previous_states = states
                         step_started = time.perf_counter()
                     # Step II (Eq. 3): per-entry truth update under fixed
                     # weights.
-                    with span(prof, "truth_step"):
-                        states = truth_step(weights)
-                    with span(prof, "objective"):
-                        aggregated = aggregate_deviations(states)
-                        objective = float(np.dot(weights, aggregated))
+                    states = truth_step(weights)
+                    aggregated = aggregate_deviations(states)
+                    objective = float(np.dot(weights, aggregated))
                     history.append(objective)
                     if tracing:
                         tracer.emit(iteration_record(
@@ -384,12 +369,9 @@ class CRHSolver:
                     if criterion.update(objective):
                         converged = True
                         break
-                with span(prof, "finalize"):
-                    truths = states_to_truth_table(dataset, states)
+                truths = states_to_truth_table(dataset, states)
 
             if tracing:
-                if prof is not None:
-                    prof.flush_to(tracer)
                 extras: dict = {}
                 if runner is not None:
                     efficiency = runner.parallel_efficiency()
@@ -467,7 +449,6 @@ def states_to_truth_table(dataset,
 
 
 def crh(dataset, tracer: Tracer | None = None,
-        profiler: Profiler | None = None,
         metrics: MetricsRegistry | None = None,
         **config_overrides) -> TruthDiscoveryResult:
     """One-call CRH with optional config overrides and instrumentation.
@@ -475,9 +456,7 @@ def crh(dataset, tracer: Tracer | None = None,
     >>> result = crh(dataset, continuous_loss="squared", max_iterations=20)
     >>> result = crh(dataset, backend="sparse")       # CSR execution
     >>> result = crh(dataset, tracer=MemoryTracer())  # traced run
-    >>> result = crh(dataset, profiler=MemoryProfiler())  # profiled run
     >>> result = crh(dataset, metrics=MetricsRegistry())  # live metrics
     """
     config = CRHConfig(**config_overrides) if config_overrides else CRHConfig()
-    return CRHSolver(config).fit(dataset, tracer=tracer, profiler=profiler,
-                                 metrics=metrics)
+    return CRHSolver(config).fit(dataset, tracer=tracer, metrics=metrics)

@@ -69,7 +69,6 @@ from ..data.chunks import (
 )
 from ..data.claims_matrix import ClaimsMatrix
 from ..data.table import MultiSourceDataset
-from ..observability.profiling import span
 from .backend import BackendExecutionError, _BackendBase
 
 #: loss registry names the chunked runner evaluates — the same set the
@@ -217,11 +216,10 @@ class _MmapRunner:
     """
 
     def __init__(self, data: ClaimsMatrix, losses, chunk_claims: int,
-                 fail_after: int | None = None, profiler=None) -> None:
+                 fail_after: int | None = None) -> None:
         self._data = data
         self._losses = list(losses)
         self.chunk_claims = int(chunk_claims)
-        self.profiler = profiler
         self._fail_after = fail_after
         self._chunks_read = 0
         self._scratch_fresh = False
@@ -309,9 +307,8 @@ class _MmapRunner:
 
     # ------------------------------------------------------------------
     def _iter_chunks(self, index: int):
-        """Localized chunks of property ``index``, materialized under an
-        ``io`` span (nesting under the solver's phase to e.g.
-        ``truth_step/io``) with crash injection and read-error mapping."""
+        """Localized chunks of property ``index``, with crash injection
+        and read-error mapping."""
         prop = self._data.properties[index]
         iterator = iter_claim_chunks(prop, self.chunk_claims,
                                      std=self._stds[index])
@@ -322,8 +319,7 @@ class _MmapRunner:
                     "injected chunk read failure (fail_after)"
                 )
             try:
-                with span(self.profiler, "io"):
-                    chunk = next(iterator)
+                chunk = next(iterator)
             except StopIteration:
                 return
             except (OSError, ValueError) as error:
@@ -521,7 +517,7 @@ class MmapBackend(_BackendBase):
                 columns.append(piece[0])
         return columns
 
-    def start_runner(self, losses, profiler=None) -> _MmapRunner:
+    def start_runner(self, losses) -> _MmapRunner:
         """A fresh chunked runner for ``losses``.
 
         Raises :class:`MmapBackendError` when the dataset could not be
@@ -543,8 +539,7 @@ class MmapBackend(_BackendBase):
             )
         self.close()
         runner = _MmapRunner(self.data, losses, self.chunk_claims,
-                             fail_after=self._fail_after,
-                             profiler=profiler)
+                             fail_after=self._fail_after)
         self._runner = runner
         return runner
 

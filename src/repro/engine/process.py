@@ -265,17 +265,15 @@ def _worker_init(segment_name: str, descriptors: dict,
     """Pool initializer: attach the segment, build the worker cache.
 
     Spawn-compatible — everything needed arrives through the (one-time)
-    pickled arguments, nothing through inherited globals.  Profiling,
-    metrics and tracemalloc state inherited by fork is switched off so
-    worker hot paths stay unmeasured; workers report to their own
+    pickled arguments, nothing through inherited globals.  Metrics and
+    tracemalloc state inherited by fork is switched off so worker hot
+    paths stay unmeasured; workers report to their own
     partial registry instead, which the parent merges.
     """
     global _WORKER, _WORKER_REGISTRY
     from ..observability import metrics as _metrics
-    from ..observability import profiling as _profiling
     from ..observability.metrics import MetricsRegistry
 
-    _profiling.ACTIVE = None
     _metrics.ACTIVE = None
     _WORKER_REGISTRY = MetricsRegistry()
     if tracemalloc.is_tracing():
@@ -368,7 +366,7 @@ class _ProcessRunner:
     """
 
     def __init__(self, data: ClaimsMatrix, losses, n_workers: int,
-                 fail_after: int | None = None, profiler=None) -> None:
+                 fail_after: int | None = None) -> None:
         names = [loss.name for loss in losses]
         unsupported = [n for n in names if n not in WORKER_LOSSES]
         if unsupported:
@@ -382,7 +380,6 @@ class _ProcessRunner:
         self.n_shards = n_workers
         self._fail_after = fail_after
         self._tasks_sent = 0
-        self.profiler = profiler
         self._segment: shared_memory.SharedMemory | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._scratch_fresh = False
@@ -474,10 +471,9 @@ class _ProcessRunner:
         """Whether the pool is (still) usable."""
         return self._pool is not None
 
-    def reset(self, profiler=None) -> None:
-        """Start a fresh run on the warm pool: new profiler target,
-        zeroed efficiency accounting, stale scratch."""
-        self.profiler = profiler
+    def reset(self) -> None:
+        """Start a fresh run on the warm pool: zeroed efficiency
+        accounting, stale scratch."""
         self._scratch_fresh = False
         self._busy = {"truth": 0.0, "deviation": 0.0}
         self._parallel_wall = 0.0
@@ -523,12 +519,9 @@ class _ProcessRunner:
             raise ProcessBackendError(
                 f"worker round ({mode}) failed: {error}"
             ) from error
-        wall = time.perf_counter() - begun
-        self._parallel_wall += wall
-        truth_busy = sum(r["truth"] for r in results)
-        dev_busy = sum(r["deviation"] for r in results)
-        self._busy["truth"] += truth_busy
-        self._busy["deviation"] += dev_busy
+        self._parallel_wall += time.perf_counter() - begun
+        self._busy["truth"] += sum(r["truth"] for r in results)
+        self._busy["deviation"] += sum(r["deviation"] for r in results)
         if want_metrics:
             for result in results:
                 snapshot = result.get("metrics")
@@ -540,13 +533,6 @@ class _ProcessRunner:
                         extra_labels={"worker": str(result["pid"])},
                         replace=True,
                     )
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            if truth_busy:
-                profiler.record_phase("truth_step/workers", truth_busy,
-                                      calls=self.n_shards)
-            profiler.record_phase("objective/workers", dev_busy,
-                                  calls=self.n_shards)
 
     def truth_step(self, weights) -> list:
         """One parallel truth round; returns fresh per-property states.
@@ -662,7 +648,7 @@ class ProcessBackend(_BackendBase):
         self._runner: _ProcessRunner | None = None
         self._runner_key: tuple | None = None
 
-    def start_runner(self, losses, profiler=None) -> _ProcessRunner:
+    def start_runner(self, losses) -> _ProcessRunner:
         """The warm runner for ``losses`` (created or reused).
 
         Raises :class:`ProcessBackendError` when the configuration has
@@ -672,12 +658,11 @@ class ProcessBackend(_BackendBase):
         key = tuple(loss.name for loss in losses)
         if (self._runner is not None and self._runner.alive
                 and self._runner_key == key):
-            self._runner.reset(profiler)
+            self._runner.reset()
             return self._runner
         self.close()
         runner = _ProcessRunner(self.data, losses, self.n_workers,
-                                fail_after=self._fail_after,
-                                profiler=profiler)
+                                fail_after=self._fail_after)
         self._runner = runner
         self._runner_key = key
         return runner

@@ -87,34 +87,18 @@ def emit_job_record(tracer: Tracer | None, stats: JobStats,
 class ClusterConfig:
     """Degree of parallelism and cost model of the simulated cluster.
 
-    ``executor`` selects how tasks physically run: ``"serial"`` (default;
-    one task after another, fully deterministic and easiest to debug) or
-    ``"threads"`` (map and reduce tasks run on a thread pool — real
-    concurrency for numpy-heavy vector tasks, identical results because
-    task outputs are collected in task order).
+    Tasks run one after another in task order, so results are fully
+    deterministic; the cluster shape only changes how work is split and
+    what the cost model charges.
     """
 
     n_mappers: int = 4
     n_reducers: int = 4
-    executor: str = "serial"
     cost_model: ClusterCostModel = field(default_factory=ClusterCostModel)
 
     def __post_init__(self) -> None:
         if self.n_mappers < 1 or self.n_reducers < 1:
             raise ValueError("need at least one mapper and one reducer")
-        if self.executor not in ("serial", "threads"):
-            raise ValueError(
-                f"executor must be 'serial' or 'threads', "
-                f"got {self.executor!r}"
-            )
-
-    def run_tasks(self, task, items: list) -> list:
-        """Run ``task`` over ``items``, preserving item order."""
-        if self.executor == "serial" or len(items) <= 1:
-            return [task(item) for item in items]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=len(items)) as pool:
-            return list(pool.map(task, items))
 
 
 @dataclass
@@ -173,23 +157,16 @@ class LocalCluster:
         stats.map_input_records = len(records)
 
         # --- map (+ combine) ------------------------------------------
-        def map_task(split):
-            task_output: list[tuple[Hashable, object]] = []
-            for key, value in split:
-                task_output.extend(job.mapper(key, value))
-            raw_count = len(task_output)
-            if job.combiner is not None:
-                task_output = _combine(job, task_output)
-            return raw_count, task_output
-
         partitions: list[list[tuple[Hashable, object]]] = [
             [] for _ in range(config.n_reducers)
         ]
-        map_results = config.run_tasks(
-            map_task, _split(records, config.n_mappers)
-        )
-        for raw_count, task_output in map_results:
-            stats.map_output_per_task.append(raw_count)
+        for split in _split(records, config.n_mappers):
+            task_output: list[tuple[Hashable, object]] = []
+            for key, value in split:
+                task_output.extend(job.mapper(key, value))
+            stats.map_output_per_task.append(len(task_output))
+            if job.combiner is not None:
+                task_output = _combine(job, task_output)
             stats.shuffle_out_per_task.append(len(task_output))
             for key, value in task_output:
                 partitions[hash_partition(key, config.n_reducers)].append(
@@ -197,20 +174,15 @@ class LocalCluster:
                 )
 
         # --- shuffle sort + reduce -------------------------------------
-        def reduce_task(partition):
+        output: list[tuple[Hashable, object]] = []
+        stats.shuffle_in_per_reducer = [len(p) for p in partitions]
+        for partition in partitions:
             # Hadoop guarantees reducers see keys in sorted order; sort on
             # the repr for heterogeneous keys, which is stable per run.
             partition.sort(key=lambda kv: repr(kv[0]))
-            task_output: list[tuple[Hashable, object]] = []
             for key, group in groupby(partition, key=itemgetter(0)):
                 values = [value for _, value in group]
-                task_output.extend(job.reducer(key, values))
-            return task_output
-
-        output: list[tuple[Hashable, object]] = []
-        stats.shuffle_in_per_reducer = [len(p) for p in partitions]
-        for task_output in config.run_tasks(reduce_task, partitions):
-            output.extend(task_output)
+                output.extend(job.reducer(key, values))
         stats.reduce_output_records = len(output)
 
         simulated = self.clock.charge(

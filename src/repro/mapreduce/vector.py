@@ -165,19 +165,12 @@ class VectorCluster:
             0, len(records), config.n_mappers + 1
         ).astype(np.int64)
 
-        def map_task(bound):
-            split = records.slice(int(bound[0]), int(bound[1]))
-            mapped = job.mapper(split)
-            raw_count = len(mapped)
+        shuffled: list[KeyedArrays] = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            mapped = job.mapper(records.slice(int(lo), int(hi)))
+            stats.map_output_per_task.append(len(mapped))
             if job.combiner is not None and len(mapped):
                 mapped = job.combiner(group_by_key(mapped))
-            return raw_count, mapped
-
-        shuffled: list[KeyedArrays] = []
-        for raw_count, mapped in config.run_tasks(
-            map_task, list(zip(bounds[:-1], bounds[1:]))
-        ):
-            stats.map_output_per_task.append(raw_count)
             stats.shuffle_out_per_task.append(len(mapped))
             shuffled.append(mapped)
         intermediate = KeyedArrays.concatenate(shuffled)
@@ -191,16 +184,8 @@ class VectorCluster:
                 for r in range(config.n_reducers)
             ]
             stats.shuffle_in_per_reducer = [len(p) for p in parts]
-
-            def reduce_task(part):
-                if not len(part):
-                    return None
-                return job.reducer(group_by_key(part))
-
-            outputs = [
-                result for result in config.run_tasks(reduce_task, parts)
-                if result is not None
-            ]
+            outputs = [job.reducer(group_by_key(part))
+                       for part in parts if len(part)]
         else:
             stats.shuffle_in_per_reducer = [0] * config.n_reducers
             outputs = []

@@ -1,4 +1,9 @@
-"""Observability for CRH runs: structured tracing and run reports.
+"""Observability for CRH runs: structured tracing and live metrics.
+
+Two mechanisms cover every run: :class:`Tracer` records (what a run
+computed, step by step) and a :class:`MetricsRegistry` (what a
+long-lived service is doing now).  Per-layer wall time is measured by
+the repository benchmark (``perfbench/``), not by in-process hooks.
 
 Every iterative code path in the repository — the in-memory
 :class:`~repro.core.solver.CRHSolver`, the MapReduce wrapper
@@ -19,28 +24,19 @@ Three tracer implementations cover the deployment spectrum:
 * :class:`JsonlTracer` — one JSON object per line to a file, the
   interchange format (``python -m repro table2 --trace out.jsonl``).
 
-The same code paths also accept an optional ``profiler``
-(:class:`NullProfiler` / :class:`MemoryProfiler` /
-:class:`JsonlProfiler`, mirroring the tracer triple): phase spans
-(setup, weight step, truth step, ...) nest into slash-joined paths,
-every :mod:`repro.core.kernels` call is counted and timed, and peak
-memory (tracemalloc + RSS) is sampled per top-level phase.  Profile
-aggregates flush into the trace as ``profile`` records, which
-:class:`RunReport` turns into ``phase_breakdown()`` and ``hotspots()``.
-
 :class:`RunReport` aggregates a record stream back into convergence
 series, counter totals, and a human-readable ``summary()``.  The field
 glossary :data:`METRIC_FIELDS` maps every emitted field to its meaning
 and paper equation; ``docs/OBSERVABILITY.md`` renders it.
 
-The third leg is *live* metrics: a :class:`MetricsRegistry` of
-counters, gauges and fixed-bucket histograms threaded through
+The second mechanism is *live* metrics: a :class:`MetricsRegistry`
+of counters, gauges and fixed-bucket histograms threaded through
 :class:`~repro.streaming.service.TruthService`, the solver and the
-execution backends (:func:`activate_metrics` /
-:func:`active_registry` mirror the profiler's activation pattern;
-the process backend merges per-worker partial registries into the
-parent's).  On top sit :class:`HealthCheck` SLO rules
-(:func:`parse_rule`, :data:`DEFAULT_SERVING_RULES`), the
+execution backends (:func:`activate_metrics` installs a process-wide
+registry that :func:`active_registry` returns; the process backend
+merges per-worker partial registries into the parent's).  On top sit
+:class:`HealthCheck` SLO rules (:func:`parse_rule`,
+:data:`DEFAULT_SERVING_RULES`), the
 :class:`MetricsExporter` (Prometheus text exposition via
 :func:`write_prometheus`, JSONL snapshot streams read back by
 :func:`read_latest_snapshot`), and the exposition tooling
@@ -73,14 +69,6 @@ from .metrics import (
     active_registry,
     default_seconds_buckets,
 )
-from .profiling import (
-    JsonlProfiler,
-    MemoryProfiler,
-    NullProfiler,
-    Profiler,
-    activate,
-    span,
-)
 from .records import (
     METRIC_FIELDS,
     SCHEMA_VERSION,
@@ -90,7 +78,6 @@ from .records import (
     iteration_record,
     mapreduce_job_record,
     method_run_record,
-    profile_record,
     read_record,
     run_finished,
     run_started,
@@ -113,21 +100,16 @@ __all__ = [
     "HealthCheck",
     "HealthReport",
     "Histogram",
-    "JsonlProfiler",
     "JsonlTracer",
     "METRIC_FIELDS",
-    "MemoryProfiler",
     "MemoryTracer",
     "MetricsExporter",
     "MetricsRegistry",
-    "NullProfiler",
     "NullTracer",
-    "Profiler",
     "RunReport",
     "SCHEMA_VERSION",
     "SLORule",
     "Tracer",
-    "activate",
     "activate_metrics",
     "active_registry",
     "append_record",
@@ -141,12 +123,10 @@ __all__ = [
     "mapreduce_job_record",
     "method_run_record",
     "parse_rule",
-    "profile_record",
     "read_latest_snapshot",
     "read_record",
     "run_finished",
     "run_started",
-    "span",
     "stream_chunk_record",
     "tracer_from_env",
     "validate_exposition",

@@ -1,10 +1,9 @@
 """Live metrics: counters, gauges, and streaming-quantile histograms.
 
-The third leg of the observability stack.  Where the
+The second leg of the observability stack.  Where the
 :class:`~repro.observability.tracer.Tracer` answers *what the run
-computed* and the :class:`~repro.observability.profiling.Profiler`
-answers *where time went*, a :class:`MetricsRegistry` answers *what is
-happening now*: monotone counters (claims ingested, windows sealed),
+computed*, a :class:`MetricsRegistry` answers *what is happening
+now*: monotone counters (claims ingested, windows sealed),
 point-in-time gauges (dirty-object backlog, per-source weight entropy),
 and fixed-bucket histograms whose quantiles approximate latency
 distributions without retaining samples.
@@ -19,18 +18,16 @@ Design notes:
   error stays bounded by one bucket width.
 * **Disabled is free.**  ``MetricsRegistry(enabled=False)`` hands out
   shared null instruments whose methods are no-ops, mirroring
-  :class:`~repro.observability.tracer.NullTracer` /
-  :class:`~repro.observability.profiling.NullProfiler`; instrumented
-  code needs no ``if registry`` pyramids.
+  :class:`~repro.observability.tracer.NullTracer`; instrumented code
+  needs no ``if registry`` pyramids.
 * **Names are glossary names.**  Every metric name used by the engine
   appears in :data:`~repro.observability.records.METRIC_FIELDS`, the
   same vocabulary the trace records use — one glossary, enforced by
   ``tests/test_doc_coverage.py``.
 * **Module-global activation.**  :data:`ACTIVE` /
-  :func:`activate_metrics` mirror the profiler's
-  :data:`~repro.observability.profiling.ACTIVE` pattern, so deep engine
-  layers (the process backend's dispatch loop) can reach the run's
-  registry without threading a parameter through every signature.
+  :func:`activate_metrics` let deep engine layers (the process
+  backend's dispatch loop) reach the run's registry without threading
+  a parameter through every signature.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-compatible
 dicts; :meth:`MetricsRegistry.to_prometheus` renders the registry in
@@ -465,8 +462,7 @@ class MetricsRegistry:
 
 #: The process-wide registry deep engine layers (the process backend's
 #: dispatch loop, worker-partial merges) report to, or ``None``.
-#: Installed/restored by :func:`activate_metrics`, mirroring the
-#: profiler's :data:`~repro.observability.profiling.ACTIVE`.
+#: Installed/restored by :func:`activate_metrics`.
 ACTIVE: MetricsRegistry | None = None
 
 

@@ -31,7 +31,9 @@ import numpy as np
 #: still carry two ``run_start`` fields naming the since-removed
 #: compiled kernel tier and its resolution reason; readers ignore them.
 #: v4 files written before the router was removed may carry
-#: ``n_shards`` / ``ingest_mode``, and readers ignore them too.
+#: ``n_shards`` / ``ingest_mode``, and readers ignore them too.  Older
+#: v4 files may also carry ``profile`` records from the since-removed
+#: profiler, and readers ignore them.
 SCHEMA_VERSION = 4
 
 #: Glossary of every field a trace record can carry — and of every
@@ -43,8 +45,8 @@ SCHEMA_VERSION = 4
 METRIC_FIELDS: dict[str, str] = {
     "v": "trace schema version (SCHEMA_VERSION)",
     "event": "record type discriminator: run_start, iteration, chunk, "
-             "mapreduce_job, method_run, experiment, benchmark, profile, "
-             "ingest, read, run_end",
+             "mapreduce_job, method_run, experiment, benchmark, ingest, "
+             "read, run_end",
     "method": "human-readable method name (CRH, I-CRH, Parallel-CRH)",
     "n_sources": "number of sources K in the traced dataset",
     "n_objects": "number of objects N in the traced dataset",
@@ -193,19 +195,7 @@ METRIC_FIELDS: dict[str, str] = {
             "from ground truth (the paper's MNAD)",
     "experiment": "CLI experiment id (table2, fig8, ...)",
     "name": "benchmark or run label",
-    "seconds": "wall-clock seconds of the traced benchmark call or "
-               "profiled phase/kernel",
-    "phase": "slash-joined nested phase path the profile record covers "
-             "(e.g. truth_step, fit/objective)",
-    "kernel": "repro.core.kernels function the profile record covers "
-              "(the Eq. 9/14/16 and deviation kernels)",
-    "calls": "times the profiled phase was entered or the kernel was "
-             "invoked",
-    "peak_tracemalloc_kib": "peak tracemalloc-traced allocation during "
-                            "the profiled phase, in KiB (present only "
-                            "when memory accounting was enabled)",
-    "peak_rss_kib": "process peak resident set size observed at phase "
-                    "exit, in KiB (a monotone OS high-water mark)",
+    "seconds": "wall-clock seconds of the traced benchmark call",
 }
 
 
@@ -253,33 +243,6 @@ def run_started(method: str, *, n_sources: int | None = None,
                    n_claims=None if n_claims is None else int(n_claims),
                    n_workers=None if n_workers is None else int(n_workers),
                    n_chunks=None if n_chunks is None else int(n_chunks))
-
-
-def profile_record(*, phase: str | None = None, kernel: str | None = None,
-                   seconds: float, calls: int,
-                   peak_tracemalloc_kib: int | None = None,
-                   peak_rss_kib: int | None = None) -> dict:
-    """A ``profile`` record: one phase span or kernel counter aggregate.
-
-    Exactly one of ``phase`` (a slash-joined nested span path) or
-    ``kernel`` (a :mod:`repro.core.kernels` function name) identifies
-    what the accumulated ``seconds``/``calls`` cover; memory peaks are
-    attached to top-level phases when accounting was enabled.
-    """
-    if (phase is None) == (kernel is None):
-        raise ValueError(
-            "profile_record takes exactly one of phase= or kernel="
-        )
-    return _record(
-        "profile",
-        phase=phase,
-        kernel=kernel,
-        seconds=float(seconds),
-        calls=int(calls),
-        peak_tracemalloc_kib=(None if peak_tracemalloc_kib is None
-                              else int(peak_tracemalloc_kib)),
-        peak_rss_kib=None if peak_rss_kib is None else int(peak_rss_kib),
-    )
 
 
 def iteration_record(iteration: int, *, objective: float | None = None,

@@ -158,58 +158,6 @@ class RunReport:
         return float(sum(r.get("simulated_seconds", 0.0)
                          for r in self.events("mapreduce_job")))
 
-    # -- profiling views ------------------------------------------------
-    def profiles(self) -> list[dict]:
-        """The ``profile`` records (phase spans + kernel counters)."""
-        return self.events("profile")
-
-    def phase_breakdown(self) -> dict[str, float]:
-        """Wall seconds per slash-joined phase path, over the trace.
-
-        Engines flush per-run deltas (see
-        :meth:`~repro.observability.profiling.MemoryProfiler.flush_to`),
-        so summing across a multi-run trace never double-counts.
-        """
-        totals: dict[str, float] = {}
-        for record in self.profiles():
-            if "phase" in record:
-                totals[record["phase"]] = (
-                    totals.get(record["phase"], 0.0) + record["seconds"]
-                )
-        return totals
-
-    def hotspots(self, top: int | None = None
-                 ) -> list[tuple[str, float, int]]:
-        """Kernels ranked by accumulated wall seconds, hottest first.
-
-        Returns ``(kernel, seconds, calls)`` triples aggregated across
-        the trace's ``profile`` records; ``top`` truncates the ranking.
-        """
-        seconds: dict[str, float] = {}
-        calls: dict[str, int] = {}
-        for record in self.profiles():
-            if "kernel" in record:
-                name = record["kernel"]
-                seconds[name] = seconds.get(name, 0.0) + record["seconds"]
-                calls[name] = calls.get(name, 0) + record.get("calls", 0)
-        ranked = sorted(
-            ((name, s, calls[name]) for name, s in seconds.items()),
-            key=lambda item: item[1], reverse=True,
-        )
-        return ranked if top is None else ranked[:top]
-
-    def peak_memory_kib(self) -> dict[str, int]:
-        """Peak memory per phase path: the max ``peak_tracemalloc_kib``
-        each profiled phase reported across the trace."""
-        peaks: dict[str, int] = {}
-        for record in self.profiles():
-            if "phase" in record and "peak_tracemalloc_kib" in record:
-                peaks[record["phase"]] = max(
-                    peaks.get(record["phase"], 0),
-                    record["peak_tracemalloc_kib"],
-                )
-        return peaks
-
     # -- presentation ---------------------------------------------------
     def summary(self) -> str:
         """A short human-readable digest of the run."""
@@ -271,30 +219,6 @@ class RunReport:
                 bits.append(f"degraded to {end['backend']} backend")
             if bits:
                 lines.append("finished: " + ", ".join(bits))
-        phases = self.phase_breakdown()
-        if phases:
-            total = sum(phases.values())
-            top_phases = sorted(phases.items(), key=lambda kv: kv[1],
-                                reverse=True)[:6]
-            rendered = ", ".join(
-                f"{path} {s:.3f}s"
-                + (f" ({s / total:.0%})" if total > 0 else "")
-                for path, s in top_phases
-            )
-            lines.append(f"phases: {rendered}")
-        hotspots = self.hotspots(top=5)
-        if hotspots:
-            rendered = ", ".join(
-                f"{name} {s:.3f}s/{calls} call(s)"
-                for name, s, calls in hotspots
-            )
-            lines.append(f"hot kernels: {rendered}")
-        peaks = self.peak_memory_kib()
-        if peaks:
-            path, kib = max(peaks.items(), key=lambda kv: kv[1])
-            lines.append(
-                f"peak traced memory: {kib / 1024:.1f} MiB in {path}"
-            )
         experiments = self.events("experiment")
         if experiments:
             names = ", ".join(r.get("experiment", "?")

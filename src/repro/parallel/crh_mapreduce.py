@@ -32,7 +32,6 @@ from ..data.encoding import MISSING_CODE
 from ..data.table import TruthTable
 from ..engine import BACKEND_NAMES, make_backend
 from ..observability import iteration_record, run_finished, run_started
-from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
 from ..mapreduce.cost import ClusterCostModel
 from ..mapreduce.engine import ClusterConfig
@@ -190,9 +189,7 @@ def _segment_error_sums(grouped: GroupedArrays) -> KeyedArrays:
 
 def parallel_crh(dataset,
                  config: ParallelCRHConfig | None = None,
-                 tracer: Tracer | None = None,
-                 profiler: Profiler | None = None,
-                 ) -> ParallelCRHResult:
+                 tracer: Tracer | None = None) -> ParallelCRHResult:
     """Run CRH as iterated MapReduce jobs (the Section 2.7 wrapper).
 
     ``dataset`` may be a dense
@@ -205,27 +202,12 @@ def parallel_crh(dataset,
     seconds), one ``iteration`` record per wrapper round (weights,
     weight delta, per-phase wall time), and a ``run_end`` record
     carrying the engine counter totals including side-file traffic.
-    With a :class:`~repro.observability.MemoryProfiler`, phase spans
-    (``prepare``, ``statistics``, ``truth_step``, ``weight_step``,
-    ``assemble``) and the per-kernel counters of every reducer/mapper
-    are collected too, and flushed into the trace as ``profile``
-    records just before ``run_end``.
     """
     started = time.perf_counter()
     config = config or ParallelCRHConfig()
-    prof = (profiler if profiler is not None and profiler.enabled
-            else None)
-    with activate(prof):
-        return _parallel_crh_profiled(dataset, config, tracer, prof,
-                                      started)
-
-
-def _parallel_crh_profiled(dataset, config, tracer, prof, started):
-    """The :func:`parallel_crh` body, run under an activated profiler."""
-    with span(prof, "prepare"):
-        backend = make_backend(dataset, config.backend)
-        dataset = backend.data
-        batches = prepare_batches(dataset)
+    backend = make_backend(dataset, config.backend)
+    dataset = backend.data
+    batches = prepare_batches(dataset)
     cluster = VectorCluster(config.cluster_config(), tracer=tracer)
     store = SideFileStore()
     log: list[JobLogEntry] = []
@@ -259,8 +241,7 @@ def _parallel_crh_profiled(dataset, config, tracer, prof, started):
             reducer=_segment_statistics,
             combiner=None,
         )
-        with span(prof, "statistics"):
-            result = cluster.run(stats_job, batches.continuous)
+        result = cluster.run(stats_job, batches.continuous)
         record(stats_job.name, result)
         std[result.output.keys] = result.output.values["std"]
     store.write(_STD_FILE, std)
@@ -325,38 +306,33 @@ def _parallel_crh_profiled(dataset, config, tracer, prof, started):
     for iterations in range(1, config.max_iterations + 1):
         truth_started = time.perf_counter() if tracing else 0.0
         # --- truth computation (one job per data kind) -----------------
-        with span(prof, "truth_step"):
-            if len(batches.continuous):
-                result = cluster.run(truth_cont_job, batches.continuous)
-                record(truth_cont_job.name, result)
-                truth_cont[result.output.keys] = \
-                    result.output.values["truth"]
-            store.write(_TRUTH_CONT_FILE, truth_cont)
-            if len(batches.categorical):
-                result = cluster.run(truth_cat_job, batches.categorical)
-                record(truth_cat_job.name, result)
-                truth_cat[result.output.keys] = \
-                    result.output.values["truth"]
-            store.write(_TRUTH_CAT_FILE, truth_cat)
+        if len(batches.continuous):
+            result = cluster.run(truth_cont_job, batches.continuous)
+            record(truth_cont_job.name, result)
+            truth_cont[result.output.keys] = result.output.values["truth"]
+        store.write(_TRUTH_CONT_FILE, truth_cont)
+        if len(batches.categorical):
+            result = cluster.run(truth_cat_job, batches.categorical)
+            record(truth_cat_job.name, result)
+            truth_cat[result.output.keys] = result.output.values["truth"]
+        store.write(_TRUTH_CAT_FILE, truth_cat)
         if tracing:
             truth_seconds = time.perf_counter() - truth_started
             weight_started = time.perf_counter()
 
         # --- weight assignment -----------------------------------------
-        with span(prof, "weight_step"):
-            result = cluster.run(weight_job, batches.combined)
-            record(weight_job.name, result)
-            error_sum = np.zeros(k)
-            count_sum = np.zeros(k)
-            error_sum[result.output.keys] = result.output.values["error"]
-            count_sum[result.output.keys] = result.output.values["count"]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                per_source = np.where(count_sum > 0,
-                                      error_sum / count_sum, 0.0)
-            new_weights = config.weight_scheme.weights(per_source)
-            store.write(_WEIGHTS_FILE, new_weights)
-            delta = float(np.abs(new_weights - weights).max())
-            weights = new_weights
+        result = cluster.run(weight_job, batches.combined)
+        record(weight_job.name, result)
+        error_sum = np.zeros(k)
+        count_sum = np.zeros(k)
+        error_sum[result.output.keys] = result.output.values["error"]
+        count_sum[result.output.keys] = result.output.values["count"]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            per_source = np.where(count_sum > 0, error_sum / count_sum, 0.0)
+        new_weights = config.weight_scheme.weights(per_source)
+        store.write(_WEIGHTS_FILE, new_weights)
+        delta = float(np.abs(new_weights - weights).max())
+        weights = new_weights
         if tracing:
             tracer.emit(iteration_record(
                 iterations,
@@ -369,11 +345,8 @@ def _parallel_crh_profiled(dataset, config, tracer, prof, started):
             converged = True
             break
 
-    with span(prof, "assemble"):
-        truths = _assemble_truths(dataset, batches, truth_cont, truth_cat)
+    truths = _assemble_truths(dataset, batches, truth_cont, truth_cat)
     if tracing:
-        if prof is not None:
-            prof.flush_to(tracer)
         tracer.emit(run_finished(
             iterations=iterations,
             converged=converged,

@@ -40,7 +40,6 @@ from ..data.schema import PropertyKind
 from ..data.table import TruthTable
 from ..engine import BACKEND_NAMES, make_backend
 from ..observability import run_finished, run_started, stream_chunk_record
-from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
 from .state import TruthState
 from .windows import StreamChunk, chunk_by_window
@@ -108,13 +107,9 @@ class IncrementalCRH:
     """
 
     def __init__(self, config: ICRHConfig | None = None,
-                 tracer: Tracer | None = None,
-                 profiler: Profiler | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self.config = config or ICRHConfig()
         self.tracer = tracer
-        #: optional profiler activated around each partial_fit call
-        self.profiler = (profiler if profiler is not None
-                         and profiler.enabled else None)
         #: the per-source accumulator/weight layer (shared with serving)
         self.state = TruthState()
         self._chunks_seen = 0
@@ -186,51 +181,40 @@ class IncrementalCRH:
 
         When a tracer was given at construction, each call emits one
         ``chunk`` record (weights, weight delta, arrival counters).
-        With a profiler, each call contributes to ``setup`` /
-        ``truth_step`` / ``accumulate`` / ``weight_step`` phase spans
-        plus the kernel counters.
         """
         tracing = self.tracer is not None and self.tracer.enabled
-        prof = self.profiler
         state = self.state
-        with activate(prof):
-            with span(prof, "setup"):
-                chunk = make_backend(chunk, self.config.backend).data
-                known_sources = state.n_sources
-                positions = self._positions_for(chunk)
-                new_sources = state.n_sources - known_sources
-                weights_for_chunk = state.weights[positions]
-                losses = self._losses_for(chunk)
-            # Line 3: truths for the current chunk under the learned
-            # weights.
-            with span(prof, "truth_step"):
-                states = [
-                    loss.update_truth(prop, weights_for_chunk)
-                    for loss, prop in zip(losses, chunk.properties)
-                ]
-            # Lines 4-5: decay-accumulate distances, then recompute
-            # weights.
-            with span(prof, "accumulate"):
-                chunk_dev = np.zeros(chunk.n_sources)
-                chunk_cnt = np.zeros(chunk.n_sources)
-                for loss, prop, truth_state in zip(losses, chunk.properties,
-                                                   states):
-                    dev = loss.claim_deviations(truth_state, prop)
-                    totals, counts = accumulate_source_deviations(
-                        dev, prop.claim_view().source_idx,
-                        chunk.n_sources
-                    )
-                    chunk_dev += totals
-                    chunk_cnt += counts
-                if self._chunks_seen:
-                    self.decay_applications += 1
-                state.decay(self.config.decay)
-                state.add_deviations(positions, chunk_dev, chunk_cnt)
-            with span(prof, "weight_step"):
-                self._last_weight_delta = state.refresh_weights(
-                    self.config.weight_scheme,
-                    self.config.normalize_by_counts,
-                )
+        chunk = make_backend(chunk, self.config.backend).data
+        known_sources = state.n_sources
+        positions = self._positions_for(chunk)
+        new_sources = state.n_sources - known_sources
+        weights_for_chunk = state.weights[positions]
+        losses = self._losses_for(chunk)
+        # Line 3: truths for the current chunk under the learned
+        # weights.
+        states = [
+            loss.update_truth(prop, weights_for_chunk)
+            for loss, prop in zip(losses, chunk.properties)
+        ]
+        # Lines 4-5: decay-accumulate distances, then recompute
+        # weights.
+        chunk_dev = np.zeros(chunk.n_sources)
+        chunk_cnt = np.zeros(chunk.n_sources)
+        for loss, prop, truth_state in zip(losses, chunk.properties, states):
+            dev = loss.claim_deviations(truth_state, prop)
+            totals, counts = accumulate_source_deviations(
+                dev, prop.claim_view().source_idx, chunk.n_sources
+            )
+            chunk_dev += totals
+            chunk_cnt += counts
+        if self._chunks_seen:
+            self.decay_applications += 1
+        state.decay(self.config.decay)
+        state.add_deviations(positions, chunk_dev, chunk_cnt)
+        self._last_weight_delta = state.refresh_weights(
+            self.config.weight_scheme,
+            self.config.normalize_by_counts,
+        )
         self._chunks_seen += 1
         self.window_advances += 1
         state.record_history()
@@ -269,8 +253,7 @@ class ICRHResult:
 
 def icrh(dataset, window: int = 1,
          config: ICRHConfig | None = None,
-         tracer: Tracer | None = None,
-         profiler: Profiler | None = None) -> ICRHResult:
+         tracer: Tracer | None = None) -> ICRHResult:
     """Run I-CRH over a timestamped dataset, chunking by time window.
 
     ``dataset`` may be dense or sparse; it is resolved once through the
@@ -281,15 +264,13 @@ def icrh(dataset, window: int = 1,
     ``backend``/``backend_reason``, and ``converged`` reports whether
     the final chunk's weight delta fell below ``config.tol``.  With a
     tracer, emits ``run_start``, one ``chunk`` record per window, and a
-    ``run_end`` carrying the stream counters.  With a profiler, every
-    chunk's phase/kernel timings accumulate and (when also tracing)
-    flush into the trace as ``profile`` records.
+    ``run_end`` carrying the stream counters.
     """
     started = time.perf_counter()
     config = config or ICRHConfig()
     backend = make_backend(dataset, config.backend)
     dataset = backend.data
-    model = IncrementalCRH(config, tracer=tracer, profiler=profiler)
+    model = IncrementalCRH(config, tracer=tracer)
     tracing = tracer is not None and tracer.enabled
     if tracing:
         tracer.emit(run_started(
@@ -313,10 +294,8 @@ def icrh(dataset, window: int = 1,
     for chunk in chunk_by_window(dataset, window):
         chunk_truths = model.partial_fit(chunk.dataset)
         chunk_sizes.append(chunk.dataset.n_objects)
-        with span(model.profiler, "stitch"):
-            for m in range(len(dataset.schema)):
-                columns[m][chunk.object_indices] = \
-                    chunk_truths.columns[m]
+        for m in range(len(dataset.schema)):
+            columns[m][chunk.object_indices] = chunk_truths.columns[m]
     truths = TruthTable(
         schema=dataset.schema,
         object_ids=dataset.object_ids,
@@ -327,8 +306,6 @@ def icrh(dataset, window: int = 1,
     converged = (model.last_weight_delta is not None
                  and model.last_weight_delta <= config.tol)
     if tracing:
-        if model.profiler is not None:
-            model.profiler.flush_to(tracer)
         tracer.emit(run_finished(
             iterations=model.chunks_seen,
             converged=converged,

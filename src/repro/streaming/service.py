@@ -54,7 +54,6 @@ from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
 from ..observability import ingest_record, read_record
 from ..observability.metrics import MetricsRegistry
-from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
 from .icrh import ICRHConfig, IncrementalCRH, losses_for_schema
 from .planner import RecomputePlanner, resolve_truths
@@ -237,7 +236,6 @@ class TruthService:
     def __init__(self, schema: DatasetSchema, *, window: int = 1,
                  config: ICRHConfig | None = None, codecs=None,
                  tracer: Tracer | None = None,
-                 profiler: Profiler | None = None,
                  planner: RecomputePlanner | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if window < 1:
@@ -246,16 +244,13 @@ class TruthService:
         self.window = int(window)
         self.config = config or ICRHConfig()
         self.tracer = tracer
-        self.profiler = (profiler if profiler is not None
-                         and profiler.enabled else None)
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self._store = ClaimStore(schema, codecs=codecs)
         self._cache = TruthCache(schema)
         self._planner = planner or RecomputePlanner()
         serving_config = (self.config if self.config.backend == "sparse"
                           else replace(self.config, backend="sparse"))
-        self._model = IncrementalCRH(serving_config, tracer=tracer,
-                                     profiler=self.profiler)
+        self._model = IncrementalCRH(serving_config, tracer=tracer)
         self._losses = losses_for_schema(schema, self.config)
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
@@ -345,33 +340,29 @@ class TruthService:
         absorbed = 0
         new_objects = 0
         sealed = 0
-        with activate(self.profiler):
-            with span(self.profiler, "ingest"):
-                for item in claims:
-                    claim = as_claim(item)
-                    if claim.timestamp is None:
-                        raise ValueError(
-                            "claims need timestamps to drive window "
-                            "sealing; got None for object "
-                            f"{claim.object_id!r}"
-                        )
-                    obj, created = store.add(claim)
-                    absorbed += 1
-                    if created:
-                        new_objects += 1
-                        stamp = float(claim.timestamp)
-                        if (self._sealed_high is not None
-                                and stamp <= self._sealed_high):
-                            # Late object in a sealed time range: dirty
-                            # only; weights are never rewritten.
-                            pass
-                        else:
-                            self._pending.setdefault(
-                                stamp, []).append(obj)
-                            sealed += self._seal_ready()
-            dirty_after = len(store.dirty)
-            with span(self.profiler, "recompute"):
-                recomputed = self._recompute_dirty()
+        for item in claims:
+            claim = as_claim(item)
+            if claim.timestamp is None:
+                raise ValueError(
+                    "claims need timestamps to drive window "
+                    "sealing; got None for object "
+                    f"{claim.object_id!r}"
+                )
+            obj, created = store.add(claim)
+            absorbed += 1
+            if created:
+                new_objects += 1
+                stamp = float(claim.timestamp)
+                if (self._sealed_high is not None
+                        and stamp <= self._sealed_high):
+                    # Late object in a sealed time range: dirty
+                    # only; weights are never rewritten.
+                    pass
+                else:
+                    self._pending.setdefault(stamp, []).append(obj)
+                    sealed += self._seal_ready()
+        dirty_after = len(store.dirty)
+        recomputed = self._recompute_dirty()
         elapsed = time.perf_counter() - started
         self._c_ingested.inc(absorbed)
         self._c_recomputed.inc(recomputed)
@@ -407,11 +398,10 @@ class TruthService:
         :func:`~repro.streaming.icrh.icrh` run over the same stream.
         """
         sealed = 0
-        with activate(self.profiler):
-            while self._pending:
-                window_ts = sorted(self._pending)[:self.window]
-                self._seal(window_ts)
-                sealed += 1
+        while self._pending:
+            window_ts = sorted(self._pending)[:self.window]
+            self._seal(window_ts)
+            sealed += 1
         self._update_gauges()
         self._publish()
         return sealed
@@ -561,23 +551,20 @@ class TruthService:
             dtype=np.int64, count=len(ids),
         )
         self._cache.ensure(store.n_objects)
-        with activate(self.profiler):
-            with span(self.profiler, "read"):
-                if ids:
-                    stale = np.fromiter(
-                        (int(i) in store.dirty for i in indices),
-                        dtype=bool, count=len(ids),
-                    )
-                    miss_mask = (self._cache.versions(indices) < 0) | stale
-                    misses = np.unique(indices[miss_mask])
-                    if misses.size:
-                        self._resolve_into_cache(misses)
-                        store.dirty.difference_update(
-                            int(i) for i in misses)
-                        self._publish()
-                else:
-                    miss_mask = np.zeros(0, dtype=bool)
-                columns = self._cache.columns_at(indices)
+        if ids:
+            stale = np.fromiter(
+                (int(i) in store.dirty for i in indices),
+                dtype=bool, count=len(ids),
+            )
+            miss_mask = (self._cache.versions(indices) < 0) | stale
+            misses = np.unique(indices[miss_mask])
+            if misses.size:
+                self._resolve_into_cache(misses)
+                store.dirty.difference_update(int(i) for i in misses)
+                self._publish()
+        else:
+            miss_mask = np.zeros(0, dtype=bool)
+        columns = self._cache.columns_at(indices)
         table = TruthTable(
             schema=self.schema,
             object_ids=ids,
@@ -729,7 +716,6 @@ class TruthService:
 
     @classmethod
     def restore(cls, directory, *, tracer: Tracer | None = None,
-                profiler: Profiler | None = None,
                 metrics: MetricsRegistry | None = None) -> "TruthService":
         """Rebuild a service from a :meth:`snapshot` directory."""
         directory = Path(directory)
@@ -746,7 +732,6 @@ class TruthService:
             config=_config_from_dict(meta["config"]),
             codecs=matrix.codecs(),
             tracer=tracer,
-            profiler=profiler,
             metrics=metrics,
         )
         service._store = ClaimStore.from_claims_matrix(matrix)

@@ -80,3 +80,24 @@ class TestServeSim:
     def test_serve_sim_listed(self, capsys):
         assert main(["list"]) == 0
         assert "serve-sim" in capsys.readouterr().out
+
+
+class TestTraceCli:
+    def test_summarize_prints_run_report(self, tmp_path, capsys):
+        from repro.core.solver import crh
+        from repro.observability import JsonlTracer
+
+        from .conftest import make_synthetic
+
+        dataset, _ = make_synthetic(n_objects=20)
+        path = tmp_path / "run.jsonl"
+        with JsonlTracer(path) as tracer:
+            crh(dataset, tracer=tracer)
+        assert main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "runs: CRH" in out
+
+    def test_summarize_missing_file_exits_2(self, tmp_path, capsys):
+        assert main(["trace", "summarize",
+                     str(tmp_path / "nope.jsonl")]) == 2
+        assert "no such file" in capsys.readouterr().err

@@ -102,75 +102,6 @@ class TestRecordEngine:
                          reducer=lambda k, v: [])
 
 
-class TestThreadedExecutor:
-    def test_record_engine_threads_match_serial(self):
-        lines = [(i, f"w{i % 7} w{i % 4} w{i % 3}") for i in range(200)]
-        serial = LocalCluster(
-            ClusterConfig(n_mappers=4, n_reducers=3)
-        ).run(word_count_job(), lines)
-        threaded = LocalCluster(
-            ClusterConfig(n_mappers=4, n_reducers=3, executor="threads")
-        ).run(word_count_job(), lines)
-        assert dict(serial.output) == dict(threaded.output)
-        assert serial.stats.shuffled_records == \
-            threaded.stats.shuffled_records
-
-    def test_vector_engine_threads_match_serial(self):
-        rng = np.random.default_rng(5)
-        records = KeyedArrays(
-            keys=rng.integers(0, 40, 5_000),
-            values={"v": rng.normal(0, 1, 5_000)},
-        )
-
-        def reducer(grouped):
-            return KeyedArrays(keys=grouped.group_keys,
-                               values={"v": grouped.segment_sum("v")})
-
-        job = VectorJob(name="sum", mapper=lambda s: s, reducer=reducer,
-                        combiner=reducer)
-        serial = VectorCluster(ClusterConfig()).run(job, records)
-        threaded = VectorCluster(
-            ClusterConfig(executor="threads")
-        ).run(job, records)
-        a = dict(zip(serial.output.keys.tolist(),
-                     serial.output.values["v"].tolist()))
-        b = dict(zip(threaded.output.keys.tolist(),
-                     threaded.output.values["v"].tolist()))
-        assert set(a) == set(b)
-        for key in a:
-            assert a[key] == pytest.approx(b[key])
-
-    def test_parallel_crh_with_threads(self):
-        from repro.parallel import ParallelCRHConfig, parallel_crh
-        from repro.mapreduce import ClusterCostModel
-        from tests.conftest import make_synthetic
-        dataset, _ = make_synthetic(n_objects=50, seed=6)
-        serial = parallel_crh(dataset, ParallelCRHConfig())
-        # Same cluster shape, threaded execution.
-        config = ParallelCRHConfig()
-        threaded_cluster = ClusterConfig(
-            n_mappers=config.n_mappers, n_reducers=config.n_reducers,
-            executor="threads", cost_model=ClusterCostModel(),
-        )
-        object.__setattr__  # hint: config is frozen; patch via replace
-        import dataclasses
-        config = dataclasses.replace(config)
-        # Run by monkey-wiring cluster_config to the threaded variant.
-        original = ParallelCRHConfig.cluster_config
-        try:
-            ParallelCRHConfig.cluster_config = \
-                lambda self: threaded_cluster
-            threaded = parallel_crh(dataset, config)
-        finally:
-            ParallelCRHConfig.cluster_config = original
-        np.testing.assert_allclose(threaded.weights, serial.weights,
-                                   atol=1e-12)
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            ClusterConfig(executor="processes")
-
-
 class TestPartitioners:
     def test_hash_partition_range(self):
         for key in ("a", 42, ("x", 1)):

@@ -45,7 +45,7 @@ from repro.engine import (
     make_backend,
     use_memory_cap,
 )
-from repro.observability import MemoryProfiler, MemoryTracer
+from repro.observability import MemoryTracer
 
 
 def _claims(seed=0, k=6, n=50, density=0.4, n_props=2):
@@ -348,16 +348,6 @@ class TestMmapObservability:
                        for p in claims.properties)
         assert start["n_chunks"] == expected
         assert "n_workers" not in start
-
-    def test_io_phase_nested_under_truth_step(self):
-        claims = _claims(seed=31)
-        profiler = MemoryProfiler()
-        tracer = MemoryTracer()
-        crh(claims, backend="mmap", chunk_claims=16, max_iterations=4,
-            tracer=tracer, profiler=profiler)
-        phases = {r["phase"] for r in tracer.records
-                  if r["event"] == "profile" and "phase" in r}
-        assert "truth_step/io" in phases
 
     def test_auto_resolves_to_mmap_above_cap(self):
         claims = _claims(seed=32)

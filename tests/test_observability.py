@@ -459,20 +459,6 @@ class TestMultiRunReports:
         assert not np.isnan(trajectory[1]).any()
         np.testing.assert_array_equal(trajectory[0, :2], [1.0, 2.0])
 
-    def test_phase_breakdown_merges_profiled_runs(self):
-        dataset, _ = make_synthetic(n_objects=30)
-        tracer = MemoryTracer()
-        from repro.observability import MemoryProfiler
-        prof = MemoryProfiler()
-        crh(dataset, tracer=tracer, profiler=prof, max_iterations=3)
-        crh(dataset, tracer=tracer, profiler=prof, max_iterations=3)
-        report = RunReport(tracer.records)
-        # delta-flushing keeps the merged breakdown equal to the
-        # profiler's own cumulative totals
-        for path, seconds in prof.phase_totals().items():
-            assert report.phase_breakdown()[path] == \
-                pytest.approx(seconds)
-
 
 class TestParallelismRecords:
     """run_start/run_end fields added for the process backend."""

@@ -1,8 +1,8 @@
 """Property-based fuzzing of the vectorized MapReduce engine.
 
-Randomized batches, cluster shapes and executors must all produce the
-same grouped reductions as a direct numpy ground truth — the engine is
-only allowed to change *where* work runs, never *what* comes out.
+Randomized batches and cluster shapes must all produce the same grouped
+reductions as a direct numpy ground truth — the engine is only allowed
+to change *where* work runs, never *what* comes out.
 """
 
 import numpy as np
@@ -46,13 +46,11 @@ def _as_dict(output: KeyedArrays) -> dict[int, float]:
 
 @given(random_batches(),
        st.integers(min_value=1, max_value=6),
-       st.integers(min_value=1, max_value=6),
-       st.sampled_from(["serial", "threads"]))
+       st.integers(min_value=1, max_value=6))
 @settings(max_examples=50, deadline=None)
-def test_segment_sums_match_bincount(batch, n_mappers, n_reducers,
-                                     executor):
+def test_segment_sums_match_bincount(batch, n_mappers, n_reducers):
     cluster = VectorCluster(ClusterConfig(
-        n_mappers=n_mappers, n_reducers=n_reducers, executor=executor,
+        n_mappers=n_mappers, n_reducers=n_reducers,
     ))
     result = cluster.run(_sum_job(), batch)
     got = _as_dict(result.output)

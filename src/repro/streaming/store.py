@@ -24,17 +24,30 @@ object, then ascending source index) re-resolves bit-identically to the
 batch :func:`~repro.streaming.icrh.icrh` oracle.  Duplicate claims for
 the same (source, object, property) cell keep the *latest* arrival,
 matching :class:`~repro.data.table.DatasetBuilder` overwrite semantics.
+
+Assembly cost
+-------------
+Per property the store keeps each object's *first claim position*, so
+``dataset_for`` scans only the claims stored since the oldest selected
+object's first claim: every claim of a selected object sits at or after
+that position.  For an in-order stream that is the open window; late
+data reaches back as far as it is late.  Selecting an ancient object —
+or every object, as a full recompute or :meth:`ClaimStore.to_claims_matrix`
+does — scans the whole store.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..data.claims_matrix import ClaimsMatrix, PropertyClaims
 from ..data.encoding import MISSING_CODE, CategoricalCodec
 from ..data.schema import DatasetSchema
+
+#: ``ClaimStore._first`` entry of an object with no claim for a property
+_NO_CLAIM = np.iinfo(np.int64).max
 
 
 class Claim(NamedTuple):
@@ -155,7 +168,8 @@ class ClaimStore:
     object index) in arrival order; sources and objects get dense
     indices when first seen.  Every touched object index is added to
     :attr:`dirty` — the invalidation contract the service's recompute
-    planner drains after each ingest batch.
+    planner drains after each ingest batch.  Per property, each object's
+    first claim position bounds the claims :meth:`dataset_for` scans.
     """
 
     def __init__(self, schema: DatasetSchema,
@@ -172,6 +186,9 @@ class ClaimStore:
         self._values: list[GrowableArray] = []
         self._src: list[GrowableArray] = []
         self._obj: list[GrowableArray] = []
+        #: per property, each object's first claim position in that
+        #: property's columns (``_NO_CLAIM`` while it has none)
+        self._first: list[GrowableArray] = []
         for prop in schema:
             if prop.uses_codec:
                 self._values.append(
@@ -180,6 +197,7 @@ class ClaimStore:
                 self._values.append(GrowableArray(np.float64, np.nan))
             self._src.append(GrowableArray(np.int32, 0))
             self._obj.append(GrowableArray(np.int32, 0))
+            self._first.append(GrowableArray(np.int64, _NO_CLAIM))
         self._source_ids: list[Hashable] = []
         self._source_index: dict[Hashable, int] = {}
         self._object_ids: list[Hashable] = []
@@ -222,7 +240,7 @@ class ClaimStore:
     def growth_events(self) -> int:
         """Total buffer reallocations across all growable columns."""
         total = self._object_ts.growth_events
-        for arrays in (self._values, self._src, self._obj):
+        for arrays in (self._values, self._src, self._obj, self._first):
             total += sum(a.growth_events for a in arrays)
         return total
 
@@ -266,6 +284,11 @@ class ClaimStore:
             self._object_ts.append(
                 np.nan if claim.timestamp is None
                 else float(claim.timestamp))
+            for column in self._first:
+                column.append(_NO_CLAIM)
+        first = self._first[m]._buf  # the raw buffer: no view per claim
+        if first[obj] == _NO_CLAIM:
+            first[obj] = len(self._obj[m])
         codec = self._codecs.get(claim.property_name)
         value = (codec.encode(claim.value) if codec is not None
                  else claim.value)
@@ -275,24 +298,24 @@ class ClaimStore:
         self.dirty.add(obj)
         return obj, created
 
-    def add_many(self, claims: Iterable[Claim]) -> int:
-        """Absorb an iterable of claims; returns how many were added."""
-        count = 0
-        for claim in claims:
-            self.add(claim)
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
-    def _gather(self, m: int, remap: np.ndarray):
-        """Property ``m``'s live claims for the objects selected by
-        ``remap`` (global object index -> local index, -1 drops),
+    def _scan_start(self, m: int, indices: np.ndarray) -> int:
+        """First position in property ``m``'s columns that can hold a
+        claim of an object at ``indices``: the oldest selected object's
+        first claim, or the column length when none has a claim."""
+        return int(self._first[m].data[indices].min(
+            initial=len(self._obj[m])))
+
+    def _gather(self, m: int, remap: np.ndarray, indices: np.ndarray):
+        """Property ``m``'s live claims for the objects at ``indices``
+        (``remap``: global object index -> local index, -1 drops),
         deduplicated keep-last, stable-sorted by local object —
         preserving arrival order within each object."""
-        obj = self._obj[m].data
-        local = remap[obj]
+        start = self._scan_start(m, indices)
+        local = remap[self._obj[m].data[start:]]
         keep = np.flatnonzero(local >= 0)
         local = local[keep]
+        keep += start
         src = self._src[m].data[keep]
         values = self._values[m].data[keep]
         if keep.size:
@@ -328,7 +351,7 @@ class ClaimStore:
         remap[indices] = np.arange(indices.size)
         properties = []
         for m, prop in enumerate(self.schema):
-            values, src, local = self._gather(m, remap)
+            values, src, local = self._gather(m, remap, indices)
             properties.append(PropertyClaims(
                 schema=prop,
                 values=values,
@@ -355,7 +378,7 @@ class ClaimStore:
         remap = np.arange(self.n_objects, dtype=np.int64)
         properties = []
         for m, prop in enumerate(self.schema):
-            values, src, local = self._gather(m, remap)
+            values, src, local = self._gather(m, remap, remap)
             properties.append(PropertyClaims(
                 schema=prop,
                 values=values,
@@ -401,6 +424,10 @@ class ClaimStore:
             store._values[m].extend(view.values)
             store._src[m].extend(view.source_idx)
             store._obj[m].extend(view.object_idx)
+            # Canonical claims are object-major: an object's first
+            # claim is its CSR row start.
+            store._first[m].extend(np.where(
+                np.diff(view.indptr) > 0, view.indptr[:-1], _NO_CLAIM))
         return store
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

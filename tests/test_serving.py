@@ -150,6 +150,173 @@ class TestClaimStore:
             store.add(Claim("o1", "nope", "a", 1.0, 0.0))
 
 
+def full_scan_gather(store, m, remap):
+    """Reference assembly: property ``m``'s claims for the objects
+    ``remap`` selects, found by scanning every stored claim, then
+    deduplicated keep-last and stable-sorted by local object."""
+    obj = store._obj[m].data
+    local = remap[obj]
+    keep = np.flatnonzero(local >= 0)
+    local = local[keep]
+    src = store._src[m].data[keep]
+    values = store._values[m].data[keep]
+    if keep.size:
+        order = np.lexsort((np.arange(keep.size), src, local))
+        l_sorted = local[order]
+        s_sorted = src[order]
+        last = np.ones(order.size, dtype=bool)
+        last[:-1] = (l_sorted[1:] != l_sorted[:-1]) | \
+            (s_sorted[1:] != s_sorted[:-1])
+        survivors = np.sort(order[last])
+        local = local[survivors]
+        src = src[survivors]
+        values = values[survivors]
+        by_object = np.argsort(local, kind="stable")
+        local = local[by_object]
+        src = src[by_object]
+        values = values[by_object]
+    return values, src, local.astype(np.int32)
+
+
+def assert_matches_full_scan(store, indices):
+    """``dataset_for(indices)`` equals the full-scan reference exactly."""
+    indices = np.asarray(indices, dtype=np.int64)
+    chunk = store.dataset_for(indices)
+    remap = np.full(store.n_objects, -1, dtype=np.int64)
+    remap[indices] = np.arange(indices.size)
+    for m, prop in enumerate(chunk.properties):
+        values, src, local = full_scan_gather(store, m, remap)
+        view = prop.claim_view()
+        np.testing.assert_array_equal(view.values, values)
+        np.testing.assert_array_equal(view.source_idx, src)
+        np.testing.assert_array_equal(view.object_idx, local)
+    assert list(chunk.object_ids) == [store.object_ids[i] for i in indices]
+    np.testing.assert_array_equal(chunk.object_timestamps,
+                                  store.object_timestamps[indices])
+
+
+PROPERTIES = ("temp", "humidity", "condition")
+LABELS = ("sunny", "cloudy", "rain")
+
+
+def fuzz_claims(rng, n_claims, first_object=0, late_share=0.2):
+    """A seeded claim stream over ``mixed_schema``: objects arrive in
+    time order, a ``late_share`` of claims go to an older object, each
+    object only ever gets claims for a random subset of properties, and
+    three sources make duplicate (object, source, property) cells
+    common."""
+    claims = []
+    allowed = {}
+    newest = first_object - 1
+    for _ in range(n_claims):
+        if newest < first_object or rng.random() < 0.3:
+            newest += 1
+            allowed[newest] = [p for p in PROPERTIES
+                               if rng.random() < 0.7] or ["temp"]
+            obj = newest
+        elif rng.random() < late_share:
+            obj = int(rng.integers(first_object, newest + 1))
+        else:
+            obj = int(rng.integers(max(first_object, newest - 2),
+                                   newest + 1))
+        prop = allowed[obj][int(rng.integers(len(allowed[obj])))]
+        value = (LABELS[int(rng.integers(3))] if prop == "condition"
+                 else float(rng.integers(10)))
+        claims.append(Claim(f"o{obj}", prop, f"s{int(rng.integers(3))}",
+                            value, float(obj)))
+    return claims
+
+
+def fuzz_selections(rng, n_objects):
+    """Unsorted random, recent, single-object, empty and full index
+    lists over ``n_objects`` registered objects."""
+    selections = [[], [0], [n_objects - 1], list(range(n_objects))]
+    size = int(rng.integers(1, n_objects + 1))
+    selections.append(rng.choice(n_objects, size=size, replace=False))
+    selections.append(rng.permutation(
+        np.arange(max(0, n_objects - 3), n_objects)))
+    selections.append([int(rng.integers(n_objects))])
+    return selections
+
+
+class TestScanBoundedAssembly:
+    """``dataset_for`` scans from the oldest selected object's first
+    claim; the result must equal a scan of the whole store."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_scan_oracle(self, mixed_schema, seed):
+        rng = np.random.default_rng(seed)
+        store = ClaimStore(mixed_schema)
+        for i, claim in enumerate(fuzz_claims(rng, 400)):
+            store.add(claim)
+            if i % 37 == 0:
+                for indices in fuzz_selections(rng, store.n_objects):
+                    assert_matches_full_scan(store, indices)
+        for indices in fuzz_selections(rng, store.n_objects):
+            assert_matches_full_scan(store, indices)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restored_store_takes_late_claims(self, mixed_schema, seed):
+        rng = np.random.default_rng(100 + seed)
+        store = ClaimStore(mixed_schema)
+        for claim in fuzz_claims(rng, 200):
+            store.add(claim)
+        restored = ClaimStore.from_claims_matrix(store.to_claims_matrix())
+        # Late claims for objects in the restored prefix, then new ones.
+        prefix = restored.n_objects
+        for claim in fuzz_claims(rng, 150, late_share=1.0)[:60]:
+            if claim.object_id in restored._object_index:
+                restored.add(claim)
+        for claim in fuzz_claims(rng, 100, first_object=prefix):
+            restored.add(claim)
+        assert restored.n_objects > prefix
+        for indices in fuzz_selections(rng, restored.n_objects):
+            assert_matches_full_scan(restored, indices)
+        for indices in fuzz_selections(rng, prefix):
+            assert_matches_full_scan(restored, indices)
+
+    def test_restored_first_positions_are_row_starts(self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        store.add(Claim("o0", "temp", "b", 1.0, 0.0))
+        store.add(Claim("o1", "humidity", "a", 0.5, 1.0))
+        store.add(Claim("o1", "temp", "a", 2.0, 1.0))
+        store.add(Claim("o0", "temp", "a", 3.0, 0.0))
+        restored = ClaimStore.from_claims_matrix(store.to_claims_matrix())
+        # temp is object-major after restore: o0 (a, b), then o1 (a).
+        np.testing.assert_array_equal(restored._first[0].data, [0, 2])
+        np.testing.assert_array_equal(
+            restored._first[1].data[1:], [0])
+        assert restored._scan_start(1, np.array([0])) == 1
+
+    def test_late_claim_for_first_object_scans_from_zero(
+            self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        for obj in range(20):
+            store.add(Claim(f"o{obj}", "temp", "a", float(obj), obj))
+        store.add(Claim("o0", "temp", "b", 99.0, 0.0))
+        indices = np.array([19, 0])
+        assert store._scan_start(0, indices) == 0
+        assert_matches_full_scan(store, indices)
+
+    def test_scan_start(self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        store.add(Claim("o0", "temp", "a", 1.0, 0.0))
+        store.add(Claim("o1", "temp", "a", 2.0, 1.0))
+        store.add(Claim("o2", "temp", "a", 3.0, 2.0))
+        store.add(Claim("o1", "humidity", "a", 0.5, 1.0))
+        store.add(Claim("o0", "temp", "b", 4.0, 0.0))
+        temp, humidity = 0, 1
+        # The oldest selected object's first claim, whatever the order.
+        assert store._scan_start(temp, np.array([2, 1])) == 1
+        assert store._scan_start(temp, np.array([2])) == 2
+        assert store._scan_start(temp, np.array([2, 0])) == 0
+        assert store._scan_start(humidity, np.array([2, 1])) == 0
+        # No selected object has a claim: the column length.
+        assert store._scan_start(humidity, np.array([0, 2])) == 1
+        assert store._scan_start(2, np.array([0, 1, 2])) == 0
+        assert store._scan_start(temp, np.array([], dtype=np.int64)) == 4
+
+
 class TestTruthState:
     def test_registration_is_amortized(self):
         state = TruthState()

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot paths (timed over multiple rounds).
 
-These are conventional pytest-benchmark timings: the weighted
-aggregations behind the truth step, the claim-graph build behind the
-fact-based baselines, and a full CRH fit — the numbers that back the
+These are conventional pytest-benchmark timings: the segment kernels
+behind the truth step (run on claim views, as the solver runs them), the
+claim-graph build behind the fact-based baselines, and a full CRH fit — the numbers that back the
 paper's O(KNM)-per-iteration complexity claim (Section 2.5).
 """
 
@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.claims import build_claim_graph
-from repro.core import CRHSolver, crh
-from repro.core.weighted_stats import (
-    weighted_median_columns,
-    weighted_vote_columns,
+from repro.core import CRHSolver, crh, kernels
+from repro.data import (
+    CategoricalCodec,
+    PropertyObservations,
+    categorical,
+    continuous,
 )
 from repro.datasets import (
     ADULT_ROUNDING,
@@ -24,14 +26,19 @@ from repro.datasets import (
 
 
 @pytest.fixture(scope="module")
-def matrices():
+def claim_views():
+    """Claim views of a 20-source x 50k-object panel, 20% missing."""
     rng = np.random.default_rng(0)
     values = rng.normal(0, 10, (20, 50_000))
     values[rng.random(values.shape) < 0.2] = np.nan
     codes = rng.integers(0, 8, (20, 50_000)).astype(np.int32)
     codes[rng.random(codes.shape) < 0.2] = -1
     weights = rng.uniform(0.1, 3.0, 20)
-    return values, codes, weights
+    value_view = PropertyObservations(continuous("v"), values).claim_view()
+    code_view = PropertyObservations(
+        categorical("c"), codes, codec=CategoricalCodec(range(8))
+    ).claim_view()
+    return value_view, code_view, weights
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +49,23 @@ def adult_dataset():
                             rounding=ADULT_ROUNDING)
 
 
-def test_weighted_median_columns_throughput(benchmark, matrices):
-    values, _, weights = matrices
-    result = benchmark(weighted_median_columns, values, weights)
+def test_segment_weighted_median_throughput(benchmark, claim_views):
+    view, _, weights = claim_views
+    result = benchmark(
+        kernels.segment_weighted_median, view.values,
+        view.claim_weights(weights), view.indptr,
+        group_of_claim=view.object_idx, plan=view.median_plan(),
+    )
     assert result.shape == (50_000,)
 
 
-def test_weighted_vote_columns_throughput(benchmark, matrices):
-    _, codes, weights = matrices
-    result = benchmark(weighted_vote_columns, codes, weights, 8)
+def test_segment_weighted_vote_throughput(benchmark, claim_views):
+    _, view, weights = claim_views
+    result = benchmark(
+        kernels.segment_weighted_vote, view.values,
+        view.claim_weights(weights), view.indptr,
+        n_categories=8, group_of_claim=view.object_idx,
+    )
     assert result.shape == (50_000,)
 
 

@@ -16,9 +16,8 @@ Run:  python examples/custom_losses.py
 import numpy as np
 
 from repro import crh
-from repro.core import register_loss
+from repro.core import kernels, register_loss
 from repro.core.losses import Loss, TruthState
-from repro.core.weighted_stats import weighted_median_columns
 from repro.data import DatasetBuilder, DatasetSchema, TruthTable, continuous
 from repro.data.schema import PropertyKind
 from repro.metrics import mnad
@@ -62,9 +61,10 @@ class LogAbsoluteLoss(Loss):
 
     def update_truth(self, prop, weights):
         """Weighted median: the exact minimizer in log space too."""
-        return TruthState(
-            column=weighted_median_columns(prop.values, weights)
-        )
+        view = prop.claim_view()
+        return TruthState(column=kernels.segment_weighted_median(
+            view.values, view.claim_weights(weights), view.indptr
+        ))
 
     def deviations(self, state, prop):
         """|log v - log v*| (NaN where unobserved)."""

@@ -70,12 +70,8 @@ from .text_loss import (
 from .weighted_stats import (
     column_std,
     weighted_mean,
-    weighted_mean_columns,
     weighted_median,
-    weighted_median_columns,
-    weighted_median_select,
     weighted_mode,
-    weighted_vote_columns,
 )
 
 __all__ = [
@@ -128,11 +124,7 @@ __all__ = [
     "states_to_truth_table",
     "weight_scheme_by_name",
     "weighted_mean",
-    "weighted_mean_columns",
     "weighted_median",
     "huber_value",
-    "weighted_median_columns",
-    "weighted_median_select",
     "weighted_mode",
-    "weighted_vote_columns",
 ]

@@ -1,10 +1,12 @@
-"""Weighted aggregation primitives used by CRH truth updates.
+"""Scalar reference versions of CRH's weighted truth updates.
 
 The truth step of CRH (Eq. 3) reduces to a weighted statistic per entry:
 weighted vote for the 0-1 loss, weighted mean for the squared losses,
-weighted median for the absolute loss.  This module implements each both
-as a readable scalar reference (used in tests as the oracle) and as a
-vectorized column-parallel version (used by the solver).
+weighted median for the absolute loss.  The solver computes them over
+whole claim arrays with :mod:`repro.core.kernels`; this module keeps a
+readable one-entry-at-a-time version of each, which the kernel tests use
+as the oracle.  :func:`column_std` is the Eqs. 13/15 normalizer over a
+dense ``(K, N)`` matrix.
 
 The weighted median follows the paper's definition (Eq. 16, after
 [Cormen et al., Ch. 9]): it is the claimed value ``v_j`` such that the
@@ -24,7 +26,7 @@ import numpy as np
 def _reaches_half(mass: float, total: float) -> bool:
     """Eq. 16's crossing test: has cumulative weight reached ``W/2``?
 
-    Both scalar medians route every crossing decision through this one
+    The scalar median routes every crossing decision through this one
     comparison on :func:`math.fsum`-exact masses, so ties at exactly
     ``W/2`` resolve identically regardless of summation order.
     """
@@ -71,57 +73,6 @@ def weighted_median(values: Sequence[float],
     return float(vals[order][lo])
 
 
-def weighted_median_select(values: Sequence[float],
-                           weights: Sequence[float]) -> float:
-    """Weighted median by expected-linear-time selection.
-
-    This is the algorithm the paper's Eq. 16 cites ([Cormen et al.,
-    Ch. 9]): partition around a pivot, recurse into the side holding the
-    weighted halfway point; both functions return the identical value
-    (property-tested).  The crossing masses are recomputed over the full
-    input with :func:`math.fsum`, so every ``W/2`` decision is made on
-    the exactly rounded sum and agrees with :func:`weighted_median` even
-    when a cumulative weight lands exactly on ``W/2``.  The solver's hot
-    path stays with the vectorized sort-based version because numpy's
-    sort beats a Python quickselect at every realistic size — this
-    function documents and verifies the paper's referenced algorithm.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    wts = np.asarray(weights, dtype=np.float64)
-    if vals.shape != wts.shape or vals.ndim != 1:
-        raise ValueError(
-            f"values {vals.shape} and weights {wts.shape} must be equal-"
-            f"length 1-d arrays"
-        )
-    if vals.size == 0:
-        raise ValueError("weighted median of empty set")
-    if (wts < 0).any():
-        raise ValueError("weights must be non-negative")
-    if math.fsum(wts) <= 0:
-        wts = np.ones_like(wts)
-    total = math.fsum(wts)
-    rng = np.random.default_rng(0)  # deterministic pivots
-
-    candidates = vals
-    while True:
-        if candidates.size == 1:
-            return float(candidates[0])
-        pivot = float(candidates[rng.integers(0, candidates.size)])
-        mass_below = math.fsum(wts[vals < pivot])
-        mass_at = math.fsum(wts[vals <= pivot])
-        # Eq. 16: the median is the first value where the cumulative
-        # weight reaches half the total.
-        if _reaches_half(mass_below, total):
-            below = candidates < pivot
-            if not below.any():
-                return pivot
-            candidates = candidates[below]
-        elif _reaches_half(mass_at, total):
-            return pivot
-        else:
-            candidates = candidates[candidates > pivot]
-
-
 def weighted_mean(values: Sequence[float],
                   weights: Sequence[float]) -> float:
     """Scalar weighted mean (truth update of Eq. 14)."""
@@ -154,107 +105,6 @@ def weighted_mode(values: Sequence[int], weights: Sequence[float],
     scores = np.zeros(size, dtype=np.float64)
     np.add.at(scores, vals, wts)
     return int(scores.argmax())
-
-
-# ----------------------------------------------------------------------
-# Column-parallel versions over (K, N) matrices with missing values
-# ----------------------------------------------------------------------
-
-def weighted_median_columns(values: np.ndarray,
-                            weights: np.ndarray) -> np.ndarray:
-    """Weighted median of every column of a ``(K, N)`` matrix.
-
-    ``NaN`` cells are missing observations and carry no weight.  Columns
-    with no observation yield ``NaN``; columns whose observed weight sums
-    to zero fall back to the unweighted median of their observed values.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected (K, N) matrix, got {values.shape}")
-    if weights.shape != (values.shape[0],):
-        raise ValueError(
-            f"weights shape {weights.shape} != (K={values.shape[0]},)"
-        )
-    observed = ~np.isnan(values)
-    weight_matrix = np.where(observed, weights[:, None], 0.0)
-    # Columns with observations but zero total weight: use uniform weights
-    # there so the median is still defined (mirrors the scalar fallback).
-    totals = weight_matrix.sum(axis=0)
-    zero_weight = (totals <= 0) & observed.any(axis=0)
-    if zero_weight.any():
-        weight_matrix[:, zero_weight] = np.where(
-            observed[:, zero_weight], 1.0, 0.0
-        )
-        totals = weight_matrix.sum(axis=0)
-
-    # np.sort places NaN last, so missing cells sink to the bottom of each
-    # column and their zero weights never perturb the cumulative sums.
-    order = np.argsort(values, axis=0, kind="stable")
-    sorted_values = np.take_along_axis(values, order, axis=0)
-    sorted_weights = np.take_along_axis(weight_matrix, order, axis=0)
-    cumulative = np.cumsum(sorted_weights, axis=0)
-
-    half = totals / 2.0
-    reached = cumulative >= half[None, :] - 1e-12
-    # First row index where the cumulative weight reaches W/2.
-    first = reached.argmax(axis=0)
-    result = sorted_values[first, np.arange(values.shape[1])]
-    result = np.where(totals > 0, result, np.nan)
-    return result
-
-
-def weighted_mean_columns(values: np.ndarray,
-                          weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of every column of a ``(K, N)`` matrix (NaN-aware)."""
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    observed = ~np.isnan(values)
-    weight_matrix = np.where(observed, weights[:, None], 0.0)
-    totals = weight_matrix.sum(axis=0)
-    zero_weight = (totals <= 0) & observed.any(axis=0)
-    if zero_weight.any():
-        weight_matrix[:, zero_weight] = np.where(
-            observed[:, zero_weight], 1.0, 0.0
-        )
-        totals = weight_matrix.sum(axis=0)
-    sums = np.nansum(values * weight_matrix, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = sums / totals
-    return np.where(totals > 0, result, np.nan)
-
-
-def weighted_vote_columns(codes: np.ndarray, weights: np.ndarray,
-                          n_categories: int) -> np.ndarray:
-    """Weighted vote per column of a ``(K, N)`` code matrix (Eq. 9).
-
-    ``codes`` holds non-negative category codes with ``-1`` for missing.
-    Returns an ``int32`` vector with ``-1`` for columns nobody observed.
-    Ties break toward the smallest code.
-    """
-    codes = np.asarray(codes)
-    weights = np.asarray(weights, dtype=np.float64)
-    if codes.ndim != 2:
-        raise ValueError(f"expected (K, N) matrix, got {codes.shape}")
-    k, n = codes.shape
-    observed = codes >= 0
-    weight_matrix = np.where(observed, weights[:, None], 0.0)
-    totals = weight_matrix.sum(axis=0)
-    zero_weight = (totals <= 0) & observed.any(axis=0)
-    if zero_weight.any():
-        weight_matrix[:, zero_weight] = np.where(
-            observed[:, zero_weight], 1.0, 0.0
-        )
-    scores = np.zeros((n_categories, n), dtype=np.float64)
-    columns = np.broadcast_to(np.arange(n), (k, n))
-    np.add.at(
-        scores,
-        (codes[observed], columns[observed]),
-        weight_matrix[observed],
-    )
-    winners = scores.argmax(axis=0).astype(np.int32)
-    winners[~observed.any(axis=0)] = -1
-    return winners
 
 
 def column_std(values: np.ndarray, floor: float = 1e-12) -> np.ndarray:

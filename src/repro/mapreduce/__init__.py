@@ -1,24 +1,19 @@
 """In-process MapReduce substrate (Section 2.7's execution platform).
 
-Two engines share one job-statistics format and one cluster cost model:
-
-* :class:`LocalCluster` — record-at-a-time, classic ``(key, value)``
-  semantics; use it for clarity, tests, and small inputs;
-* :class:`VectorCluster` — columnar batches for the Table 6 / Fig. 7-8
-  scaling sweeps.
-
-The :class:`ClusterCostModel` converts volume statistics into *simulated
-cluster seconds* (see its docstring for the calibration argument), and
-:class:`SideFileStore` plays the role of the shared HDFS files the paper
-keeps weights and truths in between jobs.
+:class:`VectorCluster` runs columnar map/combine/shuffle/reduce jobs —
+the engine parallel CRH and the Table 6 / Fig. 7-8 scaling sweeps run
+on.  The :class:`ClusterCostModel` converts each job's volume
+statistics into *simulated cluster seconds* (see its docstring for the
+calibration argument), and :class:`SideFileStore` plays the role of the
+shared HDFS files the paper keeps weights and truths in between jobs.
 """
 
-from .cost import ClusterCostModel, SimulatedClock
-from .engine import ClusterConfig, EngineCounters, JobResult, LocalCluster
+from .cost import ClusterCostModel, JobStats, SimulatedClock
 from .fs import SideFileStore
-from .job import JobStats, MapReduceJob
-from .partitioner import array_partition, hash_partition
+from .partitioner import array_partition
 from .vector import (
+    ClusterConfig,
+    EngineCounters,
     GroupedArrays,
     KeyedArrays,
     VectorCluster,
@@ -32,11 +27,8 @@ __all__ = [
     "ClusterCostModel",
     "EngineCounters",
     "GroupedArrays",
-    "JobResult",
     "JobStats",
     "KeyedArrays",
-    "LocalCluster",
-    "MapReduceJob",
     "SideFileStore",
     "SimulatedClock",
     "VectorCluster",
@@ -44,5 +36,4 @@ __all__ = [
     "VectorJobResult",
     "array_partition",
     "group_by_key",
-    "hash_partition",
 ]

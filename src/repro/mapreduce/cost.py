@@ -2,7 +2,7 @@
 
 The engine in this package executes in-process, so wall-clock time says
 nothing about cluster behaviour.  This model converts a job's volume
-statistics (:class:`~repro.mapreduce.job.JobStats`) into *simulated
+statistics (:class:`JobStats`) into *simulated
 cluster seconds*, reproducing the three scaling phenomena of the paper's
 Hadoop experiments:
 
@@ -21,9 +21,40 @@ full run), not to reproduce them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .job import JobStats
+
+@dataclass
+class JobStats:
+    """Volume counters collected while a job executes.
+
+    These feed the :class:`ClusterCostModel`: the simulated cluster
+    clock is a function of how many records moved through each stage,
+    not of local Python speed.
+    """
+
+    job_name: str = ""
+    map_input_records: int = 0
+    #: map-output records per map task (pre-combiner)
+    map_output_per_task: list[int] = field(default_factory=list)
+    #: records actually shuffled per map task (post-combiner)
+    shuffle_out_per_task: list[int] = field(default_factory=list)
+    #: records received per reduce task
+    shuffle_in_per_reducer: list[int] = field(default_factory=list)
+    reduce_output_records: int = 0
+
+    @property
+    def map_output_records(self) -> int:
+        return sum(self.map_output_per_task)
+
+    @property
+    def shuffled_records(self) -> int:
+        return sum(self.shuffle_in_per_reducer)
+
+    @property
+    def combiner_savings(self) -> int:
+        """Records the combiner removed from the shuffle."""
+        return self.map_output_records - sum(self.shuffle_out_per_task)
 
 
 @dataclass(frozen=True)

@@ -2,24 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
 
 
-def hash_partition(key: Hashable, n_reducers: int) -> int:
-    """Default partitioner: stable hash of the key modulo reducer count.
-
-    Uses Python's ``hash`` for strings/tuples but routes plain integers
-    directly (``hash(int)`` is the identity, which is fine and fast).
-    """
-    if n_reducers < 1:
-        raise ValueError("n_reducers must be >= 1")
-    return hash(key) % n_reducers
-
-
 def array_partition(keys: np.ndarray, n_reducers: int) -> np.ndarray:
-    """Vectorized partitioner for integer key arrays."""
+    """Hash partitioner for integer key arrays: key modulo reducer count."""
     if n_reducers < 1:
         raise ValueError("n_reducers must be >= 1")
     keys = np.asarray(keys)

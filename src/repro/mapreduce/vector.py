@@ -1,31 +1,104 @@
-"""Vectorized MapReduce engine for large-scale sweeps.
+"""Columnar MapReduce engine (Section 2.7's execution platform).
 
-The record-level :class:`~repro.mapreduce.engine.LocalCluster` executes
-one Python call per record — faithful, but hopeless at the 10^7-record
-scales of Table 6.  This engine keeps the same dataflow (splits ->
-map -> combine -> hash-partition -> sort -> grouped reduce -> stats) but
-moves data as *columnar batches*: a task receives its whole split as
-parallel numpy arrays and returns keyed arrays.  The per-task and
-per-record accounting is identical, so the cluster cost model prices both
-engines the same way.
+:class:`VectorCluster` executes a :class:`VectorJob` the way Hadoop
+would, minus the machines:
 
-Semantically a vector map task is an ordinary map task whose user code is
-vectorized; grouping and sorting happen between tasks exactly where the
-shuffle would.
+1. the input is split into ``n_mappers`` contiguous splits;
+2. each map task applies the mapper to its split and, if a combiner is
+   configured, groups its own output by key and combines it (shrinking
+   the shuffle exactly as Section 2.7.3 describes);
+3. the shuffle hash-partitions intermediate records across
+   ``n_reducers`` partitions and sorts each partition by key ("they will
+   be sorted by Hadoop");
+4. each reduce task receives its sorted partition grouped by key.
+
+Records move as *columnar batches*: a task receives its whole split as
+parallel numpy arrays and returns keyed arrays, so a map task is an
+ordinary map task whose user code is vectorized.  Every stage records
+volume statistics into a :class:`~repro.mapreduce.cost.JobStats` so the
+cluster cost model can price the run in simulated cluster seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
+from ..observability import mapreduce_job_record
 from ..observability.tracer import Tracer
-from .cost import SimulatedClock
-from .engine import ClusterConfig, EngineCounters, emit_job_record
-from .job import JobStats
+from .cost import ClusterCostModel, JobStats, SimulatedClock
 from .partitioner import array_partition
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Degree of parallelism and cost model of the simulated cluster.
+
+    Tasks run one after another in task order, so results are fully
+    deterministic; the cluster shape only changes how work is split and
+    what the cost model charges.
+    """
+
+    n_mappers: int = 4
+    n_reducers: int = 4
+    cost_model: ClusterCostModel = field(default_factory=ClusterCostModel)
+
+    def __post_init__(self) -> None:
+        if self.n_mappers < 1 or self.n_reducers < 1:
+            raise ValueError("need at least one mapper and one reducer")
+
+
+@dataclass
+class EngineCounters:
+    """Cumulative per-cluster execution counters (always collected).
+
+    These are a handful of integer adds per *job*, so they stay on even
+    without a tracer; traced runs additionally emit one
+    ``mapreduce_job`` record per job with the per-job breakdown.
+    """
+
+    jobs_run: int = 0
+    map_invocations: int = 0
+    reduce_invocations: int = 0
+    records_shuffled: int = 0
+
+    def charge(self, stats: JobStats, n_mappers: int,
+               n_reducers: int) -> None:
+        """Accumulate one finished job's volumes."""
+        self.jobs_run += 1
+        self.map_invocations += n_mappers
+        self.reduce_invocations += n_reducers
+        self.records_shuffled += stats.shuffled_records
+
+    def as_dict(self) -> dict[str, int]:
+        """The counters as a plain dict (for ``run_end`` records)."""
+        return {
+            "jobs_run": self.jobs_run,
+            "map_invocations": self.map_invocations,
+            "reduce_invocations": self.reduce_invocations,
+            "shuffled_records": self.records_shuffled,
+        }
+
+
+def emit_job_record(tracer: Tracer | None, stats: JobStats,
+                    n_mappers: int, n_reducers: int,
+                    simulated_seconds: float) -> None:
+    """Emit one ``mapreduce_job`` trace record if tracing is enabled."""
+    if tracer is None or not tracer.enabled:
+        return
+    tracer.emit(mapreduce_job_record(
+        stats.job_name,
+        map_tasks=n_mappers,
+        reduce_tasks=n_reducers,
+        map_input_records=stats.map_input_records,
+        map_output_records=stats.map_output_records,
+        shuffled_records=stats.shuffled_records,
+        reduce_output_records=stats.reduce_output_records,
+        combiner_savings=stats.combiner_savings,
+        simulated_seconds=simulated_seconds,
+    ))
 
 
 @dataclass
@@ -140,11 +213,11 @@ class VectorJobResult:
 
 
 class VectorCluster:
-    """Columnar MapReduce executor sharing the cluster cost model.
+    """Columnar MapReduce executor priced by the cluster cost model.
 
-    Like :class:`~repro.mapreduce.engine.LocalCluster`, accepts an
-    optional :class:`~repro.observability.Tracer` (one ``mapreduce_job``
-    record per job) and accumulates :attr:`counters` across jobs.
+    Pass a :class:`~repro.observability.Tracer` to receive one
+    ``mapreduce_job`` record per executed job; :attr:`counters` always
+    accumulates cumulative task/shuffle totals across jobs.
     """
 
     def __init__(self, config: ClusterConfig | None = None,

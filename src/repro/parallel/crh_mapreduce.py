@@ -30,13 +30,12 @@ from ..core import kernels
 from ..core.regularizers import ExponentialWeights, WeightScheme
 from ..data.encoding import MISSING_CODE
 from ..data.table import TruthTable
-from ..engine import BACKEND_NAMES, make_backend
 from ..observability import iteration_record, run_finished, run_started
 from ..observability.tracer import Tracer
 from ..mapreduce.cost import ClusterCostModel
-from ..mapreduce.engine import ClusterConfig
 from ..mapreduce.fs import SideFileStore
 from ..mapreduce.vector import (
+    ClusterConfig,
     GroupedArrays,
     KeyedArrays,
     VectorCluster,
@@ -60,11 +59,6 @@ class ParallelCRHConfig:
     computes the matching deviation.  Section 2.7 notes the procedure
     "can work with various loss functions", and both published
     continuous losses are supported here.
-
-    ``backend`` picks the claim storage the batches are built from
-    (``"auto"`` follows the input's representation; see
-    :func:`repro.engine.make_backend`) — both backends flatten to
-    identical record batches.
     """
 
     n_mappers: int = 4
@@ -76,18 +70,12 @@ class ParallelCRHConfig:
         default_factory=lambda: ExponentialWeights(normalizer="max")
     )
     cost_model: ClusterCostModel = field(default_factory=ClusterCostModel)
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.continuous_loss not in ("absolute", "squared"):
             raise ValueError(
                 f"continuous_loss must be 'absolute' or 'squared', "
                 f"got {self.continuous_loss!r}"
-            )
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, "
-                f"got {self.backend!r}"
             )
 
     def cluster_config(self) -> ClusterConfig:
@@ -128,43 +116,6 @@ class ParallelCRHResult:
 # reducers
 # ----------------------------------------------------------------------
 
-def _segment_weighted_median(grouped: GroupedArrays,
-                             source_weights: np.ndarray) -> KeyedArrays:
-    """Weighted median (Eq. 16) of every group — the kernel, re-keyed.
-
-    Rows arrive grouped by entry key, so ``grouped.starts`` is exactly a
-    CSR row pointer over the groups and
-    :func:`repro.core.kernels.segment_weighted_median` applies directly.
-    """
-    weights = source_weights[grouped.sorted.values["source"]]
-    truth = kernels.segment_weighted_median(
-        grouped.sorted.values["value"], weights, grouped.starts
-    )
-    return KeyedArrays(keys=grouped.group_keys, values={"truth": truth})
-
-
-def _segment_weighted_vote(grouped: GroupedArrays,
-                           source_weights: np.ndarray,
-                           code_space: int) -> KeyedArrays:
-    """Weighted vote (Eq. 9) of every group — the kernel, re-keyed."""
-    weights = source_weights[grouped.sorted.values["source"]]
-    truth = kernels.segment_weighted_vote(
-        grouped.sorted.values["code"], weights, grouped.starts,
-        n_categories=code_space,
-    )
-    return KeyedArrays(keys=grouped.group_keys, values={"truth": truth})
-
-
-def _segment_weighted_mean(grouped: GroupedArrays,
-                           source_weights: np.ndarray) -> KeyedArrays:
-    """Weighted mean (Eq. 14) of every group — the squared-loss reducer."""
-    weights = source_weights[grouped.sorted.values["source"]]
-    truth = kernels.segment_weighted_mean(
-        grouped.sorted.values["value"], weights, grouped.starts
-    )
-    return KeyedArrays(keys=grouped.group_keys, values={"truth": truth})
-
-
 def _segment_statistics(grouped: GroupedArrays) -> KeyedArrays:
     """Per-entry std (the Eqs. 13/15 normalizer preprocessing job)."""
     std = kernels.segment_std(grouped.sorted.values["value"],
@@ -194,8 +145,8 @@ def parallel_crh(dataset,
 
     ``dataset`` may be a dense
     :class:`~repro.data.table.MultiSourceDataset` or a sparse
-    :class:`~repro.data.claims_matrix.ClaimsMatrix`; the config's
-    ``backend`` decides the claim storage the batches flatten from.
+    :class:`~repro.data.claims_matrix.ClaimsMatrix`; both flatten to
+    identical record batches.
 
     With a :class:`~repro.observability.Tracer`, the run emits one
     ``mapreduce_job`` record per executed job (volumes + simulated
@@ -205,8 +156,6 @@ def parallel_crh(dataset,
     """
     started = time.perf_counter()
     config = config or ParallelCRHConfig()
-    backend = make_backend(dataset, config.backend)
-    dataset = backend.data
     batches = prepare_batches(dataset)
     cluster = VectorCluster(config.cluster_config(), tracer=tracer)
     store = SideFileStore()
@@ -218,9 +167,7 @@ def parallel_crh(dataset,
             n_sources=dataset.n_sources,
             n_objects=dataset.n_objects,
             n_properties=len(dataset.schema),
-            backend=backend.name,
-            backend_reason=backend.resolution,
-            n_claims=backend.n_claims(),
+            n_claims=batches.n_observations,
         ))
 
     def record(name: str, result) -> None:
@@ -254,15 +201,21 @@ def parallel_crh(dataset,
     truth_cat = np.full(max(batches.n_categorical_entries, 1),
                         MISSING_CODE, dtype=np.int64)
 
-    def truth_cont_reducer(grouped: GroupedArrays) -> KeyedArrays:
-        weights_now = store.read(_WEIGHTS_FILE)
-        if config.continuous_loss == "squared":
-            return _segment_weighted_mean(grouped, weights_now)
-        return _segment_weighted_median(grouped, weights_now)
+    def truth_reducer(column: str, aggregate, **options):
+        """Reducer applying a weighted kernel to each entry's claims.
 
-    def truth_cat_reducer(grouped: GroupedArrays) -> KeyedArrays:
-        return _segment_weighted_vote(grouped, store.read(_WEIGHTS_FILE),
-                                      batches.code_space)
+        Rows arrive grouped by entry key, so ``grouped.starts`` is
+        exactly a CSR row pointer and the solver's kernel applies
+        directly; the weights come from the current side file.
+        """
+        def reducer(grouped: GroupedArrays) -> KeyedArrays:
+            source = grouped.sorted.values["source"]
+            truth = aggregate(grouped.sorted.values[column],
+                              store.read(_WEIGHTS_FILE)[source],
+                              grouped.starts, **options)
+            return KeyedArrays(keys=grouped.group_keys,
+                               values={"truth": truth})
+        return reducer
 
     def weight_mapper(split: KeyedArrays) -> KeyedArrays:
         truths_c = store.read(_TRUTH_CONT_FILE)
@@ -290,12 +243,22 @@ def parallel_crh(dataset,
             values={"error": error, "count": np.ones(len(split))},
         )
 
-    truth_cont_job = VectorJob(name="truth-continuous",
-                               mapper=lambda split: split,
-                               reducer=truth_cont_reducer)
-    truth_cat_job = VectorJob(name="truth-categorical",
-                              mapper=lambda split: split,
-                              reducer=truth_cat_reducer)
+    truth_cont_job = VectorJob(
+        name="truth-continuous",
+        mapper=lambda split: split,
+        reducer=truth_reducer(
+            "value",
+            kernels.segment_weighted_mean               # Eq. 14
+            if config.continuous_loss == "squared"
+            else kernels.segment_weighted_median,       # Eq. 16
+        ),
+    )
+    truth_cat_job = VectorJob(
+        name="truth-categorical",
+        mapper=lambda split: split,
+        reducer=truth_reducer("code", kernels.segment_weighted_vote,  # Eq. 9
+                              n_categories=batches.code_space),
+    )
     weight_job = VectorJob(name="weight-assignment",
                            mapper=weight_mapper,
                            reducer=_segment_error_sums,
@@ -325,8 +288,10 @@ def parallel_crh(dataset,
         record(weight_job.name, result)
         error_sum = np.zeros(k)
         count_sum = np.zeros(k)
-        error_sum[result.output.keys] = result.output.values["error"]
-        count_sum[result.output.keys] = result.output.values["count"]
+        # With no claims the job outputs no rows and hence no columns.
+        if len(result.output):
+            error_sum[result.output.keys] = result.output.values["error"]
+            count_sum[result.output.keys] = result.output.values["count"]
         with np.errstate(invalid="ignore", divide="ignore"):
             per_source = np.where(count_sum > 0, error_sum / count_sum, 0.0)
         new_weights = config.weight_scheme.weights(per_source)

@@ -134,12 +134,12 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("cont_loss", ["absolute", "squared"])
     def test_dense_sparse_bit_identical(self, seed, cont_loss):
         dataset = _fuzz_dataset(seed + 20, k=6, n=25)
+        config = ParallelCRHConfig(continuous_loss=cont_loss,
+                                   max_iterations=6)
         results = {
-            name: parallel_crh(dataset, ParallelCRHConfig(
-                continuous_loss=cont_loss, backend=name,
-                max_iterations=6,
-            ))
-            for name in ("dense", "sparse")
+            name: parallel_crh(data, config)
+            for name, data in (("dense", dataset),
+                               ("sparse", ClaimsMatrix.from_dense(dataset)))
         }
         _assert_truths_equal(results["dense"].truths,
                              results["sparse"].truths)
@@ -149,11 +149,10 @@ class TestParallelEquivalence:
 
     def test_parallel_matches_serial_on_sparse_backend(self):
         """Section 2.7's exactness claim must survive the sparse path."""
-        dataset = _fuzz_dataset(31, k=6, n=25)
+        dataset = ClaimsMatrix.from_dense(_fuzz_dataset(31, k=6, n=25))
         serial = crh(dataset, backend="sparse")
-        parallel = parallel_crh(dataset, ParallelCRHConfig(
-            backend="sparse", max_iterations=100,
-        ))
+        parallel = parallel_crh(dataset,
+                                ParallelCRHConfig(max_iterations=100))
         _assert_truths_equal(serial.truths, parallel.truths)
         np.testing.assert_allclose(parallel.weights, serial.weights,
                                    atol=1e-9)

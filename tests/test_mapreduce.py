@@ -1,5 +1,6 @@
-"""Tests for the MapReduce substrate: record engine, vector engine,
-side files, partitioners and the cluster cost model."""
+"""Tests for the MapReduce substrate: the vector engine (record-level
+word counts and columnar sums), side files, partitioners and the cluster
+cost model."""
 
 import numpy as np
 import pytest
@@ -9,59 +10,70 @@ from repro.mapreduce import (
     ClusterCostModel,
     JobStats,
     KeyedArrays,
-    LocalCluster,
-    MapReduceJob,
     SideFileStore,
     VectorCluster,
     VectorJob,
     array_partition,
     group_by_key,
-    hash_partition,
 )
 
 
-def word_count_job() -> MapReduceJob:
-    def mapper(_, line):
-        for word in line.split():
-            yield word, 1
+def word_count_job(combiner: bool = True) -> VectorJob:
+    """Word count on the vector engine: one input row per line, whose
+    ``words`` column holds the line's word ids padded with -1."""
+    def mapper(lines: KeyedArrays) -> KeyedArrays:
+        words = lines.values["words"].ravel()
+        words = words[words >= 0]
+        return KeyedArrays(keys=words,
+                           values={"count": np.ones_like(words)})
 
-    def reducer(word, counts):
-        yield word, sum(counts)
+    def reducer(grouped) -> KeyedArrays:
+        return KeyedArrays(keys=grouped.group_keys,
+                           values={"count": grouped.segment_sum("count")})
 
-    return MapReduceJob(name="word-count", mapper=mapper, reducer=reducer,
-                        combiner=reducer)
+    return VectorJob(name="word-count", mapper=mapper, reducer=reducer,
+                     combiner=reducer if combiner else None)
+
+
+def run_word_count(cluster: VectorCluster, lines: list[str],
+                   combiner: bool = True):
+    """Run :func:`word_count_job` over text lines; return the counts by
+    word and the job result."""
+    vocab: dict[str, int] = {}
+    width = max((len(line.split()) for line in lines), default=0)
+    words = np.full((len(lines), width), -1, dtype=np.int64)
+    for row, line in enumerate(lines):
+        for col, word in enumerate(line.split()):
+            words[row, col] = vocab.setdefault(word, len(vocab))
+    records = KeyedArrays(keys=np.arange(len(lines)),
+                          values={"words": words})
+    result = cluster.run(word_count_job(combiner), records)
+    names = {i: w for w, i in vocab.items()}
+    counts = {names[k]: int(c) for k, c in zip(
+        result.output.keys.tolist(),
+        result.output.values.get("count", np.empty(0)).tolist())}
+    return counts, result
 
 
 class TestRecordEngine:
-    def test_word_count(self):
-        cluster = LocalCluster(ClusterConfig(n_mappers=3, n_reducers=2))
-        lines = [(i, text) for i, text in enumerate(
-            ["a b a", "b c", "a", "c c c"]
-        )]
-        result = cluster.run(word_count_job(), lines)
-        counts = dict(result.output)
-        assert counts == {"a": 3, "b": 2, "c": 4}
+    """Word counts record by record: integer counts compare exactly."""
 
     def test_combiner_shrinks_shuffle(self):
-        lines = [(i, "x x x x") for i in range(8)]
-        with_combiner = LocalCluster(
-            ClusterConfig(n_mappers=2, n_reducers=2)
-        ).run(word_count_job(), lines)
-        job = word_count_job()
-        no_combiner = MapReduceJob(name="wc", mapper=job.mapper,
-                                   reducer=job.reducer)
-        without = LocalCluster(
-            ClusterConfig(n_mappers=2, n_reducers=2)
-        ).run(no_combiner, lines)
+        lines = ["x x x x"] * 8
+        config = ClusterConfig(n_mappers=2, n_reducers=2)
+        with_counts, with_combiner = run_word_count(VectorCluster(config),
+                                                    lines)
+        without_counts, without = run_word_count(VectorCluster(config),
+                                                 lines, combiner=False)
         assert with_combiner.stats.shuffled_records < \
             without.stats.shuffled_records
-        assert dict(with_combiner.output) == dict(without.output)
+        assert with_counts == without_counts == {"x": 32}
 
     def test_stats_volumes(self):
-        cluster = LocalCluster(ClusterConfig(n_mappers=2, n_reducers=3))
-        lines = [(0, "a b"), (1, "c")]
-        result = cluster.run(word_count_job(), lines)
+        cluster = VectorCluster(ClusterConfig(n_mappers=2, n_reducers=3))
+        counts, result = run_word_count(cluster, ["a b", "c"])
         stats = result.stats
+        assert counts == {"a": 1, "b": 1, "c": 1}
         assert stats.map_input_records == 2
         assert stats.map_output_records == 3
         assert len(stats.map_output_per_task) == 2
@@ -69,47 +81,19 @@ class TestRecordEngine:
         assert stats.reduce_output_records == 3
 
     def test_result_independent_of_parallelism(self):
-        lines = [(i, f"w{i % 5} w{i % 3}") for i in range(50)]
+        lines = [f"w{i % 5} w{i % 3}" for i in range(50)]
         outputs = []
         for n_mappers, n_reducers in ((1, 1), (4, 2), (7, 5)):
-            cluster = LocalCluster(
+            cluster = VectorCluster(
                 ClusterConfig(n_mappers=n_mappers, n_reducers=n_reducers)
             )
-            result = cluster.run(word_count_job(), lines)
-            outputs.append(dict(result.output))
+            counts, _ = run_word_count(cluster, lines)
+            outputs.append(counts)
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_simulated_clock_accumulates(self):
-        cluster = LocalCluster()
-        lines = [(0, "a")]
-        first = cluster.run(word_count_job(), lines)
-        second = cluster.run(word_count_job(), lines)
-        assert cluster.clock.elapsed_s == pytest.approx(
-            first.simulated_seconds + second.simulated_seconds
-        )
-
-    def test_empty_input(self):
-        result = LocalCluster().run(word_count_job(), [])
-        assert result.output == []
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(n_mappers=0)
-        with pytest.raises(TypeError):
-            MapReduceJob(name="x", mapper=None, reducer=lambda k, v: [])
-        with pytest.raises(ValueError):
-            MapReduceJob(name="", mapper=lambda k, v: [],
-                         reducer=lambda k, v: [])
+        assert sum(outputs[0].values()) == 100
 
 
 class TestPartitioners:
-    def test_hash_partition_range(self):
-        for key in ("a", 42, ("x", 1)):
-            assert 0 <= hash_partition(key, 7) < 7
-
-    def test_hash_partition_stable(self):
-        assert hash_partition("key", 5) == hash_partition("key", 5)
-
     def test_array_partition(self):
         keys = np.arange(20, dtype=np.int64)
         parts = array_partition(keys, 4)
@@ -119,7 +103,7 @@ class TestPartitioners:
         with pytest.raises(TypeError):
             array_partition(np.array([1.5]), 2)
         with pytest.raises(ValueError):
-            hash_partition("x", 0)
+            array_partition(np.array([1]), 0)
 
 
 class TestSideFileStore:
@@ -236,8 +220,10 @@ class TestVectorEngine:
         assert set(a) == set(b)
         for key in a:
             assert a[key] == pytest.approx(b[key])
-        assert with_result.stats.shuffled_records <= \
+        assert with_result.stats.shuffled_records < \
             without_result.stats.shuffled_records
+        assert with_result.stats.combiner_savings > 0
+        assert without_result.stats.combiner_savings == 0
 
     def test_group_by_key(self):
         batch = KeyedArrays(
@@ -254,6 +240,30 @@ class TestVectorEngine:
         with pytest.raises(ValueError, match="rows"):
             KeyedArrays(keys=np.array([1, 2]),
                         values={"v": np.array([1.0])})
+
+    def test_simulated_clock_accumulates(self):
+        cluster = VectorCluster()
+        records = self._sum_records(n=10)
+        first = cluster.run(self._sum_job(), records)
+        second = cluster.run(self._sum_job(), records)
+        assert cluster.clock.elapsed_s == pytest.approx(
+            first.simulated_seconds + second.simulated_seconds
+        )
+
+    def test_empty_input(self):
+        config = ClusterConfig(n_mappers=3, n_reducers=4)
+        empty = KeyedArrays(keys=np.empty(0, dtype=np.int64),
+                            values={"v": np.empty(0)})
+        result = VectorCluster(config).run(self._sum_job(), empty)
+        assert len(result.output) == 0
+        assert result.stats.map_output_per_task == [0, 0, 0]
+        assert result.stats.shuffle_in_per_reducer == [0] * 4
+
+    def test_invalid_config(self):
+        with pytest.raises(ValueError):
+            ClusterConfig(n_mappers=0)
+        with pytest.raises(ValueError):
+            ClusterConfig(n_reducers=0)
 
     def test_concatenate_empty(self):
         empty = KeyedArrays.concatenate([])

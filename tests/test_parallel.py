@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 from repro import crh
+from repro.data import (
+    DatasetSchema,
+    categorical,
+    claims_from_arrays,
+    continuous,
+)
+from repro.data.encoding import MISSING_CODE, CategoricalCodec
 from repro.data.schema import PropertyKind
 from repro.metrics import error_rate, mnad
 from repro.parallel import (
@@ -132,6 +139,27 @@ class TestSingleKindDatasets:
         assert error_rate(
             result.truths, truth.restrict_kind(PropertyKind.CATEGORICAL)
         ) < 0.2
+
+
+class TestZeroClaims:
+    def test_matches_serial_crh(self):
+        """With no claims the weight job outputs nothing; the weights
+        and all-missing truths must still match the in-memory solver."""
+        schema = DatasetSchema.of(continuous("temp"), categorical("cond"))
+        none = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int32))
+        dataset = claims_from_arrays(
+            schema, source_ids=["a", "b"], object_ids=np.arange(3),
+            columns={"temp": none, "cond": none},
+            codecs={"cond": CategoricalCodec(["x", "y"])},
+        )
+        serial = crh(dataset)
+        parallel = parallel_crh(dataset)
+        np.testing.assert_array_equal(parallel.weights, serial.weights)
+        for m in range(len(schema)):
+            np.testing.assert_array_equal(parallel.truths.columns[m],
+                                          serial.truths.columns[m])
+        assert np.isnan(parallel.truths.columns[0]).all()
+        assert (parallel.truths.columns[1] == MISSING_CODE).all()
 
 
 class TestRunMetadata:

@@ -1,17 +1,11 @@
-"""Tests for the Huber loss and the CLRS weighted-median selection."""
+"""Tests for the Huber loss."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import crh
 from repro.core import loss_by_name
 from repro.core.robust_loss import HuberLoss, huber_value
-from repro.core.weighted_stats import (
-    weighted_median,
-    weighted_median_select,
-)
 from tests.conftest import make_synthetic
 
 
@@ -100,43 +94,3 @@ class TestHuberLoss:
         assert not np.isnan(state.column).any()
         dev = loss.deviations(state, prop)
         assert np.isnan(dev[0, :10]).all()
-
-
-class TestWeightedMedianSelect:
-    def test_matches_sort_based_on_examples(self):
-        cases = [
-            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
-            ([5.0], [2.0]),
-            ([1.0, 100.0], [1.0, 1.0]),
-            ([3.0, 1.0, 2.0, 2.0], [0.5, 4.0, 0.1, 0.1]),
-            ([7.0, 7.0, 7.0], [1.0, 2.0, 3.0]),
-        ]
-        for values, weights in cases:
-            assert weighted_median_select(values, weights) == \
-                weighted_median(values, weights)
-
-    def test_zero_weights_fall_back(self):
-        assert weighted_median_select([4.0, 6.0, 8.0], [0, 0, 0]) == 6.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            weighted_median_select([], [])
-        with pytest.raises(ValueError):
-            weighted_median_select([1.0], [-1.0])
-        with pytest.raises(ValueError):
-            weighted_median_select([1.0, 2.0], [1.0])
-
-
-@given(st.lists(
-    st.tuples(st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
-              st.floats(min_value=0.01, max_value=50.0)),
-    min_size=1, max_size=40,
-))
-@settings(max_examples=200)
-def test_select_equals_sort_based(pairs):
-    """The expected-linear-time selection (CLRS Ch. 9, the paper's Eq. 16
-    citation) agrees with the sort-based implementation everywhere."""
-    values = [p[0] for p in pairs]
-    weights = [p[1] for p in pairs]
-    assert weighted_median_select(values, weights) == \
-        weighted_median(values, weights)

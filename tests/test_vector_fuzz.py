@@ -89,6 +89,8 @@ def test_stats_account_for_every_record(batch):
     stats = result.stats
     assert stats.map_input_records == len(batch)
     assert stats.map_output_records == len(batch)
+    assert len(stats.map_output_per_task) == 3
+    assert len(stats.shuffle_in_per_reducer) == 4
     # The combiner can only shrink the shuffle, never grow it.
     assert stats.shuffled_records <= stats.map_output_records
     # Every distinct key comes out exactly once.

@@ -2,8 +2,9 @@
 
 The weighted median is the core of the paper's continuous truth update
 (Eq. 16), so it gets the heaviest property-based treatment: the Eq. 16
-mass conditions, the exact-minimizer property of Eq. 3 with absolute
-loss, and the scalar/vectorized agreement.
+mass conditions and the exact-minimizer property of Eq. 3 with absolute
+loss.  These scalar versions are the oracles ``tests/test_kernels.py``
+checks the solver's segment kernels against.
 """
 
 import numpy as np
@@ -14,11 +15,8 @@ from hypothesis import strategies as st
 from repro.core.weighted_stats import (
     column_std,
     weighted_mean,
-    weighted_mean_columns,
     weighted_median,
-    weighted_median_columns,
     weighted_mode,
-    weighted_vote_columns,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -126,71 +124,6 @@ class TestWeightedModeScalar:
     def test_negative_code_rejected(self):
         with pytest.raises(ValueError):
             weighted_mode([-1], [1.0])
-
-
-class TestColumnVersions:
-    def test_median_columns_match_scalar(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(0, 10, (6, 40))
-        values[rng.random((6, 40)) < 0.3] = np.nan
-        weights = rng.uniform(0.1, 2.0, 6)
-        result = weighted_median_columns(values, weights)
-        for j in range(40):
-            observed = ~np.isnan(values[:, j])
-            if not observed.any():
-                assert np.isnan(result[j])
-                continue
-            expected = weighted_median(values[observed, j],
-                                       weights[observed])
-            assert result[j] == pytest.approx(expected)
-
-    def test_mean_columns_match_scalar(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(0, 5, (4, 30))
-        values[rng.random((4, 30)) < 0.25] = np.nan
-        weights = rng.uniform(0.1, 3.0, 4)
-        result = weighted_mean_columns(values, weights)
-        for j in range(30):
-            observed = ~np.isnan(values[:, j])
-            expected = weighted_mean(values[observed, j], weights[observed])
-            assert result[j] == pytest.approx(expected)
-
-    def test_vote_columns_match_scalar(self):
-        rng = np.random.default_rng(2)
-        codes = rng.integers(0, 4, (5, 30)).astype(np.int32)
-        codes[rng.random((5, 30)) < 0.2] = -1
-        weights = rng.uniform(0.1, 2.0, 5)
-        result = weighted_vote_columns(codes, weights, n_categories=4)
-        for j in range(30):
-            observed = codes[:, j] >= 0
-            if not observed.any():
-                assert result[j] == -1
-                continue
-            expected = weighted_mode(codes[observed, j], weights[observed],
-                                     n_categories=4)
-            assert result[j] == expected
-
-    def test_all_missing_column(self):
-        values = np.full((3, 2), np.nan)
-        values[:, 0] = [1.0, 2.0, 3.0]
-        medians = weighted_median_columns(values, np.ones(3))
-        assert medians[0] == 2.0
-        assert np.isnan(medians[1])
-
-    def test_zero_weight_column_fallback(self):
-        values = np.array([[1.0, 5.0], [3.0, np.nan]])
-        weights = np.array([0.0, 0.0])
-        medians = weighted_median_columns(values, weights)
-        assert medians[0] in (1.0, 3.0)
-        assert medians[1] == 5.0
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_median_columns(np.ones(3), np.ones(3))
-        with pytest.raises(ValueError):
-            weighted_median_columns(np.ones((3, 2)), np.ones(2))
-        with pytest.raises(ValueError):
-            weighted_vote_columns(np.ones(3, dtype=np.int32), np.ones(3), 2)
 
 
 class TestColumnStd:

@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", type=Path, default=None,
-        help=("write a JSONL trace of the run to this file and print a "
+        help=("write one JSONL 'experiment' record per experiment "
+              "(name, seed, wall seconds) to this file and print a "
               "RunReport summary (see docs/OBSERVABILITY.md)"),
     )
     parser.add_argument(
@@ -150,7 +151,7 @@ def _run_one(name: str, seed: int, scale: float,
     print(rendered)
     elapsed = time.perf_counter() - started
     print(f"[{name} finished in {elapsed:.1f}s]\n")
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.emit(experiment_record(
             name, seed=seed, elapsed_seconds=elapsed,
         ))

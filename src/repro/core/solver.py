@@ -25,11 +25,6 @@ from ..data.schema import PropertyKind
 from ..data.table import TruthTable
 from ..engine import BACKEND_NAMES, BackendExecutionError, make_backend
 from ..observability import iteration_record, run_finished, run_started
-from ..observability.metrics import (
-    MetricsRegistry,
-    activate_metrics,
-    active_registry,
-)
 from ..observability.tracer import Tracer
 from .initialization import initializer_by_name
 from .losses import Loss, TruthState, loss_by_name
@@ -170,9 +165,8 @@ class CRHSolver:
         ]
 
     # ------------------------------------------------------------------
-    def fit(self, dataset, tracer: Tracer | None = None,
-            metrics: MetricsRegistry | None = None
-            ) -> TruthDiscoveryResult:
+    def fit(self, dataset,
+            tracer: Tracer | None = None) -> TruthDiscoveryResult:
         """Run Algorithm 1 on ``dataset`` and return truths + weights.
 
         ``dataset`` may be a dense
@@ -189,16 +183,6 @@ class CRHSolver:
         record is ever constructed, so the uninstrumented hot path is
         unchanged and results are bit-identical.
 
-        Pass a :class:`~repro.observability.MetricsRegistry` (or
-        activate one via
-        :func:`~repro.observability.activate_metrics`, which ``fit``
-        falls back to) to collect live metrics: an
-        ``iteration_seconds`` histogram labeled with the executing
-        backend, a ``degradation_events`` counter labeled with the
-        backend that failed, and — for the process backend — per-worker
-        ``worker_tasks`` / ``worker_busy_seconds`` series merged from
-        the workers' partial registries.
-
         With ``backend="process"`` the truth and deviation passes run on
         a shared-memory worker pool; with ``backend="mmap"`` they run
         chunk-at-a-time over memory-mapped claims.  Any runner failure
@@ -213,163 +197,143 @@ class CRHSolver:
         """
         started = time.perf_counter()
         config = self.config
-        registry = metrics if metrics is not None else active_registry()
-        reg = (registry if registry is not None and registry.enabled
-               else None)
         source = dataset
         backend = None
         owns_backend = False
         runner = None
         degraded_reason: str | None = None
         try:
-            with activate_metrics(reg):
-                backend = make_backend(source, config.backend,
-                                       n_workers=config.n_workers,
-                                       chunk_claims=config.chunk_claims)
-                owns_backend = backend is not source
-                dataset = backend.data
-                options = config.deviation_options()
-                losses = self._losses_for(dataset)
-                states = self._initial_states(dataset, losses,
-                                              backend=backend)
-                if getattr(backend, "supports_runner", False):
-                    try:
-                        runner = backend.start_runner(losses)
-                        runner.seed(states)
-                    except BackendExecutionError as error:
-                        degraded_reason = (
-                            f"{backend.name} backend degraded to "
-                            f"inline sparse execution: {error}"
-                        )
-                        if reg is not None:
-                            reg.counter("degradation_events",
-                                        backend=backend.name).inc()
-                        runner = None
-
-                def degrade(error: BackendExecutionError) -> None:
-                    nonlocal runner, degraded_reason
-                    if backend.name == "process":
-                        degraded_reason = (
-                            "process worker failed mid-run; finishing "
-                            f"inline on sparse claims: {error}"
-                        )
-                    else:
-                        degraded_reason = (
-                            f"{backend.name} backend failed mid-run; "
-                            f"finishing inline on sparse claims: {error}"
-                        )
-                    if reg is not None:
-                        reg.counter("degradation_events",
-                                    backend=backend.name).inc()
+            backend = make_backend(source, config.backend,
+                                   n_workers=config.n_workers,
+                                   chunk_claims=config.chunk_claims)
+            owns_backend = backend is not source
+            dataset = backend.data
+            options = config.deviation_options()
+            losses = self._losses_for(dataset)
+            states = self._initial_states(dataset, losses,
+                                          backend=backend)
+            if getattr(backend, "supports_runner", False):
+                try:
+                    runner = backend.start_runner(losses)
+                    runner.seed(states)
+                except BackendExecutionError as error:
+                    degraded_reason = (
+                        f"{backend.name} backend degraded to "
+                        f"inline sparse execution: {error}"
+                    )
                     runner = None
-                    backend.close()
 
-                # The fused sweep context (shared per-view state +
-                # iteration scratch) backs every inline pass; built
-                # lazily so runner-served runs that never degrade don't
-                # allocate its buffers.
-                sweep: SweepContext | None = None
+            def degrade(error: BackendExecutionError) -> None:
+                nonlocal runner, degraded_reason
+                if backend.name == "process":
+                    degraded_reason = (
+                        "process worker failed mid-run; finishing "
+                        f"inline on sparse claims: {error}"
+                    )
+                else:
+                    degraded_reason = (
+                        f"{backend.name} backend failed mid-run; "
+                        f"finishing inline on sparse claims: {error}"
+                    )
+                runner = None
+                backend.close()
 
-                def ensure_sweep() -> SweepContext:
-                    nonlocal sweep
-                    if sweep is None:
-                        sweep = SweepContext(dataset, losses, options)
-                    return sweep
+            # The fused sweep context (shared per-view state +
+            # iteration scratch) backs every inline pass; built
+            # lazily so runner-served runs that never degrade don't
+            # allocate its buffers.
+            sweep: SweepContext | None = None
 
-                def aggregate_deviations(current) -> np.ndarray:
-                    if runner is not None:
-                        try:
-                            return runner.per_source(current, options)
-                        except BackendExecutionError as error:
-                            degrade(error)
-                    return ensure_sweep().per_source(current)
+            def ensure_sweep() -> SweepContext:
+                nonlocal sweep
+                if sweep is None:
+                    sweep = SweepContext(dataset, losses, options)
+                return sweep
 
-                def truth_step(weights) -> list[TruthState]:
-                    if runner is not None:
-                        try:
-                            return runner.truth_step(weights)
-                        except BackendExecutionError as error:
-                            degrade(error)
-                    return ensure_sweep().truth_step(weights)
+            def aggregate_deviations(current) -> np.ndarray:
+                if runner is not None:
+                    try:
+                        return runner.per_source(current, options)
+                    except BackendExecutionError as error:
+                        degrade(error)
+                return ensure_sweep().per_source(current)
 
-                criterion = ConvergenceCriterion(tol=config.tol,
-                                                 patience=config.patience)
-                weights = np.ones(dataset.n_sources, dtype=np.float64)
-                history: list[float] = []
-                converged = False
-                iterations = 0
-                tracing = tracer is not None and tracer.enabled
-                backend_name = backend.name
-                backend_reason = backend.resolution
-                if degraded_reason is not None:
-                    # Setup-time degradation: the run executes inline on
-                    # the sparse claim storage from the start.
-                    backend_name = "sparse"
-                    backend_reason = degraded_reason
-                iteration_hist = (
-                    reg.histogram("iteration_seconds",
-                                  backend=backend_name)
-                    if reg is not None else None
-                )
-                if tracing:
-                    tracer.emit(run_started(
-                        "CRH",
-                        n_sources=dataset.n_sources,
-                        n_objects=dataset.n_objects,
-                        n_properties=len(dataset.schema),
-                        backend=backend_name,
-                        backend_reason=backend_reason,
-                        n_claims=backend.n_claims(),
-                        n_workers=getattr(runner, "n_workers", None),
-                        n_chunks=getattr(runner, "n_chunks", None),
-                    ))
+            def truth_step(weights) -> list[TruthState]:
+                if runner is not None:
+                    try:
+                        return runner.truth_step(weights)
+                    except BackendExecutionError as error:
+                        degrade(error)
+                return ensure_sweep().truth_step(weights)
 
-                # The aggregate of iteration i's objective is exactly the
-                # deviation vector iteration i+1's weight step needs
-                # (same states, same reduction), so it is computed once
-                # and carried over.
-                aggregated: np.ndarray | None = None
-                for iterations in range(1, config.max_iterations + 1):
-                    iter_started = (time.perf_counter()
-                                    if iteration_hist is not None else 0.0)
-                    step_started = time.perf_counter() if tracing else 0.0
-                    # Step I (Eq. 2): weights from deviations under
-                    # current truths.
-                    if aggregated is None:
-                        aggregated = aggregate_deviations(states)
-                    previous_weights = weights
-                    weights = config.weight_scheme.weights(aggregated)
-                    if tracing:
-                        weight_seconds = time.perf_counter() - step_started
-                        previous_states = states
-                        step_started = time.perf_counter()
-                    # Step II (Eq. 3): per-entry truth update under fixed
-                    # weights.
-                    states = truth_step(weights)
+            criterion = ConvergenceCriterion(tol=config.tol,
+                                             patience=config.patience)
+            weights = np.ones(dataset.n_sources, dtype=np.float64)
+            history: list[float] = []
+            converged = False
+            iterations = 0
+            tracing = tracer is not None
+            backend_name = backend.name
+            backend_reason = backend.resolution
+            if degraded_reason is not None:
+                # Setup-time degradation: the run executes inline on
+                # the sparse claim storage from the start.
+                backend_name = "sparse"
+                backend_reason = degraded_reason
+            if tracing:
+                tracer.emit(run_started(
+                    "CRH",
+                    n_sources=dataset.n_sources,
+                    n_objects=dataset.n_objects,
+                    n_properties=len(dataset.schema),
+                    backend=backend_name,
+                    backend_reason=backend_reason,
+                    n_claims=backend.n_claims(),
+                    n_workers=getattr(runner, "n_workers", None),
+                    n_chunks=getattr(runner, "n_chunks", None),
+                ))
+
+            # The aggregate of iteration i's objective is exactly the
+            # deviation vector iteration i+1's weight step needs
+            # (same states, same reduction), so it is computed once
+            # and carried over.
+            aggregated: np.ndarray | None = None
+            for iterations in range(1, config.max_iterations + 1):
+                step_started = time.perf_counter() if tracing else 0.0
+                # Step I (Eq. 2): weights from deviations under
+                # current truths.
+                if aggregated is None:
                     aggregated = aggregate_deviations(states)
-                    objective = float(np.dot(weights, aggregated))
-                    history.append(objective)
-                    if tracing:
-                        tracer.emit(iteration_record(
-                            iterations,
-                            objective=objective,
-                            weights=weights,
-                            weight_delta=float(
-                                np.abs(weights - previous_weights).max()
-                            ),
-                            truth_changes=_truth_change_count(
-                                previous_states, states),
-                            truth_seconds=(time.perf_counter()
-                                           - step_started),
-                            weight_seconds=weight_seconds,
-                        ))
-                    if iteration_hist is not None:
-                        iteration_hist.observe(
-                            time.perf_counter() - iter_started)
-                    if criterion.update(objective):
-                        converged = True
-                        break
-                truths = states_to_truth_table(dataset, states)
+                previous_weights = weights
+                weights = config.weight_scheme.weights(aggregated)
+                if tracing:
+                    weight_seconds = time.perf_counter() - step_started
+                    previous_states = states
+                    step_started = time.perf_counter()
+                # Step II (Eq. 3): per-entry truth update under fixed
+                # weights.
+                states = truth_step(weights)
+                aggregated = aggregate_deviations(states)
+                objective = float(np.dot(weights, aggregated))
+                history.append(objective)
+                if tracing:
+                    tracer.emit(iteration_record(
+                        iterations,
+                        objective=objective,
+                        weights=weights,
+                        weight_delta=float(
+                            np.abs(weights - previous_weights).max()
+                        ),
+                        truth_changes=_truth_change_count(
+                            previous_states, states),
+                        truth_seconds=(time.perf_counter()
+                                       - step_started),
+                        weight_seconds=weight_seconds,
+                    ))
+                if criterion.update(objective):
+                    converged = True
+                    break
+            truths = states_to_truth_table(dataset, states)
 
             if tracing:
                 extras: dict = {}
@@ -449,14 +413,12 @@ def states_to_truth_table(dataset,
 
 
 def crh(dataset, tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         **config_overrides) -> TruthDiscoveryResult:
     """One-call CRH with optional config overrides and instrumentation.
 
     >>> result = crh(dataset, continuous_loss="squared", max_iterations=20)
     >>> result = crh(dataset, backend="sparse")       # CSR execution
     >>> result = crh(dataset, tracer=MemoryTracer())  # traced run
-    >>> result = crh(dataset, metrics=MetricsRegistry())  # live metrics
     """
     config = CRHConfig(**config_overrides) if config_overrides else CRHConfig()
-    return CRHSolver(config).fit(dataset, tracer=tracer, metrics=metrics)
+    return CRHSolver(config).fit(dataset, tracer=tracer)

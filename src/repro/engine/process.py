@@ -255,27 +255,17 @@ class _WorkerState:
 
 _WORKER: _WorkerState | None = None
 
-#: this worker's partial metrics registry (cumulative over its
-#: lifetime); the parent merges snapshots of it after every round
-_WORKER_REGISTRY = None
-
 
 def _worker_init(segment_name: str, descriptors: dict,
                  plan: dict) -> None:
     """Pool initializer: attach the segment, build the worker cache.
 
     Spawn-compatible — everything needed arrives through the (one-time)
-    pickled arguments, nothing through inherited globals.  Metrics and
-    tracemalloc state inherited by fork is switched off so worker hot
-    paths stay unmeasured; workers report to their own
-    partial registry instead, which the parent merges.
+    pickled arguments, nothing through inherited globals.  Tracemalloc
+    state inherited by fork is switched off so worker hot paths stay
+    unmeasured.
     """
-    global _WORKER, _WORKER_REGISTRY
-    from ..observability import metrics as _metrics
-    from ..observability.metrics import MetricsRegistry
-
-    _metrics.ACTIVE = None
-    _WORKER_REGISTRY = MetricsRegistry()
+    global _WORKER
     if tracemalloc.is_tracing():
         tracemalloc.stop()
     segment = _attach_segment(segment_name)
@@ -284,18 +274,14 @@ def _worker_init(segment_name: str, descriptors: dict,
     _WORKER.segment = segment  # type: ignore[attr-defined]
 
 
-def _run_task(mode: str, shard_id: int, fail: bool,
-              want_metrics: bool = False) -> dict:
+def _run_task(mode: str, shard_id: int, fail: bool) -> dict:
     """One shard task: truth step and/or deviation fill for every
     property; returns per-phase busy seconds for efficiency accounting.
 
     ``mode`` is ``"step"`` (truth update then deviations under the new
     truths) or ``"dev"`` (deviations under the buffered truths only —
     the initial weight step).  ``fail`` is the crash-injection hook of
-    the worker-lifecycle tests.  With ``want_metrics`` the result also
-    carries the worker's pid plus a cumulative snapshot of its partial
-    registry (``worker_tasks`` / per-phase ``worker_busy_seconds``),
-    which the parent merges with ``worker=<pid>`` labels.
+    the worker-lifecycle tests.
     """
     from ..core.losses import TruthState
 
@@ -328,16 +314,6 @@ def _run_task(mode: str, shard_id: int, fail: bool,
             shard_state, prop
         )
         timings["deviation"] += time.perf_counter() - begun
-    if want_metrics and _WORKER_REGISTRY is not None:
-        registry = _WORKER_REGISTRY
-        registry.counter("worker_tasks").inc()
-        registry.counter("worker_busy_seconds",
-                         phase="truth").inc(timings["truth"])
-        registry.counter("worker_busy_seconds",
-                         phase="deviation").inc(timings["deviation"])
-        timings = dict(timings)
-        timings["pid"] = os.getpid()
-        timings["metrics"] = registry.snapshot()
     return timings
 
 
@@ -489,21 +465,9 @@ class _ProcessRunner:
         self._scratch_fresh = False
 
     def _dispatch(self, mode: str) -> None:
-        """Run one round of shard tasks; accumulate busy/wall seconds.
-
-        When a metrics registry is active
-        (:data:`repro.observability.metrics.ACTIVE`), tasks are asked
-        to return their worker's cumulative partial registry and the
-        partials are folded into the active registry here, one
-        ``worker=<pid>``-labeled series per worker process.
-        """
-        from ..observability import metrics as _metrics
-
+        """Run one round of shard tasks; accumulate busy/wall seconds."""
         if self._pool is None:
             raise ProcessBackendError("worker pool is closed")
-        parent_registry = _metrics.ACTIVE
-        want_metrics = (parent_registry is not None
-                        and parent_registry.enabled)
         flags = []
         for _ in range(self.n_shards):
             flags.append(self._fail_after is not None
@@ -511,8 +475,7 @@ class _ProcessRunner:
             self._tasks_sent += 1
         begun = time.perf_counter()
         try:
-            futures = [self._pool.submit(_run_task, mode, shard, flag,
-                                         want_metrics)
+            futures = [self._pool.submit(_run_task, mode, shard, flag)
                        for shard, flag in enumerate(flags)]
             results = [future.result() for future in futures]
         except (BrokenProcessPool, OSError, RuntimeError) as error:
@@ -522,17 +485,6 @@ class _ProcessRunner:
         self._parallel_wall += time.perf_counter() - begun
         self._busy["truth"] += sum(r["truth"] for r in results)
         self._busy["deviation"] += sum(r["deviation"] for r in results)
-        if want_metrics:
-            for result in results:
-                snapshot = result.get("metrics")
-                if snapshot is not None:
-                    # Partials are cumulative per worker, so each merge
-                    # supersedes that worker's previous one.
-                    parent_registry.merge_snapshot(
-                        snapshot,
-                        extra_labels={"worker": str(result["pid"])},
-                        replace=True,
-                    )
 
     def truth_step(self, weights) -> list:
         """One parallel truth round; returns fresh per-property states.

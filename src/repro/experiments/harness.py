@@ -79,7 +79,7 @@ def run_method_table(
     ``method_run`` record (dataset, method, seed, wall time, scores) —
     the raw points behind the averaged table.
     """
-    tracing = tracer is not None and tracer.enabled
+    tracing = tracer is not None
     table = MethodTable(title=title, dataset_names=tuple(workloads))
     for dataset_name, generate in workloads.items():
         per_method: dict[str, dict[str, list[float]]] = {

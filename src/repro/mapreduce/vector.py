@@ -85,8 +85,8 @@ class EngineCounters:
 def emit_job_record(tracer: Tracer | None, stats: JobStats,
                     n_mappers: int, n_reducers: int,
                     simulated_seconds: float) -> None:
-    """Emit one ``mapreduce_job`` trace record if tracing is enabled."""
-    if tracer is None or not tracer.enabled:
+    """Emit one ``mapreduce_job`` trace record when traced."""
+    if tracer is None:
         return
     tracer.emit(mapreduce_job_record(
         stats.job_name,

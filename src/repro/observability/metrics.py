@@ -1,33 +1,27 @@
 """Live metrics: counters, gauges, and streaming-quantile histograms.
 
-The second leg of the observability stack.  Where the
-:class:`~repro.observability.tracer.Tracer` answers *what the run
-computed*, a :class:`MetricsRegistry` answers *what is happening
-now*: monotone counters (claims ingested, windows sealed),
-point-in-time gauges (dirty-object backlog, per-source weight entropy),
-and fixed-bucket histograms whose quantiles approximate latency
-distributions without retaining samples.
+The serving path's telemetry channel.  Where a
+:class:`~repro.observability.tracer.Tracer` records *what a batch run
+computed*, the :class:`MetricsRegistry` of a
+:class:`~repro.streaming.service.TruthService` answers *what the
+service is doing now*: monotone counters (claims ingested, windows
+sealed), point-in-time gauges (dirty-object backlog, per-source weight
+entropy), and fixed-bucket histograms whose quantiles approximate
+latency distributions without retaining samples.
 
 Design notes:
 
 * **No third-party deps.**  Histograms use fixed log-spaced buckets
-  (:func:`default_seconds_buckets`) rather than a P² estimator because
-  fixed buckets *merge*: the process backend's workers keep per-worker
-  partial registries and the parent folds them together with
-  :meth:`MetricsRegistry.merge_snapshot` — bucket counts add, quantile
-  error stays bounded by one bucket width.
+  (:func:`default_seconds_buckets`) rather than a P² estimator, so a
+  quantile estimate's error stays bounded by one bucket width.
 * **Disabled is free.**  ``MetricsRegistry(enabled=False)`` hands out
-  shared null instruments whose methods are no-ops, mirroring
-  :class:`~repro.observability.tracer.NullTracer`; instrumented code
+  shared null instruments whose methods are no-ops; instrumented code
   needs no ``if registry`` pyramids.
-* **Names are glossary names.**  Every metric name used by the engine
-  appears in :data:`~repro.observability.records.METRIC_FIELDS`, the
-  same vocabulary the trace records use — one glossary, enforced by
+* **Names are glossary names.**  Every metric name the service
+  registers appears in
+  :data:`~repro.observability.records.METRIC_FIELDS`, the same
+  vocabulary the trace records use — one glossary, enforced by
   ``tests/test_doc_coverage.py``.
-* **Module-global activation.**  :data:`ACTIVE` /
-  :func:`activate_metrics` let deep engine layers (the process
-  backend's dispatch loop) reach the run's registry without threading
-  a parameter through every signature.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-compatible
 dicts; :meth:`MetricsRegistry.to_prometheus` renders the registry in
@@ -39,8 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 #: label rendering order is insertion order of the labels dict; the
 #: registry keys instruments by (name, sorted label items) so lookup is
@@ -123,9 +115,7 @@ class Histogram:
     ``bounds`` are the finite upper bucket edges (ascending); an
     implicit ``+Inf`` bucket catches the tail.  Observations update a
     per-bucket count plus ``sum``/``count`` totals, so memory is
-    O(#buckets) regardless of how many values stream through — and two
-    histograms over the same bounds merge by adding counts, which is
-    what makes cross-process aggregation exact.
+    O(#buckets) regardless of how many values stream through.
     """
 
     __slots__ = ("name", "labels", "bounds", "counts", "sum", "count")
@@ -248,7 +238,7 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
-    """Holds every live instrument of one serving/solver instance.
+    """Holds every live instrument of one serving instance.
 
     Instruments are created on first use and identified by ``(kind,
     name, labels)``; asking for the same name with the same labels
@@ -258,7 +248,7 @@ class MetricsRegistry:
 
     ``enabled=False`` builds a null registry: every accessor returns a
     shared no-op instrument and ``snapshot()`` is empty.  Thread-safe
-    for instrument creation and snapshot/merge (a single lock; the
+    for instrument creation and snapshots (a single lock; the
     instruments' own updates are simple float/int mutations under the
     GIL).
     """
@@ -321,7 +311,7 @@ class MetricsRegistry:
         with self._lock:
             return list(self._instruments.values())
 
-    # -- snapshot / merge ----------------------------------------------
+    # -- snapshot -------------------------------------------------------
     def snapshot(self) -> dict:
         """The registry as one JSON-compatible dict.
 
@@ -332,8 +322,8 @@ class MetricsRegistry:
              "histograms": [{"name", "labels", "bounds",
                              "counts", "sum", "count"}, ...]}
 
-        Snapshots are what the exporter writes, ``repro top`` renders,
-        and :meth:`merge_snapshot` folds across processes.
+        Snapshots are what the exporter writes and ``repro top``
+        renders.
         """
         out: dict = {"counters": [], "gauges": [], "histograms": []}
         for instrument in self.instruments():
@@ -359,55 +349,6 @@ class MetricsRegistry:
                     "count": instrument.count,
                 })
         return out
-
-    def merge_snapshot(self, snapshot: dict, *,
-                       extra_labels: dict | None = None,
-                       replace: bool = False) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        ``extra_labels`` are added to every merged instrument — the
-        process backend tags worker partials ``worker=<pid>`` this way,
-        keeping per-worker series distinguishable in one parent
-        registry.  ``replace=True`` overwrites counter values and
-        histogram contents instead of adding: correct when the source
-        sends *cumulative* partials repeatedly (each send supersedes
-        the previous one), as the worker protocol does.  Gauges are
-        always last-write-wins.  No-op on a disabled registry.
-        """
-        if not self.enabled:
-            return
-        extra = extra_labels or {}
-        for entry in snapshot.get("counters", ()):
-            counter = self.counter(entry["name"],
-                                   **{**entry.get("labels", {}), **extra})
-            if replace:
-                counter.value = float(entry["value"])
-            else:
-                counter.inc(float(entry["value"]))
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"],
-                       **{**entry.get("labels", {}), **extra}
-                       ).set(float(entry["value"]))
-        for entry in snapshot.get("histograms", ()):
-            histogram = self.histogram(
-                entry["name"], bounds=tuple(entry["bounds"]),
-                **{**entry.get("labels", {}), **extra},
-            )
-            if tuple(histogram.bounds) != tuple(entry["bounds"]):
-                raise ValueError(
-                    f"histogram {entry['name']!r} bucket bounds differ; "
-                    f"cannot merge"
-                )
-            counts = [int(c) for c in entry["counts"]]
-            if replace:
-                histogram.counts = counts
-                histogram.sum = float(entry["sum"])
-                histogram.count = int(entry["count"])
-            else:
-                histogram.counts = [a + b for a, b in
-                                    zip(histogram.counts, counts)]
-                histogram.sum += float(entry["sum"])
-                histogram.count += int(entry["count"])
 
     # -- exposition -----------------------------------------------------
     def to_prometheus(self, help_text: dict | None = None) -> str:
@@ -458,35 +399,3 @@ class MetricsRegistry:
                 lines.append(f"{name}{render_labels(labels)} "
                              f"{instrument.value}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-#: The process-wide registry deep engine layers (the process backend's
-#: dispatch loop, worker-partial merges) report to, or ``None``.
-#: Installed/restored by :func:`activate_metrics`.
-ACTIVE: MetricsRegistry | None = None
-
-
-@contextmanager
-def activate_metrics(registry: MetricsRegistry | None) -> Iterator[None]:
-    """Install ``registry`` as the process-wide active metrics target.
-
-    Engines wrap their run in this so layers without a registry
-    parameter (worker dispatch, kernels) can find it via
-    :data:`ACTIVE`.  Nesting restores the previous registry; ``None``
-    or a disabled registry makes this a no-op.
-    """
-    global ACTIVE
-    if registry is None or not registry.enabled:
-        yield
-        return
-    previous = ACTIVE
-    ACTIVE = registry
-    try:
-        yield
-    finally:
-        ACTIVE = previous
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The currently active registry, or ``None`` (one attribute read)."""
-    return ACTIVE

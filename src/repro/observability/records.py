@@ -33,20 +33,20 @@ import numpy as np
 #: v4 files written before the router was removed may carry
 #: ``n_shards`` / ``ingest_mode``, and readers ignore them too.  Older
 #: v4 files may also carry ``profile`` records from the since-removed
-#: profiler, and readers ignore them.
+#: profiler, and ``ingest``/``read`` records from before TruthService
+#: reported only to its metrics registry; readers ignore both.
 SCHEMA_VERSION = 4
 
 #: Glossary of every field a trace record can carry — and of every
-#: metric name the live :class:`~repro.observability.metrics.MetricsRegistry`
-#: registers (one shared vocabulary: a serving counter and its trace
-#: field use the same name) -> description, including the paper
-#: equation the measurement comes from.  ``docs/OBSERVABILITY.md`` must
+#: metric name a TruthService's
+#: :class:`~repro.observability.metrics.MetricsRegistry` registers or
+#: its ``metrics()`` returns (one shared vocabulary) -> description,
+#: including the paper equation the measurement comes from.  ``docs/OBSERVABILITY.md`` must
 #: name every key (enforced by ``tests/test_doc_coverage.py``).
 METRIC_FIELDS: dict[str, str] = {
     "v": "trace schema version (SCHEMA_VERSION)",
     "event": "record type discriminator: run_start, iteration, chunk, "
-             "mapreduce_job, method_run, experiment, benchmark, ingest, "
-             "read, run_end",
+             "mapreduce_job, method_run, experiment, benchmark, run_end",
     "method": "human-readable method name (CRH, I-CRH, Parallel-CRH)",
     "n_sources": "number of sources K in the traced dataset",
     "n_objects": "number of objects N in the traced dataset",
@@ -119,22 +119,21 @@ METRIC_FIELDS: dict[str, str] = {
     "decay_applications": "times the decay factor alpha was applied to "
                           "the accumulated distances (Algorithm 2 "
                           "line 4)",
-    "ingested_claims": "claims absorbed by a TruthService ingest batch",
-    "new_objects": "objects first seen during the ingest batch",
+    "ingested_claims": "claims TruthService.ingest has absorbed over "
+                       "the service's lifetime",
     "windows_sealed": "stream windows sealed (Algorithm-2 chunk steps "
-                      "run) by the ingest batch",
-    "dirty_objects": "objects in the dirty set when the ingest batch "
-                     "finished absorbing claims (before the recompute "
-                     "planner drained it)",
+                      "run) over the service's lifetime",
+    "dirty_objects": "objects in the dirty set, awaiting re-resolution "
+                     "by the recompute planner",
     "recomputed_objects": "objects the recompute planner re-resolved "
-                          "under the current weights after the batch",
-    "read_objects": "objects a get_truth call returned truths for",
+                          "under the current weights, lifetime total",
+    "read_objects": "objects get_truth calls returned truths for, "
+                    "lifetime total",
     "cache_hits": "read objects served from a warm truth-cache entry",
     "cache_misses": "read objects resolved on demand (no cache entry, "
                     "or invalidated by dirty claims)",
-    "cache_hit_rate": "cache_hits / read_objects for the call (1.0 for "
-                      "an empty read); over a whole run, lifetime hits "
-                      "/ lifetime reads",
+    "cache_hit_rate": "lifetime cache_hits / read_objects (1.0 before "
+                      "the first read)",
     "pending_timestamps": "distinct unsealed timestamps buffered for "
                           "window sealing (a staleness signal: claims "
                           "at these stamps have not reached an "
@@ -160,19 +159,6 @@ METRIC_FIELDS: dict[str, str] = {
                     "calls, in wall seconds",
     "seal_seconds": "latency histogram of window seals (one "
                     "Algorithm-2 chunk step each), in wall seconds",
-    "iteration_seconds": "latency histogram of Algorithm 1 outer-loop "
-                         "iterations (one weight step + truth step + "
-                         "objective), labeled by execution backend",
-    "degradation_events": "times an execution backend degraded a run "
-                          "to inline sparse execution (setup failure "
-                          "or mid-run worker/chunk failure), labeled "
-                          "by the backend that failed",
-    "worker_tasks": "shard tasks a process-backend worker executed, "
-                    "labeled worker=<pid> (merged into the parent "
-                    "registry after every round)",
-    "worker_busy_seconds": "accumulated busy seconds inside a "
-                           "process-backend worker, labeled "
-                           "worker=<pid> and phase=truth|deviation",
     "health_status": "SLO verdict of the health evaluator: 0 healthy, "
                      "1 degraded, 2 unhealthy (exported alongside the "
                      "registry by the metrics exporter)",
@@ -304,48 +290,6 @@ def stream_chunk_record(chunk: int, *, n_objects: int, n_sources: int,
         weight_delta=None if weight_delta is None else float(weight_delta),
         window_advances=window_advances,
         decay_applications=decay_applications,
-    )
-
-
-def ingest_record(*, ingested_claims: int, new_objects: int,
-                  new_sources: int, windows_sealed: int,
-                  dirty_objects: int, recomputed_objects: int,
-                  elapsed_seconds: float | None = None) -> dict:
-    """An ``ingest`` record: one TruthService ingest batch.
-
-    Carries how much arrived (claims, first-seen objects/sources), how
-    the stream advanced (windows sealed), and what invalidation cost:
-    the dirty-set size the batch left behind and how many objects the
-    recompute planner re-resolved.
-    """
-    return _record(
-        "ingest",
-        ingested_claims=int(ingested_claims),
-        new_objects=int(new_objects),
-        new_sources=int(new_sources),
-        windows_sealed=int(windows_sealed),
-        dirty_objects=int(dirty_objects),
-        recomputed_objects=int(recomputed_objects),
-        elapsed_seconds=elapsed_seconds,
-    )
-
-
-def read_record(*, read_objects: int, cache_hits: int,
-                cache_misses: int, cache_hit_rate: float,
-                elapsed_seconds: float | None = None) -> dict:
-    """A ``read`` record: one TruthService ``get_truth`` call.
-
-    The hit/miss split is per requested object: a hit is served from
-    the warm versioned cache, a miss is resolved on demand through the
-    segment kernels under the current weights.
-    """
-    return _record(
-        "read",
-        read_objects=int(read_objects),
-        cache_hits=int(cache_hits),
-        cache_misses=int(cache_misses),
-        cache_hit_rate=float(cache_hit_rate),
-        elapsed_seconds=elapsed_seconds,
     )
 
 

@@ -18,17 +18,13 @@ import numpy as np
 
 from .tracer import read_jsonl
 
-#: run_end / mapreduce_job / serving fields that accumulate across
-#: records (per-batch serving counters on ``ingest``/``read`` records
-#: are additive, so they sum over every record carrying them)
+#: run_end / mapreduce_job fields that accumulate across records
 _COUNTER_FIELDS = (
     "map_tasks", "reduce_tasks", "map_input_records",
     "map_output_records", "shuffled_records", "reduce_output_records",
     "combiner_savings", "map_invocations", "reduce_invocations",
     "jobs_run", "side_file_reads", "side_file_writes",
     "window_advances", "decay_applications",
-    "ingested_claims", "windows_sealed", "recomputed_objects",
-    "read_objects", "cache_hits", "cache_misses",
 )
 
 
@@ -48,12 +44,18 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         """Parse a JSONL trace (the format :meth:`to_json` writes)."""
-        return cls(records=read_jsonl(text.splitlines()))
+        return cls(records=read_jsonl(text))
 
     @classmethod
     def from_file(cls, path) -> "RunReport":
-        """Read a JSONL trace file written by ``JsonlTracer``."""
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a JSONL trace file written by ``JsonlTracer``.
+
+        A torn final record (the run was killed mid-write) is skipped;
+        a malformed interior line raises ``ValueError`` naming the file
+        and line.
+        """
+        text = Path(path).read_text(encoding="utf-8")
+        return cls(records=read_jsonl(text, source=str(path)))
 
     def to_json(self) -> str:
         """The trace as JSONL text (inverse of :meth:`from_json`)."""
@@ -122,37 +124,6 @@ class RunReport:
                     totals[name] = totals.get(name, 0) + int(record[name])
         return totals
 
-    def serving_totals(self) -> dict:
-        """Serving activity totalled over ``ingest``/``read`` records.
-
-        Returns an empty dict when the trace carries no serving
-        records; otherwise ingest batches, total ingested claims,
-        windows sealed, recompute volume, reads, and the lifetime cache
-        hit rate (1.0 for a read-free trace).
-        """
-        ingests = self.events("ingest")
-        reads = self.events("read")
-        if not ingests and not reads:
-            return {}
-        hits = sum(r.get("cache_hits", 0) for r in reads)
-        read_objects = sum(r.get("read_objects", 0) for r in reads)
-        return {
-            "ingest_batches": len(ingests),
-            "ingested_claims": sum(r.get("ingested_claims", 0)
-                                   for r in ingests),
-            "windows_sealed": sum(r.get("windows_sealed", 0)
-                                  for r in ingests),
-            "recomputed_objects": sum(r.get("recomputed_objects", 0)
-                                      for r in ingests),
-            "read_calls": len(reads),
-            "read_objects": read_objects,
-            "cache_hits": hits,
-            "cache_misses": sum(r.get("cache_misses", 0)
-                                for r in reads),
-            "cache_hit_rate": (hits / read_objects
-                               if read_objects else 1.0),
-        }
-
     def simulated_seconds(self) -> float:
         """Total simulated cluster seconds across MapReduce job records."""
         return float(sum(r.get("simulated_seconds", 0.0)
@@ -179,15 +150,6 @@ class RunReport:
         chunks = self.chunks()
         if chunks:
             lines.append(f"stream: {len(chunks)} chunk(s) processed")
-        serving = self.serving_totals()
-        if serving:
-            lines.append(
-                f"serving: {serving['ingested_claims']} claim(s) "
-                f"ingested over {serving['ingest_batches']} batch(es), "
-                f"{serving['windows_sealed']} window(s) sealed, "
-                f"{serving['read_objects']} object(s) read "
-                f"({serving['cache_hit_rate']:.1%} cache hits)"
-            )
         jobs = self.events("mapreduce_job")
         if jobs:
             lines.append(

@@ -1,10 +1,10 @@
-"""Tracer implementations: no-op, in-memory, and JSONL-file sinks.
+"""Tracer implementations: in-memory and JSONL-file sinks.
 
-A tracer is anything with an ``enabled`` flag, an ``emit(record)``
-method, and a ``close()`` — the :class:`Tracer` protocol.  Traced code
-guards record *construction* behind ``tracer.enabled`` (or a ``tracer is
-None`` check), so a disabled tracer costs one attribute read per
-iteration and allocates nothing on the hot path.
+A tracer is anything with an ``emit(record)`` method and a ``close()``
+— the :class:`Tracer` protocol.  ``tracer=None`` is the off switch:
+traced code guards record *construction* behind a ``tracer is not
+None`` check, so an untraced run costs one comparison per iteration
+and allocates nothing on the hot path.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Iterable, Protocol, runtime_checkable
+from typing import IO, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -21,12 +21,9 @@ import numpy as np
 class Tracer(Protocol):
     """Structural interface every tracer satisfies.
 
-    ``enabled`` gates record construction in traced code; ``emit``
-    receives one flat JSON-compatible dict per event; ``close`` releases
-    any sink resources (a no-op for memory tracers).
+    ``emit`` receives one flat JSON-compatible dict per event; ``close``
+    releases any sink resources (a no-op for memory tracers).
     """
-
-    enabled: bool
 
     def emit(self, record: dict) -> None:
         """Deliver one trace record to the sink."""
@@ -37,27 +34,8 @@ class Tracer(Protocol):
         ...
 
 
-class NullTracer:
-    """The disabled tracer: accepts and discards everything.
-
-    ``enabled`` is ``False``, so instrumented code skips building
-    records at all — passing a ``NullTracer`` is exactly as cheap as
-    passing ``tracer=None``.
-    """
-
-    enabled = False
-
-    def emit(self, record: dict) -> None:
-        """Discard the record."""
-
-    def close(self) -> None:
-        """No resources to release."""
-
-
 class MemoryTracer:
     """Collects records in a list — the test/introspection tracer."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.records: list[dict] = []
@@ -100,8 +78,6 @@ class JsonlTracer:
             crh(dataset, tracer=tracer)
     """
 
-    enabled = True
-
     def __init__(self, sink: str | Path | IO[str],
                  append: bool = False) -> None:
         if hasattr(sink, "write"):
@@ -138,9 +114,27 @@ class JsonlTracer:
         self.close()
 
 
-def read_jsonl(lines: Iterable[str]) -> list[dict]:
-    """Parse JSONL lines back into records, skipping blank lines."""
-    return [json.loads(line) for line in lines if line.strip()]
+def read_jsonl(text: str, source: str = "<string>") -> list[dict]:
+    """Parse JSONL text back into records, skipping blank lines.
+
+    A final line with no newline that does not parse is a torn tail — a
+    writer killed mid-record — and is skipped.  Any other malformed line
+    raises ``ValueError`` naming ``source`` and the 1-based line number.
+    """
+    lines = text.split("\n")
+    records = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as error:
+            if number == len(lines):
+                break
+            raise ValueError(
+                f"{source}: line {number} is not a JSON record: {error}"
+            ) from error
+    return records
 
 
 def append_record(path: str | Path, record: dict) -> None:
@@ -159,17 +153,3 @@ def append_record(path: str | Path, record: dict) -> None:
         os.write(fd, line.encode("utf-8"))
     finally:
         os.close(fd)
-
-
-def tracer_from_env(variable: str = "REPRO_TRACE") -> JsonlTracer | None:
-    """A :class:`JsonlTracer` appending to ``$REPRO_TRACE``, if set.
-
-    The benchmark harness and other non-CLI entry points call this so
-    ``REPRO_TRACE=out.jsonl pytest benchmarks/ ...`` collects one
-    combined trace without threading a flag through pytest.
-    Returns ``None`` when the variable is unset or empty.
-    """
-    path = os.environ.get(variable, "").strip()
-    if not path:
-        return None
-    return JsonlTracer(path, append=True)

@@ -160,7 +160,7 @@ def parallel_crh(dataset,
     cluster = VectorCluster(config.cluster_config(), tracer=tracer)
     store = SideFileStore()
     log: list[JobLogEntry] = []
-    tracing = tracer is not None and tracer.enabled
+    tracing = tracer is not None
     if tracing:
         tracer.emit(run_started(
             "Parallel-CRH",

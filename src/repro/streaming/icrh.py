@@ -182,7 +182,7 @@ class IncrementalCRH:
         When a tracer was given at construction, each call emits one
         ``chunk`` record (weights, weight delta, arrival counters).
         """
-        tracing = self.tracer is not None and self.tracer.enabled
+        tracing = self.tracer is not None
         state = self.state
         chunk = make_backend(chunk, self.config.backend).data
         known_sources = state.n_sources
@@ -271,7 +271,7 @@ def icrh(dataset, window: int = 1,
     backend = make_backend(dataset, config.backend)
     dataset = backend.data
     model = IncrementalCRH(config, tracer=tracer)
-    tracing = tracer is not None and tracer.enabled
+    tracing = tracer is not None
     if tracing:
         tracer.emit(run_started(
             "I-CRH",

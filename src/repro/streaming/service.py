@@ -52,9 +52,7 @@ from ..data.io import load_dataset, save_dataset
 from ..data.records import Record
 from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
-from ..observability import ingest_record, read_record
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracer import Tracer
 from .icrh import ICRHConfig, IncrementalCRH, losses_for_schema
 from .planner import RecomputePlanner, resolve_truths
 from .state import TruthCache
@@ -235,7 +233,6 @@ class TruthService:
 
     def __init__(self, schema: DatasetSchema, *, window: int = 1,
                  config: ICRHConfig | None = None, codecs=None,
-                 tracer: Tracer | None = None,
                  planner: RecomputePlanner | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if window < 1:
@@ -243,14 +240,13 @@ class TruthService:
         self.schema = schema
         self.window = int(window)
         self.config = config or ICRHConfig()
-        self.tracer = tracer
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self._store = ClaimStore(schema, codecs=codecs)
         self._cache = TruthCache(schema)
         self._planner = planner or RecomputePlanner()
         serving_config = (self.config if self.config.backend == "sparse"
                           else replace(self.config, backend="sparse"))
-        self._model = IncrementalCRH(serving_config, tracer=tracer)
+        self._model = IncrementalCRH(serving_config)
         self._losses = losses_for_schema(schema, self.config)
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
@@ -305,9 +301,6 @@ class TruthService:
         """The underlying Algorithm-2 model (weights, history)."""
         return self._model
 
-    def _tracing(self) -> bool:
-        return self.tracer is not None and self.tracer.enabled
-
     def _current_weights(self) -> np.ndarray:
         """Weights over *all* store sources, in store order.
 
@@ -331,8 +324,7 @@ class TruthService:
         anything :func:`as_claim` accepts) and must carry a timestamp.
         After the batch is absorbed, the recompute planner re-resolves
         every dirty object under the current weights, so reads after
-        ``ingest`` returns are always fresh.  Emits one ``ingest``
-        trace record per call when tracing.
+        ``ingest`` returns are always fresh.
         """
         started = time.perf_counter()
         store = self._store
@@ -369,7 +361,7 @@ class TruthService:
         self._h_ingest.observe(elapsed)
         self._update_gauges()
         self._publish()
-        report = IngestReport(
+        return IngestReport(
             ingested_claims=absorbed,
             new_objects=new_objects,
             new_sources=store.n_sources - k_before,
@@ -378,17 +370,6 @@ class TruthService:
             recomputed_objects=recomputed,
             elapsed_seconds=elapsed,
         )
-        if self._tracing():
-            self.tracer.emit(ingest_record(
-                ingested_claims=report.ingested_claims,
-                new_objects=report.new_objects,
-                new_sources=report.new_sources,
-                windows_sealed=report.windows_sealed,
-                dirty_objects=report.dirty_objects,
-                recomputed_objects=report.recomputed_objects,
-                elapsed_seconds=elapsed,
-            ))
-        return report
 
     def flush(self) -> int:
         """Seal every pending window (end-of-stream or checkpointing).
@@ -541,7 +522,7 @@ class TruthService:
         Unknown ids raise ``KeyError``.  Objects with no cache entry or
         with un-recomputed dirty claims are resolved on demand under
         the current weights (a cache miss); everything else is a warm
-        hit.  Emits one ``read`` trace record per call when tracing.
+        hit.
         """
         started = time.perf_counter()
         ids = list(object_ids)
@@ -572,20 +553,11 @@ class TruthService:
             codecs=store.codecs(),
         )
         hits = int((~miss_mask).sum())
-        misses_n = len(ids) - hits
         self._c_read.inc(len(ids))
         self._c_hits.inc(hits)
-        self._c_misses.inc(misses_n)
+        self._c_misses.inc(len(ids) - hits)
         self._h_read.observe(time.perf_counter() - started)
         self._update_gauges()
-        if self._tracing():
-            self.tracer.emit(read_record(
-                read_objects=len(ids),
-                cache_hits=hits,
-                cache_misses=misses_n,
-                cache_hit_rate=hits / len(ids) if ids else 1.0,
-                elapsed_seconds=time.perf_counter() - started,
-            ))
         return table
 
     def get_weights(self) -> np.ndarray:
@@ -715,7 +687,7 @@ class TruthService:
         (directory / "service.json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
-    def restore(cls, directory, *, tracer: Tracer | None = None,
+    def restore(cls, directory, *,
                 metrics: MetricsRegistry | None = None) -> "TruthService":
         """Rebuild a service from a :meth:`snapshot` directory."""
         directory = Path(directory)
@@ -731,7 +703,6 @@ class TruthService:
             window=int(meta["window"]),
             config=_config_from_dict(meta["config"]),
             codecs=matrix.codecs(),
-            tracer=tracer,
             metrics=metrics,
         )
         service._store = ClaimStore.from_claims_matrix(matrix)

@@ -4,12 +4,11 @@ Replays the weather workload claim by claim through the serving stack —
 batched ingests, interleaved random truth reads — and prints the
 serving counters the run produced.  This is the CLI surface of the
 serving layer: the same loop a long-lived deployment would run, but
-against a generated stream, so ingest/read tracing, the dirty-set
-planner, live metrics export and snapshotting can all be exercised
-(and traced) from a terminal::
+against a generated stream, so the dirty-set planner, live metrics
+export and snapshotting can all be exercised from a terminal::
 
     python -m repro serve-sim --cities 8 --days 30 --reads 5
-    python -m repro serve-sim --trace serve.jsonl --snapshot state/
+    python -m repro serve-sim --snapshot state/
     python -m repro serve-sim --prom serve.prom --metrics-jsonl live.jsonl
     python -m repro serve-sim --http 9095     # /metrics + /healthz
 
@@ -34,7 +33,6 @@ import numpy as np
 
 from ..observability import (
     HealthCheck,
-    JsonlTracer,
     MetricsExporter,
     parse_rule,
 )
@@ -66,9 +64,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "ingest batches (default 3)")
     parser.add_argument("--decay", type=float, default=1.0,
                         help="I-CRH decay factor alpha (default 1.0)")
-    parser.add_argument("--trace", type=Path, default=None,
-                        help="write ingest/read JSONL trace records "
-                             "to this file")
     parser.add_argument("--snapshot", type=Path, default=None,
                         help="snapshot the final service state into "
                              "this directory")
@@ -149,11 +144,10 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     dataset = generate_weather_dataset(config).dataset
     claims = list(iter_dataset_claims(dataset))
     rng = np.random.default_rng(args.seed)
-    tracer = JsonlTracer(args.trace) if args.trace is not None else None
     service = TruthService(
         dataset.schema, window=args.window,
         config=ICRHConfig(decay=args.decay),
-        codecs=dataset.codecs(), tracer=tracer,
+        codecs=dataset.codecs(),
     )
     registry = service.registry
     try:
@@ -197,8 +191,6 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
         if exporter is not None:
             exporter.export()
     finally:
-        if tracer is not None:
-            tracer.close()
         if server is not None:
             server.shutdown()
     elapsed = time.perf_counter() - started
@@ -222,8 +214,6 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     if args.snapshot is not None:
         service.snapshot(args.snapshot)
         print(f"snapshot written to {args.snapshot}/")
-    if args.trace is not None:
-        print(f"trace written to {args.trace}")
     if args.prom is not None:
         print(f"prometheus exposition written to {args.prom} "
               f"({exporter.exports} export(s))")

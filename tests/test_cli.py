@@ -67,13 +67,10 @@ class TestServeSim:
         assert "claims/sec" in out
         assert "cache hit rate" in out
 
-    def test_serve_sim_trace_and_snapshot(self, capsys, tmp_path):
-        trace = tmp_path / "serve.jsonl"
+    def test_serve_sim_snapshot(self, capsys, tmp_path):
         snap = tmp_path / "state"
         assert main(["serve-sim", "--cities", "2", "--days", "4",
-                     "--trace", str(trace),
                      "--snapshot", str(snap)]) == 0
-        assert trace.exists()
         assert (snap / "service.json").exists()
         assert (snap / "claims.npz").exists()
 

@@ -3,14 +3,15 @@
 Covers the acceptance properties of the observability layer: one record
 per iteration, trace/result agreement on the objective series, lossless
 JSONL round-trips, engine counters that actually count, and — most
-importantly — that tracing changes no numerical result and the disabled
-path stays out of the way.
+importantly — that tracing changes no numerical result and the
+untraced path stays out of the way.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
+import re
 
 import numpy as np
 import pytest
@@ -23,12 +24,14 @@ from repro.experiments.harness import run_method_table
 from repro.observability import (
     METRIC_FIELDS,
     JsonlTracer,
+    HealthCheck,
     MemoryTracer,
-    NullTracer,
+    MetricsExporter,
     RunReport,
     Tracer,
+    benchmark_record,
+    exposition_metric_names,
     run_finished,
-    tracer_from_env,
 )
 from repro.parallel import parallel_crh
 from repro.streaming import icrh
@@ -100,26 +103,30 @@ class TestSolverTracing:
             assert tracer.events("iteration")[-1]["truth_changes"] == 0
 
 
-class TestTracingNeutrality:
-    def test_null_tracer_and_none_give_identical_results(self, workload):
-        dataset, _ = workload
-        plain = crh(dataset)
-        nulled = crh(dataset, tracer=NullTracer())
-        traced_tracer = MemoryTracer()
-        traced = crh(dataset, tracer=traced_tracer)
-        for other in (nulled, traced):
-            np.testing.assert_array_equal(plain.weights, other.weights)
-            assert plain.iterations == other.iterations
-            assert plain.objective_history == pytest.approx(
-                other.objective_history
-            )
-        assert len(traced_tracer.records) > 0
+def _assert_bit_identical(plain, traced) -> None:
+    np.testing.assert_array_equal(plain.weights, traced.weights)
+    assert plain.iterations == traced.iterations
+    assert plain.objective_history == traced.objective_history
+    for a, b in zip(plain.truths.columns, traced.truths.columns):
+        np.testing.assert_array_equal(a, b)
 
-    def test_null_tracer_emits_nothing(self):
-        tracer = NullTracer()
-        assert not tracer.enabled
-        tracer.emit({"event": "iteration"})  # accepted, dropped
-        tracer.close()
+
+class TestTracingNeutrality:
+    def test_untraced_and_traced_give_identical_results(self, workload):
+        dataset, _ = workload
+        tracer = MemoryTracer()
+        _assert_bit_identical(crh(dataset), crh(dataset, tracer=tracer))
+        assert len(tracer.records) > 0
+
+    def test_untraced_and_traced_process_runs_identical(self, workload):
+        dataset, _ = workload
+        tracer = MemoryTracer()
+        plain = crh(dataset, backend="process", n_workers=2)
+        traced = crh(dataset, backend="process", n_workers=2,
+                     tracer=tracer)
+        assert plain.backend == traced.backend == "process"
+        _assert_bit_identical(plain, traced)
+        assert tracer.events("run_end")
 
     def test_parallel_results_unchanged_by_tracer(self, workload):
         dataset, _ = workload
@@ -188,80 +195,55 @@ class TestJsonlRoundTrip:
         } - set(METRIC_FIELDS)
         assert not unknown, f"undocumented trace fields: {sorted(unknown)}"
 
-
-class TestServingTotals:
-    """RunReport aggregation over TruthService ingest/read records."""
-
-    def _traced_service(self):
-        from repro.data import DatasetSchema, continuous
-        from repro.streaming import Claim, TruthService
-
-        tracer = MemoryTracer()
-        service = TruthService(DatasetSchema.of(continuous("p0")),
-                               window=1, tracer=tracer)
-        for batch in range(3):  # fresh objects per batch advance windows
-            service.ingest([
-                Claim(batch * 4 + i % 4, "p0", f"s{i % 3}", float(i),
-                      float(batch))
-                for i in range(6)
-            ])
-        service.flush()
-        service.get_truth(service.object_ids)
-        service.get_truth(service.object_ids)  # warm second read
-        return service, tracer
-
-    def test_totals_match_the_service_counters(self):
-        service, tracer = self._traced_service()
-        totals = RunReport.from_records(tracer.records).serving_totals()
-        metrics = service.metrics()
-        assert totals["ingest_batches"] == 3
-        assert totals["ingested_claims"] == metrics["ingested_claims"]
-        # the flush-time seal happens outside any ingest record, so the
-        # trace sees exactly one seal fewer than the live counter
-        assert totals["windows_sealed"] == 2
-        assert metrics["windows_sealed"] == 3
-        assert totals["read_calls"] == 2
-        assert totals["read_objects"] == metrics["read_objects"]
-        assert totals["cache_hits"] == metrics["cache_hits"]
-        assert totals["cache_misses"] == metrics["cache_misses"]
-        assert totals["cache_hit_rate"] == pytest.approx(
-            metrics["cache_hit_rate"])
-
-    def test_summary_renders_the_serving_line(self):
-        _, tracer = self._traced_service()
-        summary = RunReport.from_records(tracer.records).summary()
-        assert "serving: 18 claim(s) ingested over 3 batch(es)" in summary
-        assert "cache hits" in summary
-
-    def test_trace_free_report_has_no_serving_totals(self):
-        report = RunReport.from_records(
-            [{"event": "run_start", "v": 3}])
-        assert report.serving_totals() == {}
-        assert "serving:" not in report.summary()
-
-    def test_counter_totals_include_serving_counters(self):
-        _, tracer = self._traced_service()
-        totals = RunReport.from_records(tracer.records).counter_totals()
-        assert totals["ingested_claims"] == 18
-        assert totals["read_objects"] > 0
-
-    def test_cli_summarize_aggregates_serving_trace(self, tmp_path,
-                                                    capsys):
+    def test_every_glossary_key_is_emitted(self, workload, small_weather,
+                                           tmp_path, capsys):
+        """The reverse gate: a glossary entry no producer emits is dead
+        vocabulary, so every key must come out of a traced batch run, a
+        CLI or benchmark record, or an exercised TruthService."""
         from repro.cli import main
-        from repro.data import DatasetSchema, continuous
-        from repro.streaming import Claim, TruthService
+        from repro.streaming import TruthService, iter_dataset_claims
 
-        path = tmp_path / "serve.jsonl"
-        with JsonlTracer(path) as tracer:
-            service = TruthService(DatasetSchema.of(continuous("p0")),
-                                   window=1, tracer=tracer)
-            service.ingest([Claim(0, "p0", "s0", 1.0, 0.0),
-                            Claim(0, "p0", "s1", 2.0, 1.0)])
-            service.flush()
-            service.get_truth([0])
-        assert main(["trace", "summarize", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "serving: 2 claim(s) ingested over 1 batch(es)" in out
+        dataset, truth = workload
+        tracer = MemoryTracer()
+        crh(dataset, backend="sparse", tracer=tracer)
+        crh(dataset, backend="process", n_workers=2, tracer=tracer)
+        crh(dataset, backend="mmap", tracer=tracer)
+        parallel_crh(dataset, tracer=tracer)
+        icrh(small_weather.dataset, window=1, tracer=tracer)
+
+        class _Generated:
+            def __init__(self):
+                self.dataset = dataset
+                self.truth = truth
+
+        run_method_table("glossary", {"syn": lambda seed: _Generated()},
+                         methods=("CRH",), seeds=(1,), tracer=tracer)
+        cli_trace = tmp_path / "cli.jsonl"
+        assert main(["fig4", "--trace", str(cli_trace)]) == 0
+        capsys.readouterr()
+        records = (tracer.records
+                   + RunReport.from_file(cli_trace).records
+                   + [benchmark_record("glossary", seconds=0.1)])
+        emitted = {field for record in records for field in record}
+
+        weather = small_weather.dataset
+        service = TruthService(weather.schema, window=2,
+                               codecs=weather.codecs())
+        service.ingest(iter_dataset_claims(weather))
+        service.flush()
+        service.get_truth(list(weather.object_ids[:5]))
+        service.read_truth(list(weather.object_ids[:5]))
+        prom = tmp_path / "serve.prom"
+        MetricsExporter(service.registry, prom_path=prom,
+                        health=HealthCheck()).export()
+        emitted |= set(service.metrics())
+        emitted |= {entry["name"]
+                    for kind in service.registry.snapshot().values()
+                    for entry in kind}
+        emitted |= exposition_metric_names(prom.read_text())
+
+        dead = sorted(set(METRIC_FIELDS) - emitted)
+        assert not dead, f"glossary keys nothing emits: {dead}"
 
 
 class TestConcurrentAppend:
@@ -377,23 +359,45 @@ class TestRecordsAndTracers:
             run_finished(iterations=1, not_a_counter=3)
 
     def test_tracers_satisfy_protocol(self):
-        assert isinstance(NullTracer(), Tracer)
         assert isinstance(MemoryTracer(), Tracer)
+        assert isinstance(JsonlTracer(io.StringIO()), Tracer)
 
-    def test_tracer_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert tracer_from_env() is None
-        path = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(path))
-        tracer = tracer_from_env()
-        assert tracer is not None
-        with tracer:
-            tracer.emit({"event": "benchmark", "v": 1})
-        # env tracers append so a session can accumulate one file
-        with tracer_from_env() as second:
-            second.emit({"event": "benchmark", "v": 1})
-        assert len(RunReport.from_file(path).records) == 2
-        assert "REPRO_TRACE" not in os.environ or True
+
+class TestTornTrace:
+    """A run killed mid-write leaves a partial last line; only that
+    tail is forgiven."""
+
+    def _trace(self, workload, tmp_path):
+        dataset, _ = workload
+        path = tmp_path / "run.jsonl"
+        with JsonlTracer(path) as tracer:
+            crh(dataset, tracer=tracer)
+        return path
+
+    def test_torn_last_record_summarizes_like_complete_prefix(
+            self, workload, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._trace(workload, tmp_path)
+        complete = RunReport.from_file(path)
+        text = path.read_text()
+        path.write_text(text[:-20])  # cut inside the final record
+        torn = RunReport.from_file(path)
+        prefix = RunReport.from_records(complete.records[:-1])
+        assert torn.records == prefix.records
+        assert torn.summary() == prefix.summary()
+        assert main(["trace", "summarize", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == prefix.summary()
+
+    def test_corrupt_interior_line_raises_named_error(self, workload,
+                                                      tmp_path):
+        path = self._trace(workload, tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: line 3")):
+            RunReport.from_file(path)
 
 
 class TestCliTrace:

@@ -3,9 +3,8 @@
 Covers the acceptance properties of the metrics tentpole: instrument
 semantics (counters only go up, one kind per name, disabled registries
 are empty no-ops), histogram quantiles within one bucket width of
-exact, cross-process snapshot merging (including the process backend's
-per-worker partials), Prometheus exposition validity, SLO health
-verdicts, exporter file discipline, and the ``repro top`` check mode.
+exact, Prometheus exposition validity, SLO health verdicts, exporter
+file discipline, and the ``repro top`` check mode.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import math
 import numpy as np
 import pytest
 
-from tests.conftest import make_synthetic
-from repro import crh
 from repro.data import DatasetSchema, continuous
 from repro.observability import (
     DEFAULT_SERVING_RULES,
@@ -25,8 +22,6 @@ from repro.observability import (
     MetricsExporter,
     MetricsRegistry,
     SLORule,
-    activate_metrics,
-    active_registry,
     default_seconds_buckets,
     exposition_metric_names,
     flatten_snapshot,
@@ -73,14 +68,14 @@ class TestRegistry:
 
     def test_same_name_same_labels_is_same_instrument(self):
         registry = MetricsRegistry()
-        a = registry.counter("worker_tasks", worker="1")
-        b = registry.counter("worker_tasks", worker="1")
-        other = registry.counter("worker_tasks", worker="2")
+        a = registry.counter("cache_hits", tier="1")
+        b = registry.counter("cache_hits", tier="1")
+        other = registry.counter("cache_hits", tier="2")
         assert a is b
         assert a is not other
         a.inc()
-        assert registry.value("worker_tasks", worker="1") == 1.0
-        assert registry.value("worker_tasks", worker="2") == 0.0
+        assert registry.value("cache_hits", tier="1") == 1.0
+        assert registry.value("cache_hits", tier="2") == 0.0
 
     def test_one_kind_per_name(self):
         registry = MetricsRegistry()
@@ -119,22 +114,6 @@ class TestRegistry:
         assert histogram["count"] == 1
         assert len(histogram["counts"]) == len(histogram["bounds"]) + 1
         json.dumps(snapshot)  # JSON-compatible by construction
-
-    def test_activation_nests_and_restores(self):
-        assert active_registry() is None
-        outer, inner = MetricsRegistry(), MetricsRegistry()
-        with activate_metrics(outer):
-            assert active_registry() is outer
-            with activate_metrics(inner):
-                assert active_registry() is inner
-            assert active_registry() is outer
-        assert active_registry() is None
-
-    def test_disabled_or_none_activation_is_a_noop(self):
-        with activate_metrics(None):
-            assert active_registry() is None
-        with activate_metrics(MetricsRegistry(enabled=False)):
-            assert active_registry() is None
 
 
 class TestHistogramQuantiles:
@@ -182,63 +161,11 @@ class TestHistogramQuantiles:
             Histogram("x", bounds=(2.0, 1.0))
 
 
-class TestMergeSnapshot:
-    def test_additive_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("cache_hits").inc(2)
-        b.counter("cache_hits").inc(3)
-        a.histogram("read_seconds").observe(1e-4)
-        b.histogram("read_seconds").observe(1e-4)
-        b.gauge("dirty_objects").set(5)
-        a.merge_snapshot(b.snapshot())
-        assert a.value("cache_hits") == 5.0
-        assert a.value("dirty_objects") == 5.0
-        assert a.histogram("read_seconds").count == 2
-
-    def test_replace_merge_models_cumulative_partials(self):
-        """Workers resend cumulative snapshots; each send supersedes the
-        last, so repeated merges must not double-count."""
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.counter("worker_tasks").inc(4)
-        worker.histogram("read_seconds").observe(1e-4)
-        for _ in range(3):  # three heartbeat sends of the same totals
-            parent.merge_snapshot(worker.snapshot(),
-                                  extra_labels={"worker": "99"},
-                                  replace=True)
-        assert parent.value("worker_tasks", worker="99") == 4.0
-        assert parent.histogram("read_seconds", worker="99").count == 1
-
-    def test_extra_labels_keep_series_distinct(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.counter("worker_tasks").inc(1)
-        parent.merge_snapshot(worker.snapshot(),
-                              extra_labels={"worker": "1"})
-        parent.merge_snapshot(worker.snapshot(),
-                              extra_labels={"worker": "2"})
-        labels = {tuple(sorted(i.labels.items()))
-                  for i in parent.instruments()}
-        assert labels == {(("worker", "1"),), (("worker", "2"),)}
-
-    def test_bound_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("read_seconds", bounds=(1.0, 2.0)).observe(0.5)
-        b.histogram("read_seconds", bounds=(1.0, 3.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bounds differ"):
-            a.merge_snapshot(b.snapshot())
-
-    def test_merge_into_disabled_registry_is_noop(self):
-        source = MetricsRegistry()
-        source.counter("cache_hits").inc()
-        disabled = MetricsRegistry(enabled=False)
-        disabled.merge_snapshot(source.snapshot())
-        assert disabled.snapshot()["counters"] == []
-
-
 class TestPrometheusExposition:
     def _populated(self):
         registry = MetricsRegistry()
         registry.counter("ingested_claims").inc(10)
-        registry.counter("worker_tasks", worker="1").inc(2)
+        registry.counter("cache_hits", tier="1").inc(2)
         registry.gauge("dirty_objects").set(3)
         histogram = registry.histogram("read_seconds",
                                        bounds=(1e-4, 1e-3))
@@ -251,7 +178,7 @@ class TestPrometheusExposition:
         text = self._populated().to_prometheus()
         assert validate_exposition(text) == []
         assert exposition_metric_names(text) >= {
-            "ingested_claims", "worker_tasks", "dirty_objects",
+            "ingested_claims", "cache_hits", "dirty_objects",
             "read_seconds"}
 
     def test_histogram_buckets_are_cumulative(self):
@@ -288,7 +215,7 @@ class TestPrometheusExposition:
     def test_flatten_snapshot_sums_counters_and_expands_histograms(self):
         values = flatten_snapshot(self._populated().snapshot())
         assert values["ingested_claims"] == 10.0
-        assert values["worker_tasks"] == 2.0  # labeled counters sum
+        assert values["cache_hits"] == 2.0  # labeled counters sum
         assert values["dirty_objects"] == 3.0
         assert values["read_seconds_count"] == 3.0
         assert values["read_seconds_sum"] == pytest.approx(2.00055)
@@ -608,99 +535,3 @@ class TestServiceMetrics:
             assert after[name] == before[name], name
         assert restored.registry.value("ingested_claims") == \
             before["ingested_claims"]
-
-
-class TestSolverMetrics:
-    def test_iteration_histogram_counts_iterations(self):
-        dataset, _ = make_synthetic(n_objects=30, seed=5)
-        registry = MetricsRegistry()
-        result = crh(dataset, backend="sparse", max_iterations=6,
-                     metrics=registry)
-        histogram = registry.histogram("iteration_seconds",
-                                       backend="sparse")
-        assert histogram.count == result.iterations > 0
-        assert histogram.sum > 0.0
-
-    def test_active_registry_is_picked_up_without_parameter(self):
-        dataset, _ = make_synthetic(n_objects=30, seed=5)
-        registry = MetricsRegistry()
-        with activate_metrics(registry):
-            result = crh(dataset, backend="sparse", max_iterations=3)
-        assert registry.histogram(
-            "iteration_seconds", backend="sparse"
-        ).count == result.iterations > 0
-
-    def test_metrics_change_no_numbers(self):
-        dataset, _ = make_synthetic(n_objects=30, seed=5)
-        plain = crh(dataset)
-        metered = crh(dataset, metrics=MetricsRegistry())
-        np.testing.assert_array_equal(plain.weights, metered.weights)
-        assert plain.objective_history == pytest.approx(
-            metered.objective_history)
-
-    def test_degradation_increments_counter(self):
-        """An mmap backend whose chunk reads fail degrades the run to
-        inline sparse execution; the counter records which backend
-        failed."""
-        from repro.engine import MmapBackend
-
-        dataset, _ = make_synthetic(n_objects=30, seed=5)
-        registry = MetricsRegistry()
-        backend = MmapBackend(dataset, chunk_claims=16, fail_after=0)
-        try:
-            result = crh(backend, backend="mmap", max_iterations=4,
-                         metrics=registry)
-        finally:
-            backend.close()
-        assert result.backend == "sparse"
-        assert registry.value("degradation_events", backend="mmap") >= 1
-        assert registry.histogram("iteration_seconds",
-                                  backend="sparse").count > 0 or \
-            registry.histogram("iteration_seconds",
-                               backend="mmap").count > 0
-
-
-class TestProcessWorkerMerge:
-    def test_worker_partials_merge_into_parent(self):
-        """The acceptance criterion: per-worker counters from the
-        process pool land in the parent registry, labeled by worker."""
-        dataset, _ = make_synthetic(n_objects=40, n_sources=4, seed=7)
-        registry = MetricsRegistry()
-        result = crh(dataset, backend="process", n_workers=2,
-                     max_iterations=5, tol=0.0, metrics=registry)
-        assert result.backend == "process"
-        workers = sorted({
-            i.labels["worker"] for i in registry.instruments()
-            if i.name == "worker_tasks"
-        })
-        assert len(workers) == 2
-        total_tasks = sum(
-            registry.value("worker_tasks", worker=w) for w in workers)
-        assert total_tasks > 0
-        for worker in workers:
-            busy = [i for i in registry.instruments()
-                    if i.name == "worker_busy_seconds"
-                    and i.labels.get("worker") == worker]
-            assert {i.labels["phase"] for i in busy} == {
-                "truth", "deviation"}
-        assert registry.histogram("iteration_seconds",
-                                  backend="process").count == \
-            result.iterations > 0
-
-    def test_merged_totals_survive_exposition(self):
-        dataset, _ = make_synthetic(n_objects=40, n_sources=4, seed=7)
-        registry = MetricsRegistry()
-        crh(dataset, backend="process", n_workers=2, max_iterations=3,
-            metrics=registry)
-        text = registry.to_prometheus()
-        assert validate_exposition(text) == []
-        assert "worker_tasks{worker=" in text
-
-    def test_no_registry_means_no_worker_overhead(self):
-        """Without an active registry the dispatch loop must not ask
-        workers for metric payloads at all."""
-        dataset, _ = make_synthetic(n_objects=40, n_sources=4, seed=7)
-        result = crh(dataset, backend="process", n_workers=2,
-                     max_iterations=3)
-        assert result.backend == "process"
-        assert active_registry() is None

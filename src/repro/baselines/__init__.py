@@ -31,7 +31,6 @@ from .base import (
     resolver_by_name,
 )
 from .claims import ClaimGraph, build_claim_graph, winners_to_truth_table
-from .execution import ExecutionSession
 from .crh_adapter import CRHResolver
 from .estimates import ThreeEstimatesResolver, TwoEstimatesResolver
 from .gtm import GTMParams, GTMResolver
@@ -52,7 +51,6 @@ __all__ = [
     "CRHResolver",
     "ClaimGraph",
     "ConflictResolver",
-    "ExecutionSession",
     "GTMParams",
     "GTMResolver",
     "InvestmentResolver",

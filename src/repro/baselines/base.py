@@ -5,8 +5,8 @@ Every baseline (and CRH itself, through an adapter) implements
 Table 2 / Table 4 method column uniformly.  Every resolver also accepts
 the execution-backend knobs (``backend``/``n_workers``/``chunk_claims``)
 and reports which backend completed the run on its result — see
-:mod:`repro.baselines.execution` and ``docs/RESOLVERS.md`` for the
-support matrix.
+:mod:`repro.core.session` and ``docs/RESOLVERS.md`` for the support
+matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import abc
 import time
 
 from ..core.result import TruthDiscoveryResult
+from ..core.session import ExecutionSession
 from ..data.schema import PropertyKind
 from ..data.table import MultiSourceDataset
-from ..engine import BACKEND_NAMES
-from .execution import ExecutionSession
+from ..engine import BACKEND_NAMES, make_backend
 
 
 class ConflictResolver(abc.ABC):
@@ -65,9 +65,11 @@ class ConflictResolver(abc.ABC):
 
     def _session(self, dataset) -> ExecutionSession:
         """Resolve ``dataset`` through this resolver's backend knobs."""
-        return ExecutionSession(dataset, self.backend,
-                                n_workers=self.n_workers,
-                                chunk_claims=self.chunk_claims)
+        return ExecutionSession(
+            dataset,
+            make_backend(dataset, self.backend, n_workers=self.n_workers,
+                         chunk_claims=self.chunk_claims),
+        )
 
     @abc.abstractmethod
     def fit(self, dataset: MultiSourceDataset) -> TruthDiscoveryResult:

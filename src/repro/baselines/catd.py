@@ -17,8 +17,8 @@ inverse-error weight.  Truths are then the weighted mean (continuous) /
 weighted vote (categorical) under those weights, iterated like CRH.
 
 Both halves of the iteration run through the segment kernels via an
-:class:`~repro.baselines.execution.ExecutionSession`: the per-source
-error sums are :meth:`~repro.baselines.execution.ExecutionSession.per_source`
+:class:`~repro.core.session.ExecutionSession`: the per-source
+error sums are :meth:`~repro.core.session.ExecutionSession.per_source`
 aggregates (un-normalized), the truth updates are kernel truth steps.
 On datasets without text properties every loss is worker/chunk-capable,
 so CATD runs natively on all four backends; a text property brings the
@@ -114,15 +114,15 @@ class CATDResolver(ConflictResolver):
                 else:
                     losses.append(loss_by_name("zero_one"))
             states = session.initial_states(losses, initialize_vote_median)
-            session.start(losses, states)
+            session.start(losses, states,
+                          DeviationOptions(normalize_by_counts=False))
             counts = _claim_counts(data)
-            options = DeviationOptions(normalize_by_counts=False)
             criterion = ConvergenceCriterion(tol=self.tol)
             weights = np.ones(data.n_sources)
             converged = False
             iterations = 0
             for iterations in range(1, self.max_iterations + 1):
-                sums = session.per_source(states, options)
+                sums = session.per_source(states)
                 weights = self._weights(sums, counts)
                 states = session.truth_step(weights)
                 objective = float(np.dot(weights, sums))

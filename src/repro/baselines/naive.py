@@ -10,7 +10,7 @@ Each is one uniform-weight truth step of the corresponding CRH loss —
 Mean is ``squared``'s weighted mean (Eq. 14), Median is ``absolute``'s
 weighted median (Eq. 16), Voting is ``zero_one``'s weighted vote (Eq. 9)
 — evaluated through the segment kernels of :mod:`repro.core.kernels` via
-an :class:`~repro.baselines.execution.ExecutionSession`.  All three
+an :class:`~repro.core.session.ExecutionSession`.  All three
 therefore run natively (bit-identically) on every execution backend:
 dense, sparse, process, and mmap.
 """

@@ -138,18 +138,10 @@ class BregmanLoss(Loss):
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
         """Weighted mean — the Bregman centroid for every generator."""
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective=None) -> TruthState:
-        """Weighted mean with the sweep's precomputed per-view state."""
         view = prop.claim_view()
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
         return TruthState(column=kernels.segment_weighted_mean(
-            view.values, claim_weights, view.indptr,
-            group_of_claim=view.object_idx, effective=effective,
+            view.values, view.claim_weights(weights), view.indptr,
+            group_of_claim=view.object_idx,
         ))
 
     def claim_deviations(self, state: TruthState, prop) -> np.ndarray:
@@ -164,15 +156,6 @@ class BregmanLoss(Loss):
         return kernels.bregman_claim_deviations(
             view.values, state.column, view.indptr, view.object_idx,
             self.generator.divergence,
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        """Scaled divergences into a caller-owned scratch buffer."""
-        view = prop.claim_view()
-        return kernels.bregman_claim_deviations(
-            view.values, state.column, view.indptr, view.object_idx,
-            self.generator.divergence, out=out,
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:

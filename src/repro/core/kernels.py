@@ -106,11 +106,11 @@ def effective_claim_weights(
 
     Returns ``(effective_claim_weights, per_group_totals)`` with the
     zero-total-group uniform fallback applied — the pair every
-    truth-step kernel derives internally.  Callers that run several
-    kernels over the same claim weights (the Huber loss's median warm
-    start + IRLS, the fused multi-property sweep) compute it once and
-    pass it through the kernels' ``effective=`` parameter, skipping the
-    per-kernel recomputation without changing a single bit.
+    truth-step kernel derives internally.  The Huber loss runs two
+    kernels over the same claim weights (median warm start + IRLS), so
+    it computes the pair once and passes it through their
+    ``effective=`` parameter, skipping the second derivation without
+    changing a single bit.
     """
     if group_of_claim is None:
         group_of_claim = _group_of_claim(indptr)
@@ -186,18 +186,12 @@ class MedianSortPlan:
 def segment_weighted_mean(values: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray,
                           group_of_claim: np.ndarray | None = None,
-                          effective: tuple[np.ndarray, np.ndarray]
-                          | None = None) -> np.ndarray:
-    """Weighted mean of every claim group (Eq. 14); ``NaN`` when empty.
-
-    ``effective`` optionally supplies the precomputed
-    :func:`effective_claim_weights` pair (pure reuse, bit-identical).
-    """
+                          ) -> np.ndarray:
+    """Weighted mean of every claim group (Eq. 14); ``NaN`` when empty."""
     if group_of_claim is None:
         group_of_claim = _group_of_claim(indptr)
-    weights, totals = (effective if effective is not None
-                       else _effective_weights(claim_weights, indptr,
-                                               group_of_claim))
+    weights, totals = _effective_weights(claim_weights, indptr,
+                                         group_of_claim)
     sums = _segment_sums(
         np.asarray(values, dtype=np.float64) * weights, indptr
     )
@@ -223,8 +217,9 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     :class:`MedianSortPlan` for exactly these ``values`` /
     ``group_of_claim`` arrays (claim views cache one), skipping the
     dominant ``np.lexsort``; ``effective`` optionally supplies the
-    :func:`effective_claim_weights` pair so fused callers don't
-    recompute it.  Both are pure reuse — the result is bit-identical
+    :func:`effective_claim_weights` pair so a caller running several
+    kernels over one weighting (the Huber loss) doesn't recompute it.
+    Both are pure reuse — the result is bit-identical
     with or without them.
 
     Every prefix mass is evaluated *segment-locally* (a reduction over
@@ -294,14 +289,11 @@ VOTE_DENSE_SCORE_CELLS = 4_000_000
 def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray, n_categories: int,
                           group_of_claim: np.ndarray | None = None,
-                          effective: tuple[np.ndarray, np.ndarray]
-                          | None = None) -> np.ndarray:
+                          ) -> np.ndarray:
     """Weighted vote per claim group (Eq. 9).
 
     Returns an ``int32`` vector of winning codes, ``MISSING_CODE`` for
-    empty groups; ties break toward the smallest code.  ``effective``
-    optionally supplies the precomputed :func:`effective_claim_weights`
-    pair (pure reuse, bit-identical).
+    empty groups; ties break toward the smallest code.
 
     Past :data:`VOTE_DENSE_SCORE_CELLS` score cells the dense
     ``(n_categories, n_groups)`` matrix is replaced by a sparse
@@ -317,9 +309,7 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
     codes = np.asarray(codes)
     if group_of_claim is None:
         group_of_claim = _group_of_claim(indptr)
-    weights, _ = (effective if effective is not None
-                  else _effective_weights(claim_weights, indptr,
-                                          group_of_claim))
+    weights, _ = _effective_weights(claim_weights, indptr, group_of_claim)
     n_groups = indptr.shape[0] - 1
     if n_categories * n_groups > VOTE_DENSE_SCORE_CELLS:
         return _sparse_weighted_vote(codes, weights, group_of_claim,
@@ -365,23 +355,19 @@ def _sparse_weighted_vote(codes: np.ndarray, weights: np.ndarray,
 def segment_label_distribution(
     codes: np.ndarray, claim_weights: np.ndarray, indptr: np.ndarray,
     n_categories: int, group_of_claim: np.ndarray | None = None,
-    effective: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group label distribution (Eq. 12) plus its hard arg-max.
 
     Returns ``(distribution, column)`` where ``distribution`` is an
     ``(L, G)`` matrix of per-group category probabilities (all-zero for
     empty groups) and ``column`` the ``int32`` arg-max codes
-    (``MISSING_CODE`` for empty groups).  ``effective`` optionally
-    supplies the precomputed :func:`effective_claim_weights` pair (pure
-    reuse, bit-identical).
+    (``MISSING_CODE`` for empty groups).
     """
     codes = np.asarray(codes)
     if group_of_claim is None:
         group_of_claim = _group_of_claim(indptr)
-    weights, totals = (effective if effective is not None
-                       else _effective_weights(claim_weights, indptr,
-                                               group_of_claim))
+    weights, totals = _effective_weights(claim_weights, indptr,
+                                         group_of_claim)
     n_groups = indptr.shape[0] - 1
     scores = np.zeros((n_categories, n_groups), dtype=np.float64)
     np.add.at(scores, (codes, group_of_claim), weights)
@@ -529,38 +515,25 @@ def segment_weighted_medoid(
 # ----------------------------------------------------------------------
 
 def zero_one_claim_deviations(codes: np.ndarray, truth_codes: np.ndarray,
-                              object_idx: np.ndarray,
-                              out: np.ndarray | None = None) -> np.ndarray:
-    """0-1 deviation of every claim from its entry's truth (Eq. 8).
-
-    ``out``, when given, receives the result in place of a fresh
-    allocation (all deviation kernels share this contract; results are
-    bit-identical either way).
-    """
+                              object_idx: np.ndarray) -> np.ndarray:
+    """0-1 deviation of every claim from its entry's truth (Eq. 8)."""
     truths = np.asarray(truth_codes)[object_idx]
     mismatch = np.asarray(codes) != truths
-    if out is None:
-        return mismatch.astype(np.float64)
-    np.copyto(out, mismatch)
-    return out
+    return mismatch.astype(np.float64)
 
 
 def probability_claim_deviations(codes: np.ndarray,
                                  distribution: np.ndarray,
-                                 object_idx: np.ndarray,
-                                 out: np.ndarray | None = None,
-                                 ) -> np.ndarray:
+                                 object_idx: np.ndarray) -> np.ndarray:
     """Squared one-hot deviation of every claim (Eq. 11, closed form).
 
     ``||p - e_c||^2 = sum_l p_l^2 - 2 p_c + 1`` evaluated against the
     entry's probability column of ``distribution`` (an ``(L, G)``
-    matrix) — no one-hot vectors are materialized.  ``out`` optionally
-    receives the result.
+    matrix) — no one-hot vectors are materialized.
     """
     squared_norm = (np.asarray(distribution) ** 2).sum(axis=0)
     p_claimed = distribution[np.asarray(codes), object_idx]
-    if out is None:
-        out = np.empty(object_idx.shape[0], dtype=np.float64)
+    out = np.empty(object_idx.shape[0], dtype=np.float64)
     np.take(squared_norm, object_idx, out=out)
     out -= 2.0 * p_claimed
     out += 1.0
@@ -568,15 +541,11 @@ def probability_claim_deviations(codes: np.ndarray,
 
 
 def squared_claim_deviations(values: np.ndarray, truths: np.ndarray,
-                             stds: np.ndarray, object_idx: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """Std-normalized squared deviation of every claim (Eq. 13).
-
-    ``out`` optionally receives the result (bit-identical either way).
-    """
+                             stds: np.ndarray,
+                             object_idx: np.ndarray) -> np.ndarray:
+    """Std-normalized squared deviation of every claim (Eq. 13)."""
     values = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(values.shape[0], dtype=np.float64)
+    out = np.empty(values.shape[0], dtype=np.float64)
     np.take(np.asarray(truths, dtype=np.float64), object_idx, out=out)
     np.subtract(values, out, out=out)
     np.square(out, out=out)
@@ -585,15 +554,11 @@ def squared_claim_deviations(values: np.ndarray, truths: np.ndarray,
 
 
 def absolute_claim_deviations(values: np.ndarray, truths: np.ndarray,
-                              stds: np.ndarray, object_idx: np.ndarray,
-                              out: np.ndarray | None = None) -> np.ndarray:
-    """Std-normalized absolute deviation of every claim (Eq. 15).
-
-    ``out`` optionally receives the result (bit-identical either way).
-    """
+                              stds: np.ndarray,
+                              object_idx: np.ndarray) -> np.ndarray:
+    """Std-normalized absolute deviation of every claim (Eq. 15)."""
     values = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(values.shape[0], dtype=np.float64)
+    out = np.empty(values.shape[0], dtype=np.float64)
     np.take(np.asarray(truths, dtype=np.float64), object_idx, out=out)
     np.subtract(values, out, out=out)
     np.abs(out, out=out)
@@ -603,19 +568,16 @@ def absolute_claim_deviations(values: np.ndarray, truths: np.ndarray,
 
 def huber_claim_deviations(values: np.ndarray, truths: np.ndarray,
                            stds: np.ndarray, object_idx: np.ndarray,
-                           delta: float,
-                           out: np.ndarray | None = None) -> np.ndarray:
+                           delta: float) -> np.ndarray:
     """Huber deviation of every claim from its entry's truth.
 
     The standardized residual ``r = (v - x*) / std`` scored by the Huber
     function: quadratic (``r^2 / 2``) inside ``[-delta, delta]``, linear
     (``delta (|r| - delta / 2)``) outside — the robust-loss counterpart
     of :func:`squared_claim_deviations` / :func:`absolute_claim_deviations`.
-    ``out`` optionally receives the result (bit-identical either way).
     """
     values = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(values.shape[0], dtype=np.float64)
+    out = np.empty(values.shape[0], dtype=np.float64)
     np.take(np.asarray(truths, dtype=np.float64), object_idx, out=out)
     np.subtract(values, out, out=out)
     out /= np.asarray(stds)[object_idx]
@@ -629,8 +591,7 @@ def huber_claim_deviations(values: np.ndarray, truths: np.ndarray,
 
 def bregman_claim_deviations(values: np.ndarray, truths: np.ndarray,
                              indptr: np.ndarray, object_idx: np.ndarray,
-                             divergence,
-                             out: np.ndarray | None = None) -> np.ndarray:
+                             divergence) -> np.ndarray:
     """Scale-normalized Bregman divergence of every claim (Section 2.5).
 
     ``divergence(values, truths)`` is one generator's vectorized
@@ -642,8 +603,7 @@ def bregman_claim_deviations(values: np.ndarray, truths: np.ndarray,
     non-positive or non-finite scales falling back to 1.0), so sharded
     and chunked execution stay bit-identical — provided shards never
     split an entry's claim segment, which both parallel backends
-    guarantee.  ``out`` optionally receives the result (bit-identical
-    either way).
+    guarantee.
     """
     values = np.asarray(values, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -656,24 +616,17 @@ def bregman_claim_deviations(values: np.ndarray, truths: np.ndarray,
     scale = np.where((counts > 0) & np.isfinite(scale) & (scale > 1e-12),
                      scale, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if out is None:
-            return raw / scale[object_idx]
-        np.divide(raw, scale[object_idx], out=out)
-    return out
+        return raw / scale[object_idx]
 
 
 def accumulate_source_deviations(
     claim_deviations: np.ndarray, source_idx: np.ndarray, n_sources: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate per-claim deviations into per-source sums and counts.
 
     The ``(sum, count)`` pair feeds the weight step (Eq. 2/5) and the
     count normalization of Section 2.5.  Claims with a non-finite
     deviation (their entry's truth is still unset) contribute nothing.
-    ``out``, when given, is a preallocated ``(totals, counts)`` float64
-    pair of length ``n_sources`` that receives the result (bit-identical
-    either way).
     """
     claim_deviations = np.asarray(claim_deviations, dtype=np.float64)
     finite = np.isfinite(claim_deviations)
@@ -684,11 +637,6 @@ def accumulate_source_deviations(
                          minlength=n_sources).astype(np.float64)
     counts = np.bincount(source_idx,
                          minlength=n_sources).astype(np.float64)
-    if out is not None:
-        out_totals, out_counts = out
-        np.copyto(out_totals, totals)
-        np.copyto(out_counts, counts)
-        return out_totals, out_counts
     return totals, counts
 
 

@@ -1,7 +1,7 @@
 """Loss functions plugging heterogeneous data types into CRH (Section 2.4).
 
 Each loss owns both sides of the block-coordinate iteration for the
-properties of its kind:
+properties of its kind, through exactly one method per side:
 
 * ``claim_deviations`` — the per-claim ``d_m(v*_im, v^(k)_im)`` values
   entering the weight step (Eq. 2/5);
@@ -9,6 +9,11 @@ properties of its kind:
 * ``deviations`` — the dense ``(K, N)`` view of the same deviations, kept
   for consumers that reason over source-by-object matrices (fine-grained
   weights, CATD).
+
+Every engine calls those same two methods: the solver's and the
+baselines' inline sweep (:mod:`repro.core.sweep`), the process workers
+on their shards, the mmap runner on its chunks, and I-CRH on each
+window.
 
 Implemented losses, with their paper equations:
 
@@ -91,23 +96,6 @@ class Loss(abc.ABC):
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
         """Truth step: per-entry minimizer of Eq. 3 under this loss."""
 
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective: tuple[np.ndarray, np.ndarray]
-                           | None = None) -> TruthState:
-        """Truth step with the fused sweep's precomputed per-view state.
-
-        ``claim_weights`` is the per-claim gather of ``weights`` and
-        ``effective`` the :func:`~repro.core.kernels.effective_claim_weights`
-        pair, both already computed by
-        :func:`repro.core.sweep.resolve_properties` for this property's
-        claim view.  The default ignores them and calls
-        :meth:`update_truth` — always correct for custom losses — while
-        the built-in losses override it to pass the precomputed state to
-        their kernels.  Results are bit-identical either way.
-        """
-        return self.update_truth(prop, weights)
-
     @abc.abstractmethod
     def deviations(self, state: TruthState, prop) -> np.ndarray:
         """``(K, N)`` matrix of ``d_m`` values; ``NaN`` where unobserved."""
@@ -123,23 +111,6 @@ class Loss(abc.ABC):
         view = prop.claim_view()
         dense = self.deviations(state, prop)
         return dense[view.source_idx, view.object_idx]
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        """:meth:`claim_deviations` into a caller-owned scratch buffer.
-
-        The fused multi-property sweep (:mod:`repro.core.sweep`) calls
-        this with one preallocated per-claim buffer per property so the
-        weight step allocates nothing per iteration.  The default copies
-        :meth:`claim_deviations`'s result into ``out`` — always correct
-        for custom losses — while the built-in losses override it to
-        pass ``out`` straight to their deviation kernel.  Results are
-        bit-identical to :meth:`claim_deviations` either way.
-        """
-        result = self.claim_deviations(state, prop)
-        if result is not out:
-            np.copyto(out, result)
-        return out
 
     def objective_contribution(self, state: TruthState, prop,
                                weights: np.ndarray) -> float:
@@ -163,19 +134,11 @@ class ZeroOneLoss(Loss):
         return TruthState(column=np.asarray(init_column, dtype=np.int32))
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective: tuple[np.ndarray, np.ndarray]
-                           | None = None) -> TruthState:
         view = prop.claim_view()
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
         column = kernels.segment_weighted_vote(
-            view.values, claim_weights, view.indptr,
+            view.values, view.claim_weights(weights), view.indptr,
             n_categories=len(prop.codec),
-            group_of_claim=view.object_idx, effective=effective,
+            group_of_claim=view.object_idx,
         )
         return TruthState(column=column)
 
@@ -183,13 +146,6 @@ class ZeroOneLoss(Loss):
         view = prop.claim_view()
         return kernels.zero_one_claim_deviations(
             view.values, state.column, view.object_idx
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        view = prop.claim_view()
-        return kernels.zero_one_claim_deviations(
-            view.values, state.column, view.object_idx, out=out
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:
@@ -221,19 +177,11 @@ class ProbabilityVectorLoss(Loss):
         return TruthState(column=column, distribution=distribution)
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective: tuple[np.ndarray, np.ndarray]
-                           | None = None) -> TruthState:
         view = prop.claim_view()
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
         distribution, column = kernels.segment_label_distribution(
-            view.values, claim_weights, view.indptr,
+            view.values, view.claim_weights(weights), view.indptr,
             n_categories=len(prop.codec),
-            group_of_claim=view.object_idx, effective=effective,
+            group_of_claim=view.object_idx,
         )
         return TruthState(column=column, distribution=distribution)
 
@@ -243,15 +191,6 @@ class ProbabilityVectorLoss(Loss):
         view = prop.claim_view()
         return kernels.probability_claim_deviations(
             view.values, state.distribution, view.object_idx
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        if state.distribution is None:
-            raise ValueError("probability loss state lacks a distribution")
-        view = prop.claim_view()
-        return kernels.probability_claim_deviations(
-            view.values, state.distribution, view.object_idx, out=out
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:
@@ -287,18 +226,10 @@ class NormalizedSquaredLoss(Loss):
         return state
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective: tuple[np.ndarray, np.ndarray]
-                           | None = None) -> TruthState:
         view = prop.claim_view()
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
         state = TruthState(column=kernels.segment_weighted_mean(
-            view.values, claim_weights, view.indptr,
-            group_of_claim=view.object_idx, effective=effective,
+            view.values, view.claim_weights(weights), view.indptr,
+            group_of_claim=view.object_idx,
         ))
         _entry_std(state.aux, prop)
         return state
@@ -308,14 +239,6 @@ class NormalizedSquaredLoss(Loss):
         return kernels.squared_claim_deviations(
             view.values, state.column, _entry_std(state.aux, prop),
             view.object_idx,
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        view = prop.claim_view()
-        return kernels.squared_claim_deviations(
-            view.values, state.column, _entry_std(state.aux, prop),
-            view.object_idx, out=out,
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:
@@ -338,19 +261,11 @@ class NormalizedAbsoluteLoss(Loss):
         return state
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective: tuple[np.ndarray, np.ndarray]
-                           | None = None) -> TruthState:
         view = prop.claim_view()
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
         state = TruthState(column=kernels.segment_weighted_median(
-            view.values, claim_weights, view.indptr,
+            view.values, view.claim_weights(weights), view.indptr,
             group_of_claim=view.object_idx,
-            plan=view.median_plan(), effective=effective,
+            plan=view.median_plan(),
         ))
         _entry_std(state.aux, prop)
         return state
@@ -360,14 +275,6 @@ class NormalizedAbsoluteLoss(Loss):
         return kernels.absolute_claim_deviations(
             view.values, state.column, _entry_std(state.aux, prop),
             view.object_idx,
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        view = prop.claim_view()
-        return kernels.absolute_claim_deviations(
-            view.values, state.column, _entry_std(state.aux, prop),
-            view.object_idx, out=out,
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:

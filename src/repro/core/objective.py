@@ -54,7 +54,6 @@ def per_source_deviations(
     states: list[TruthState],
     options: DeviationOptions = DeviationOptions(),
     claim_deviations=None,
-    accumulate_out=None,
 ) -> np.ndarray:
     """Aggregate ``(K,)`` deviations of every source from the truths.
 
@@ -68,15 +67,8 @@ def per_source_deviations(
     (n_claims,) array`` in canonical claim order.  The process backend
     points this at its worker-filled shared scratch so the reduction —
     and therefore the bit pattern of the result — is exactly the inline
-    one, just with the element-wise deviation pass already done.
-
-    ``accumulate_out`` optionally supplies a preallocated ``(totals,
-    counts)`` float64 pair of length ``n_sources``, reused for every
-    property's :func:`accumulate_source_deviations` call (each
-    property's contribution is folded into the running sums before the
-    next overwrites the pair).  The fused sweep
-    (:class:`repro.core.sweep.SweepContext`) threads its scratch here;
-    results are bit-identical either way.
+    one, just with the element-wise deviation pass already done (the
+    mmap backend does the same with its spilled chunk scratch).
     """
     k = dataset.n_sources
     totals = np.zeros(k, dtype=np.float64)
@@ -94,7 +86,7 @@ def per_source_deviations(
             if np.isfinite(scale) and scale > 0:
                 dev = dev / scale
         prop_totals, prop_counts = accumulate_source_deviations(
-            dev, prop.claim_view().source_idx, k, out=accumulate_out
+            dev, prop.claim_view().source_idx, k
         )
         totals += prop_totals
         counts += prop_counts

@@ -63,11 +63,6 @@ class HuberLoss(Loss):
         return state
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
-        return self.update_truth_fused(prop, weights)
-
-    def update_truth_fused(self, prop, weights: np.ndarray, *,
-                           claim_weights: np.ndarray | None = None,
-                           effective=None) -> TruthState:
         """Per-entry IRLS minimizer of the weighted Huber objective.
 
         The effective claim weights are computed once and shared by the
@@ -78,12 +73,10 @@ class HuberLoss(Loss):
         view = prop.claim_view()
         state = TruthState(column=np.empty(0))
         std = _entry_std(state.aux, prop)
-        if claim_weights is None:
-            claim_weights = view.claim_weights(weights)
-        if effective is None:
-            effective = kernels.effective_claim_weights(
-                claim_weights, view.indptr, view.object_idx
-            )
+        claim_weights = view.claim_weights(weights)
+        effective = kernels.effective_claim_weights(
+            claim_weights, view.indptr, view.object_idx
+        )
         initial = kernels.segment_weighted_median(
             view.values, claim_weights, view.indptr,
             group_of_claim=view.object_idx,
@@ -103,15 +96,6 @@ class HuberLoss(Loss):
         return kernels.huber_claim_deviations(
             view.values, state.column, _entry_std(state.aux, prop),
             view.object_idx, self.delta,
-        )
-
-    def claim_deviations_into(self, state: TruthState, prop,
-                              out: np.ndarray) -> np.ndarray:
-        """Huber deviations into a caller-owned scratch buffer."""
-        view = prop.claim_view()
-        return kernels.huber_claim_deviations(
-            view.values, state.column, _entry_std(state.aux, prop),
-            view.object_idx, self.delta, out=out,
         )
 
     def deviations(self, state: TruthState, prop) -> np.ndarray:

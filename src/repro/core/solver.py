@@ -23,15 +23,15 @@ import numpy as np
 
 from ..data.schema import PropertyKind
 from ..data.table import TruthTable
-from ..engine import BACKEND_NAMES, BackendExecutionError, make_backend
+from ..engine import BACKEND_NAMES, make_backend
 from ..observability import iteration_record, run_finished, run_started
 from ..observability.tracer import Tracer
 from .initialization import initializer_by_name
 from .losses import Loss, TruthState, loss_by_name
 from .objective import ConvergenceCriterion, DeviationOptions
-from .sweep import SweepContext
 from .regularizers import ExponentialWeights, WeightScheme
 from .result import TruthDiscoveryResult
+from .session import ExecutionSession
 
 
 @dataclass(frozen=True)
@@ -143,26 +143,12 @@ class CRHSolver:
                 )
         return losses
 
-    def _initial_states(self, dataset, losses: list[Loss],
-                        backend=None) -> list[TruthState]:
+    def _initial_states(self, session: ExecutionSession,
+                        losses: list[Loss]) -> list[TruthState]:
         initializer = initializer_by_name(self.config.initializer)
         rng = (np.random.default_rng(self.config.seed)
                if self.config.initializer == "random" else None)
-        # Backends that stream their claims (mmap) expose an
-        # ``initial_columns`` hook that runs the initializer chunk-wise
-        # — bit-identical to the full-array pass, without materializing
-        # every claim column at once.
-        hook = getattr(backend, "initial_columns", None)
-        if hook is not None:
-            columns = hook(initializer, rng=rng)
-        elif rng is not None:
-            columns = initializer(dataset, rng=rng)
-        else:
-            columns = initializer(dataset)
-        return [
-            loss.initial_state(prop, column)
-            for loss, prop, column in zip(losses, dataset.properties, columns)
-        ]
+        return session.initial_states(losses, initializer, rng=rng)
 
     # ------------------------------------------------------------------
     def fit(self, dataset,
@@ -183,7 +169,9 @@ class CRHSolver:
         record is ever constructed, so the uninstrumented hot path is
         unchanged and results are bit-identical.
 
-        With ``backend="process"`` the truth and deviation passes run on
+        The run is driven through an
+        :class:`~repro.core.session.ExecutionSession`.  With
+        ``backend="process"`` the truth and deviation passes run on
         a shared-memory worker pool; with ``backend="mmap"`` they run
         chunk-at-a-time over memory-mapped claims.  Any runner failure
         (a dead worker, an unreadable chunk, a loss without a chunked /
@@ -197,74 +185,17 @@ class CRHSolver:
         """
         started = time.perf_counter()
         config = self.config
-        source = dataset
-        backend = None
-        owns_backend = False
-        runner = None
-        degraded_reason: str | None = None
+        session = ExecutionSession(
+            dataset,
+            make_backend(dataset, config.backend,
+                         n_workers=config.n_workers,
+                         chunk_claims=config.chunk_claims),
+        )
         try:
-            backend = make_backend(source, config.backend,
-                                   n_workers=config.n_workers,
-                                   chunk_claims=config.chunk_claims)
-            owns_backend = backend is not source
-            dataset = backend.data
-            options = config.deviation_options()
+            dataset = session.data
             losses = self._losses_for(dataset)
-            states = self._initial_states(dataset, losses,
-                                          backend=backend)
-            if getattr(backend, "supports_runner", False):
-                try:
-                    runner = backend.start_runner(losses)
-                    runner.seed(states)
-                except BackendExecutionError as error:
-                    degraded_reason = (
-                        f"{backend.name} backend degraded to "
-                        f"inline sparse execution: {error}"
-                    )
-                    runner = None
-
-            def degrade(error: BackendExecutionError) -> None:
-                nonlocal runner, degraded_reason
-                if backend.name == "process":
-                    degraded_reason = (
-                        "process worker failed mid-run; finishing "
-                        f"inline on sparse claims: {error}"
-                    )
-                else:
-                    degraded_reason = (
-                        f"{backend.name} backend failed mid-run; "
-                        f"finishing inline on sparse claims: {error}"
-                    )
-                runner = None
-                backend.close()
-
-            # The fused sweep context (shared per-view state +
-            # iteration scratch) backs every inline pass; built
-            # lazily so runner-served runs that never degrade don't
-            # allocate its buffers.
-            sweep: SweepContext | None = None
-
-            def ensure_sweep() -> SweepContext:
-                nonlocal sweep
-                if sweep is None:
-                    sweep = SweepContext(dataset, losses, options)
-                return sweep
-
-            def aggregate_deviations(current) -> np.ndarray:
-                if runner is not None:
-                    try:
-                        return runner.per_source(current, options)
-                    except BackendExecutionError as error:
-                        degrade(error)
-                return ensure_sweep().per_source(current)
-
-            def truth_step(weights) -> list[TruthState]:
-                if runner is not None:
-                    try:
-                        return runner.truth_step(weights)
-                    except BackendExecutionError as error:
-                        degrade(error)
-                return ensure_sweep().truth_step(weights)
+            states = self._initial_states(session, losses)
+            session.start(losses, states, config.deviation_options())
 
             criterion = ConvergenceCriterion(tol=config.tol,
                                              patience=config.patience)
@@ -273,24 +204,20 @@ class CRHSolver:
             converged = False
             iterations = 0
             tracing = tracer is not None
-            backend_name = backend.name
-            backend_reason = backend.resolution
-            if degraded_reason is not None:
-                # Setup-time degradation: the run executes inline on
-                # the sparse claim storage from the start.
-                backend_name = "sparse"
-                backend_reason = degraded_reason
+            # What run_start advertises; a mid-run degradation corrects
+            # it in run_end.
+            started_on = session.backend_name
             if tracing:
                 tracer.emit(run_started(
                     "CRH",
                     n_sources=dataset.n_sources,
                     n_objects=dataset.n_objects,
                     n_properties=len(dataset.schema),
-                    backend=backend_name,
-                    backend_reason=backend_reason,
-                    n_claims=backend.n_claims(),
-                    n_workers=getattr(runner, "n_workers", None),
-                    n_chunks=getattr(runner, "n_chunks", None),
+                    backend=session.backend_name,
+                    backend_reason=session.backend_reason,
+                    n_claims=session.backend.n_claims(),
+                    n_workers=getattr(session.runner, "n_workers", None),
+                    n_chunks=getattr(session.runner, "n_chunks", None),
                 ))
 
             # The aggregate of iteration i's objective is exactly the
@@ -303,7 +230,7 @@ class CRHSolver:
                 # Step I (Eq. 2): weights from deviations under
                 # current truths.
                 if aggregated is None:
-                    aggregated = aggregate_deviations(states)
+                    aggregated = session.per_source(states)
                 previous_weights = weights
                 weights = config.weight_scheme.weights(aggregated)
                 if tracing:
@@ -312,8 +239,8 @@ class CRHSolver:
                     step_started = time.perf_counter()
                 # Step II (Eq. 3): per-entry truth update under fixed
                 # weights.
-                states = truth_step(weights)
-                aggregated = aggregate_deviations(states)
+                states = session.truth_step(weights)
+                aggregated = session.per_source(states)
                 objective = float(np.dot(weights, aggregated))
                 history.append(objective)
                 if tracing:
@@ -337,28 +264,20 @@ class CRHSolver:
 
             if tracing:
                 extras: dict = {}
-                if runner is not None:
-                    efficiency = runner.parallel_efficiency()
+                if session.runner is not None:
+                    efficiency = session.runner.parallel_efficiency()
                     if efficiency is not None:
                         extras["parallel_efficiency"] = float(efficiency)
-                elif (degraded_reason is not None
-                        and backend_name != "sparse"):
-                    # Mid-run degradation: run_start advertised the
-                    # process/mmap backend, so the correction lands here.
-                    extras["backend"] = "sparse"
-                    extras["backend_reason"] = degraded_reason
+                elif session.backend_name != started_on:
+                    extras["backend"] = session.backend_name
+                    extras["backend_reason"] = session.backend_reason
                 tracer.emit(run_finished(
                     iterations=iterations,
                     converged=converged,
                     elapsed_seconds=time.perf_counter() - started,
                     **extras,
                 ))
-            if degraded_reason is not None:
-                # Covers mid-run degradation too: the run may have
-                # started on process/mmap but finished inline.
-                backend_name = "sparse"
-                backend_reason = degraded_reason
-            return TruthDiscoveryResult(
+            return session.stamp(TruthDiscoveryResult(
                 truths=truths,
                 weights=weights,
                 source_ids=dataset.source_ids,
@@ -367,14 +286,9 @@ class CRHSolver:
                 converged=converged,
                 objective_history=history,
                 elapsed_seconds=time.perf_counter() - started,
-                backend=backend_name,
-                backend_reason=backend_reason,
-            )
+            ))
         finally:
-            if backend is not None and owns_backend:
-                closer = getattr(backend, "close", None)
-                if closer is not None:
-                    closer()
+            session.close()
 
 
 def _truth_change_count(old_states: list[TruthState],

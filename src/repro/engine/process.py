@@ -583,8 +583,6 @@ class ProcessBackend(_BackendBase):
     name = "process"
     #: marks backends whose :meth:`start_runner` the solver should use
     supports_runner = True
-    #: legacy alias of :attr:`supports_runner` (pre-mmap name)
-    supports_workers = True
 
     def __init__(self, data, n_workers: int | None = None,
                  fail_after: int | None = None) -> None:

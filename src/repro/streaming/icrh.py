@@ -34,7 +34,9 @@ from ..core.kernels import accumulate_source_deviations
 from ..core.losses import Loss, loss_by_name
 from ..core.regularizers import ExponentialWeights, WeightScheme
 from ..core.result import TruthDiscoveryResult
+from ..core.session import ExecutionSession
 from ..core.solver import states_to_truth_table
+from ..core.sweep import resolve_properties
 from ..data.encoding import MISSING_CODE
 from ..data.schema import PropertyKind
 from ..data.table import TruthTable
@@ -192,10 +194,7 @@ class IncrementalCRH:
         losses = self._losses_for(chunk)
         # Line 3: truths for the current chunk under the learned
         # weights.
-        states = [
-            loss.update_truth(prop, weights_for_chunk)
-            for loss, prop in zip(losses, chunk.properties)
-        ]
+        states = resolve_properties(chunk, losses, weights_for_chunk)
         # Lines 4-5: decay-accumulate distances, then recompute
         # weights.
         chunk_dev = np.zeros(chunk.n_sources)
@@ -257,10 +256,14 @@ def icrh(dataset, window: int = 1,
     """Run I-CRH over a timestamped dataset, chunking by time window.
 
     ``dataset`` may be dense or sparse; it is resolved once through the
-    config's ``backend`` selector and chunk views inherit that
-    representation.  Returns the stitched truth table over all objects
-    (aligned with ``dataset``), the final weights, and the per-chunk
-    weight history.  The result is stamped with the resolved
+    config's ``backend`` selector (an
+    :class:`~repro.core.session.ExecutionSession`) and chunk views
+    inherit that representation.  I-CRH has no runner formulation, so a
+    ``process``/``mmap`` request runs inline on the sparse claims and
+    reports ``backend="sparse"`` with the degradation reason.  Returns
+    the stitched truth table over all objects (aligned with
+    ``dataset``), the final weights, and the per-chunk weight history.
+    The result is stamped with the completing
     ``backend``/``backend_reason``, and ``converged`` reports whether
     the final chunk's weight delta fell below ``config.tol``.  With a
     tracer, emits ``run_start``, one ``chunk`` record per window, and a
@@ -268,8 +271,12 @@ def icrh(dataset, window: int = 1,
     """
     started = time.perf_counter()
     config = config or ICRHConfig()
-    backend = make_backend(dataset, config.backend)
-    dataset = backend.data
+    session = ExecutionSession(dataset,
+                               make_backend(dataset, config.backend))
+    # Degrading on a process/mmap backend also closes it; dense and
+    # sparse backends hold nothing to close.
+    session.require_inline("I-CRH has no runner formulation")
+    dataset = session.data
     model = IncrementalCRH(config, tracer=tracer)
     tracing = tracer is not None
     if tracing:
@@ -278,9 +285,9 @@ def icrh(dataset, window: int = 1,
             n_sources=dataset.n_sources,
             n_objects=dataset.n_objects,
             n_properties=len(dataset.schema),
-            backend=backend.name,
-            backend_reason=backend.resolution,
-            n_claims=backend.n_claims(),
+            backend=session.backend_name,
+            backend_reason=session.backend_reason,
+            n_claims=session.backend.n_claims(),
         ))
     columns: list[np.ndarray] = []
     for prop in dataset.schema:
@@ -313,7 +320,7 @@ def icrh(dataset, window: int = 1,
             window_advances=model.window_advances,
             decay_applications=model.decay_applications,
         ))
-    result = TruthDiscoveryResult(
+    result = session.stamp(TruthDiscoveryResult(
         truths=truths,
         weights=model.weights,
         source_ids=dataset.source_ids,
@@ -321,9 +328,7 @@ def icrh(dataset, window: int = 1,
         iterations=model.chunks_seen,
         converged=converged,
         elapsed_seconds=elapsed,
-        backend=backend.name,
-        backend_reason=backend.resolution,
-    )
+    ))
     return ICRHResult(
         result=result,
         weight_history=model.weight_history,

@@ -93,10 +93,10 @@ def resolve_truths(store, object_indices: np.ndarray,
     weight refreshes against one dirty snapshot) reuse the chunk's claim
     views and their cached grouping / median sort plans rather than
     recomputing them from ``indptr`` every call.  The truth step itself
-    runs through the fused sweep
-    (:func:`~repro.core.sweep.resolve_properties`), sharing the
-    effective-weight computation across kernels exactly like the batch
-    solver does.
+    is the inline truth step every engine shares
+    (:func:`~repro.core.sweep.resolve_properties`: one
+    ``loss.update_truth`` per property), so a re-resolve runs exactly
+    the kernels a batch solve or a window seal runs.
     """
     chunk = plan.cache.get("chunk") if plan is not None else None
     if chunk is None:

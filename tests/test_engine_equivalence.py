@@ -347,6 +347,44 @@ class TestProcessEquivalence:
         assert 0.0 <= end["parallel_efficiency"] <= 1.0
 
 
+class TestBaselineMidRunDegradation:
+    """Kernel-native baselines finish inline when their runner dies."""
+
+    # Voting is one truth step (one task per worker, a few chunk
+    # reads), so its failures must come early; CATD iterates and can
+    # also die several rounds in.
+    @pytest.mark.parametrize("backend_name", ["process", "mmap"])
+    @pytest.mark.parametrize("method,fail_after", [
+        ("CATD", 0), ("CATD", 7), ("Voting", 0), ("Voting", 1),
+    ])
+    def test_runner_failure_finishes_inline(self, method, fail_after,
+                                            backend_name):
+        from repro.baselines import resolver_by_name
+        from repro.engine.mmap import MmapBackend
+
+        dataset = _fuzz_dataset(90)
+        if backend_name == "process":
+            backend = ProcessBackend(dataset, n_workers=2,
+                                     fail_after=fail_after)
+            wording = "process worker failed mid-run"
+        else:
+            backend = MmapBackend(dataset, chunk_claims=16,
+                                  fail_after=fail_after)
+            wording = "mmap backend failed mid-run"
+        try:
+            crashed = resolver_by_name(
+                method, backend=backend_name).fit(backend)
+        finally:
+            backend.close()
+        sparse = resolver_by_name(method, backend="sparse").fit(dataset)
+        _assert_truths_equal(sparse.truths, crashed.truths)
+        assert np.array_equal(sparse.weights, crashed.weights)
+        assert crashed.backend == "sparse"
+        assert wording in crashed.backend_reason
+        assert "finishing inline on sparse claims" \
+            in crashed.backend_reason
+
+
 def _assert_results_identical(reference, other):
     """Truths, weights, objective trace and iteration count, bitwise."""
     _assert_truths_equal(reference.truths, other.truths)

@@ -4,10 +4,9 @@ Every segment kernel is checked against the scalar oracles in
 ``repro.core.weighted_stats`` on randomized segmented inputs, plus the
 edge cases the engines rely on: empty segments, zero-total-weight
 segments, value ties, and single-claim segments.  Also pinned: the
-fused sweep (cached median plans, precomputed effective weights,
-preallocated deviation scratch) being pure reuse, and the vote
-kernel's sparse-scores fallback (same winners, O(claims) peak memory
-instead of O(categories * objects)).
+weighted median's cached sort plan and precomputed effective weights
+being pure reuse, and the vote kernel's sparse-scores fallback (same
+winners, O(claims) peak memory instead of O(categories * objects)).
 """
 
 import tracemalloc
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.sweep import resolve_properties
 from repro.core.weighted_stats import (
     column_std,
     weighted_mean,
@@ -248,7 +246,7 @@ class TestClaimDeviations:
 
 
 class TestFusedSweepReuse:
-    """Plans / effective weights / scratch are pure reuse, bit for bit."""
+    """Median plans and effective weights are pure reuse, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_median_plan_and_effective_are_pure_reuse(self, seed):
@@ -266,13 +264,6 @@ class TestFusedSweepReuse:
             plan=plan, effective=effective)  # plan scratch reused
         assert np.array_equal(plain, fused, equal_nan=True)
         assert np.array_equal(plain, refused, equal_nan=True)
-        assert np.array_equal(
-            kernels.segment_weighted_vote(
-                codes, weights, indptr, 6, group_of_claim=group),
-            kernels.segment_weighted_vote(
-                codes, weights, indptr, 6, group_of_claim=group,
-                effective=effective),
-        )
 
     def test_claim_view_caches_one_plan(self):
         dataset = _fuzz_dataset(3)
@@ -281,53 +272,6 @@ class TestFusedSweepReuse:
         plan = view.median_plan()
         assert view.median_plan() is plan
         assert isinstance(plan, kernels.MedianSortPlan)
-
-    def test_deviation_out_buffers_are_pure_reuse(self):
-        rng = np.random.default_rng(9)
-        n_groups, n = 8, 60
-        object_idx = np.sort(rng.integers(0, n_groups, n))
-        values = rng.normal(size=n)
-        truths = rng.normal(size=n_groups)
-        stds = rng.uniform(0.5, 2.0, n_groups)
-        out = np.empty(n, dtype=np.float64)
-        for fn in (kernels.squared_claim_deviations,
-                   kernels.absolute_claim_deviations):
-            expected = fn(values, truths, stds, object_idx)
-            got = fn(values, truths, stds, object_idx, out=out)
-            assert got is out
-            assert np.array_equal(expected, got)
-        expected = kernels.huber_claim_deviations(
-            values, truths, stds, object_idx, 1.0)
-        got = kernels.huber_claim_deviations(
-            values, truths, stds, object_idx, 1.0, out=out)
-        assert np.array_equal(expected, got)
-        pair = (np.zeros(4), np.zeros(4))
-        src = rng.integers(0, 4, n).astype(np.int32)
-        fresh = kernels.accumulate_source_deviations(expected, src, 4)
-        reused = kernels.accumulate_source_deviations(
-            expected, src, 4, out=pair)
-        assert reused[0] is pair[0] and reused[1] is pair[1]
-        assert np.array_equal(fresh[0], reused[0])
-        assert np.array_equal(fresh[1], reused[1])
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_resolve_properties_matches_unfused_loop(self, seed):
-        dataset = ClaimsMatrix.from_dense(_fuzz_dataset(seed + 40))
-        from repro.core.losses import loss_by_name
-
-        losses = [
-            loss_by_name("zero_one" if prop.schema.uses_codec
-                         else "absolute")
-            for prop in dataset.properties
-        ]
-        rng = np.random.default_rng(seed)
-        weights = rng.random(dataset.n_sources)
-        fused = resolve_properties(dataset, losses, weights)
-        unfused = [loss.update_truth(prop, weights)
-                   for loss, prop in zip(losses, dataset.properties)]
-        for a, b in zip(fused, unfused):
-            assert np.array_equal(np.asarray(a.column),
-                                  np.asarray(b.column), equal_nan=True)
 
 
 class TestVoteSparseFallback:

@@ -11,6 +11,7 @@ from repro.streaming import (
     n_chunks,
 )
 from repro.metrics import error_rate, mnad, rank_agreement
+from repro.observability import MemoryTracer
 from repro import crh
 
 
@@ -201,6 +202,26 @@ class TestResultMetadata:
                       config=ICRHConfig(backend="sparse")).result
         assert result.backend == "sparse"
         assert "explicit" in result.backend_reason
+
+    @pytest.mark.parametrize("name", ["process", "mmap"])
+    def test_parallel_request_reports_inline_sparse(self, small_weather,
+                                                    name):
+        """I-CRH has no runner, so process/mmap requests run inline on
+        the sparse claims — and the result and trace say so."""
+        tracer = MemoryTracer()
+        result = icrh(small_weather.dataset, window=2,
+                      config=ICRHConfig(backend=name), tracer=tracer)
+        reference = icrh(small_weather.dataset, window=2,
+                         config=ICRHConfig(backend="sparse"))
+        assert result.result.backend == "sparse"
+        assert ("degraded to inline sparse execution"
+                in result.result.backend_reason)
+        (start,) = [r for r in tracer.records
+                    if r["event"] == "run_start"]
+        assert start["backend"] == "sparse"
+        assert ("degraded to inline sparse execution"
+                in start["backend_reason"])
+        assert np.array_equal(result.weights, reference.weights)
 
     def test_converged_reflects_final_weight_delta(self, small_weather):
         dataset = small_weather.dataset

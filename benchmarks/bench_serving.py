@@ -33,7 +33,8 @@ Runs two ways:
       REPRO_BENCH_SMOKE=1 python benchmarks/bench_serving.py --check
 
 ``--check`` runs the serving round-trip (ingest -> read -> snapshot ->
-restore -> read equality) instead of the timed comparison;
+restore -> read equality, and replay equality with batch ``icrh``)
+instead of the timed comparison;
 ``REPRO_BENCH_SMOKE=1`` shrinks the stream so either mode finishes in
 seconds.
 """
@@ -181,9 +182,9 @@ def run_source_churn() -> dict:
     service.flush()
     seconds = time.perf_counter() - started
     growth = (service.store.growth_events
-              + service.model.state.growth_events)
+              + service.model.growth_events)
     # every growable buffer doubles: ~log2(K) reallocations each, and
-    # the store/state stack holds a fixed handful of buffers
+    # the store/model stack holds a fixed handful of buffers
     bound = 16 * (math.log2(max(n_sources, 16)) + 2)
     assert growth <= bound, (
         f"{growth} buffer reallocations registering {n_sources} sources "
@@ -254,12 +255,22 @@ def run_comparison() -> dict:
 def run_check() -> None:
     """CI smoke round-trip: ingest -> read -> snapshot -> restore -> read.
 
-    Asserts the restored service answers bit-identical truths and
-    weights, the contract ``TruthService.restore`` documents.
+    Asserts the replayed service equals batch ``icrh`` on the
+    time-sorted stream (truths, and weights by source id) — the replay
+    contract — and that the restored service answers bit-identical
+    truths and weights, the contract ``TruthService.restore`` documents.
     """
     dataset = build_stream()
     claims = list(iter_dataset_claims(dataset))
     service, _ = _replay(dataset, claims)
+    order = np.argsort(dataset.object_timestamps, kind="stable")
+    oracle = icrh(dataset.select_objects(order), window=WINDOW)
+    served = service.get_truth(list(oracle.truths.object_ids))
+    for col_a, col_b in zip(served.columns, oracle.truths.columns):
+        np.testing.assert_array_equal(col_a, col_b)
+    assert service.weights_by_source() == dict(
+        zip(dataset.source_ids, oracle.weights)), (
+        "replayed weights differ from batch icrh()")
     before = service.get_truth(service.object_ids)
     with tempfile.TemporaryDirectory() as tmp:
         service.snapshot(tmp)
@@ -274,7 +285,7 @@ def run_check() -> None:
     metrics = service.metrics()
     print(f"Serving check: {metrics['ingested_claims']:,} claims "
           f"ingested, {metrics['windows_sealed']} windows sealed, "
-          f"snapshot/restore read-identical"
+          f"replay equals batch icrh(), snapshot/restore read-identical"
           f"{' [smoke]' if _smoke() else ''}")
 
 

@@ -22,9 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ..data.schema import PropertyKind
 from ..data.table import MultiSourceDataset
-from .losses import Loss, TruthState, loss_by_name
+from .losses import TruthState, losses_for_schema
 from .objective import ConvergenceCriterion, DeviationOptions
 from .regularizers import ExponentialWeights, WeightScheme
 from .result import TruthDiscoveryResult
@@ -102,15 +101,7 @@ class FineGrainedCRHSolver:
         for m, prop in enumerate(dataset.schema):
             members[group_of_property[prop.name]].append(m)
 
-        losses: list[Loss] = []
-        for prop in dataset.schema:
-            if prop.kind is PropertyKind.CATEGORICAL:
-                name = config.categorical_loss
-            elif prop.kind is PropertyKind.TEXT:
-                name = config.text_loss
-            else:
-                name = config.continuous_loss
-            losses.append(loss_by_name(name))
+        losses = losses_for_schema(dataset.schema, config)
         initializer = initializer_by_name(config.initializer)
         columns = initializer(dataset)
         states: list[TruthState] = [

@@ -318,6 +318,31 @@ def loss_by_name(name: str) -> Loss:
         ) from None
 
 
+def losses_for_schema(schema, config) -> list[Loss]:
+    """One loss per property of ``schema``, chosen by property kind.
+
+    ``config`` names the losses through its ``categorical_loss``,
+    ``continuous_loss`` and ``text_loss`` fields (every solver config
+    has them).  Raises ``ValueError`` naming the property when the
+    chosen loss targets a different kind.
+    """
+    names = {
+        PropertyKind.CATEGORICAL: config.categorical_loss,
+        PropertyKind.CONTINUOUS: config.continuous_loss,
+        PropertyKind.TEXT: config.text_loss,
+    }
+    losses: list[Loss] = []
+    for prop in schema:
+        loss = loss_by_name(names[prop.kind])
+        if loss.kind is not prop.kind:
+            raise ValueError(
+                f"loss {loss.name!r} targets {loss.kind} "
+                f"but property {prop.name!r} is {prop.kind}"
+            )
+        losses.append(loss)
+    return losses
+
+
 def available_losses(kind: PropertyKind | None = None) -> tuple[str, ...]:
     """Names of registered losses, optionally filtered by property kind."""
     names = (

@@ -70,10 +70,6 @@ class TruthDiscoveryResult:
                 f"{len(self.source_ids)} sources"
             )
 
-    def weight_of(self, source_id: Hashable) -> float:
-        """Weight of one source by id."""
-        return float(self.weights[self.source_ids.index(source_id)])
-
     def weights_by_source(self) -> dict[Hashable, float]:
         """Weights as a dict keyed by source id."""
         return {

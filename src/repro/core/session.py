@@ -1,6 +1,6 @@
 """One run's view of an execution backend.
 
-The CRH solver, every baseline resolver and I-CRH run the same
+The CRH solver and every baseline resolver run the same
 choreography around a backend built by :func:`repro.engine.make_backend`:
 arm the backend's parallel runner when it has one, send each truth step
 and deviation pass either to that runner or to the inline
@@ -21,8 +21,8 @@ Degradation has three entry points, each leaving ``backend_name ==
   sparse claims: …"`` on the process backend, ``"<name> backend failed
   mid-run; finishing inline on sparse claims: …"`` elsewhere;
 * by declaration — :meth:`ExecutionSession.require_inline`: the method
-  has no runner formulation at all (GTM, the fact-graph baselines,
-  I-CRH), so a process/mmap request is honoured as storage but executed
+  has no runner formulation at all (GTM, the fact-graph baselines),
+  so a process/mmap request is honoured as storage but executed
   inline, with the same setup wording.
 
 Each step goes to the runner *or* the sweep, never one inside the other,

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..data.schema import PropertyKind
 from ..data.table import TruthTable
 from ..engine import BACKEND_NAMES, make_backend
 from ..observability import iteration_record, run_finished, run_started
 from ..observability.tracer import Tracer
 from .initialization import initializer_by_name
-from .losses import Loss, TruthState, loss_by_name
+from .losses import Loss, TruthState, losses_for_schema
 from .objective import ConvergenceCriterion, DeviationOptions
 from .regularizers import ExponentialWeights, WeightScheme
 from .result import TruthDiscoveryResult
@@ -126,23 +125,6 @@ class CRHSolver:
         self.config = config or CRHConfig()
 
     # ------------------------------------------------------------------
-    def _losses_for(self, dataset) -> list[Loss]:
-        """One loss instance per property, selected by property kind."""
-        losses: list[Loss] = []
-        for prop in dataset.schema:
-            if prop.kind is PropertyKind.CATEGORICAL:
-                losses.append(loss_by_name(self.config.categorical_loss))
-            elif prop.kind is PropertyKind.TEXT:
-                losses.append(loss_by_name(self.config.text_loss))
-            else:
-                losses.append(loss_by_name(self.config.continuous_loss))
-            if losses[-1].kind is not prop.kind:
-                raise ValueError(
-                    f"loss {losses[-1].name!r} targets {losses[-1].kind} "
-                    f"but property {prop.name!r} is {prop.kind}"
-                )
-        return losses
-
     def _initial_states(self, session: ExecutionSession,
                         losses: list[Loss]) -> list[TruthState]:
         initializer = initializer_by_name(self.config.initializer)
@@ -193,7 +175,7 @@ class CRHSolver:
         )
         try:
             dataset = session.data
-            losses = self._losses_for(dataset)
+            losses = losses_for_schema(dataset.schema, config)
             states = self._initial_states(session, losses)
             session.start(losses, states, config.deviation_options())
 

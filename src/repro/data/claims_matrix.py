@@ -108,10 +108,6 @@ class ClaimView:
             )
         return self._median_plan
 
-    def claims_per_object(self) -> np.ndarray:
-        """Number of claims on each object (CSR row lengths)."""
-        return np.diff(self.indptr)
-
 
 def _canonical_order(object_idx: np.ndarray,
                      source_idx: np.ndarray) -> np.ndarray:
@@ -261,21 +257,30 @@ class PropertyClaims:
 
     def select_objects(self, indices: np.ndarray) -> "PropertyClaims":
         """Claims restricted (and re-indexed) to the objects at
-        ``indices``."""
-        indices = np.asarray(indices)
+        ``indices``.
+
+        Gathers each selected object's CSR row through ``indptr``, so
+        the cost is O(selected claims), not O(all claims).  A repeated
+        index repeats its object's claims, as the dense table repeats
+        the column; within an object the claim order is kept.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
         view = self._view
-        remap = np.full(self.n_objects, -1, dtype=np.int64)
-        remap[indices] = np.arange(indices.size)
-        new_objects = remap[view.object_idx]
-        keep = new_objects >= 0
+        starts = view.indptr[indices]
+        lengths = view.indptr[indices + 1] - starts
+        row_starts = np.cumsum(lengths) - lengths
+        claims = (np.arange(lengths.sum())
+                  + np.repeat(starts - row_starts, lengths))
         return PropertyClaims(
             schema=self.schema,
-            values=view.values[keep],
-            source_idx=view.source_idx[keep],
-            object_idx=new_objects[keep].astype(np.int32),
+            values=view.values[claims],
+            source_idx=view.source_idx[claims],
+            object_idx=np.repeat(np.arange(indices.size, dtype=np.int32),
+                                 lengths),
             n_objects=int(indices.size),
             n_sources=self.n_sources,
             codec=self.codec,
+            canonicalize=False,
         )
 
     def select_sources(self, indices: np.ndarray) -> "PropertyClaims":

@@ -85,10 +85,6 @@ class PropertySchema:
         return self.kind is PropertyKind.CONTINUOUS
 
     @property
-    def is_text(self) -> bool:
-        return self.kind is PropertyKind.TEXT
-
-    @property
     def uses_codec(self) -> bool:
         """True when values are stored as integer codes via a codec
         (categorical and text properties); continuous properties store

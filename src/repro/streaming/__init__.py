@@ -13,14 +13,14 @@ Algorithm 2):
   (``docs/ARCHITECTURE.md``, "Concurrent reads").
 
 The layers underneath: :class:`ClaimStore` (appendable claim index +
-dirty set), :class:`~repro.streaming.state.TruthState` /
-:class:`~repro.streaming.state.TruthCache` (accumulators, weights,
-versioned truth cache) and :class:`RecomputePlanner` (dirty-set
+dirty set), :class:`IncrementalCRH` (the Algorithm-2 accumulators,
+weights and history), :class:`~repro.streaming.state.TruthCache`
+(versioned truth cache) and :class:`RecomputePlanner` (dirty-set
 re-resolution through the shared segment kernels).
 """
 
 from .icrh import ICRHConfig, ICRHResult, IncrementalCRH, icrh
-from .planner import RecomputePlan, RecomputePlanner
+from .planner import RecomputePlanner
 from .service import (
     IngestReport,
     TruthService,
@@ -28,7 +28,7 @@ from .service import (
     as_claim,
     iter_dataset_claims,
 )
-from .state import TruthCache, TruthState
+from .state import TruthCache
 from .store import Claim, ClaimStore, GrowableArray
 from .windows import StreamChunk, chunk_by_window, n_chunks
 
@@ -40,13 +40,11 @@ __all__ = [
     "ICRHResult",
     "IncrementalCRH",
     "IngestReport",
-    "RecomputePlan",
     "RecomputePlanner",
     "StreamChunk",
     "TruthCache",
     "TruthService",
     "TruthSnapshot",
-    "TruthState",
     "as_claim",
     "chunk_by_window",
     "icrh",

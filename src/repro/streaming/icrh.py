@@ -15,36 +15,33 @@ with the same rate so the count normalization of Section 2.5 stays
 consistent under decay.  Each chunk costs a single pass — no inner
 iteration — which is where the Table 5 speedup over CRH comes from.
 
-:class:`IncrementalCRH` is a thin adapter over the layered serving
-state: source registration, accumulators, weights and history live in
-:class:`~repro.streaming.state.TruthState` (amortized-growth arrays —
-registering K sources costs O(K), not the O(K^2) of per-source
-``np.append``).  The long-lived serving facade on the same layers is
-:class:`~repro.streaming.service.TruthService`.
+:class:`IncrementalCRH` holds the whole Algorithm-2 state: source
+registration, accumulators, weights and weight history, in
+amortized-growth arrays (registering K sources costs O(K), not the
+O(K^2) of per-source ``np.append``).  The long-lived serving facade
+over the same model is :class:`~repro.streaming.service.TruthService`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from ..core.kernels import accumulate_source_deviations
-from ..core.losses import Loss, loss_by_name
+from ..core.losses import losses_for_schema
 from ..core.regularizers import ExponentialWeights, WeightScheme
 from ..core.result import TruthDiscoveryResult
-from ..core.session import ExecutionSession
 from ..core.solver import states_to_truth_table
 from ..core.sweep import resolve_properties
 from ..data.encoding import MISSING_CODE
-from ..data.schema import PropertyKind
 from ..data.table import TruthTable
-from ..engine import BACKEND_NAMES, make_backend
 from ..observability import run_finished, run_started, stream_chunk_record
 from ..observability.tracer import Tracer
-from .state import TruthState
-from .windows import StreamChunk, chunk_by_window
+from .store import GrowableArray
+from .windows import chunk_by_window
 
 
 @dataclass(frozen=True)
@@ -53,12 +50,11 @@ class ICRHConfig:
 
     ``decay`` is the paper's ``alpha`` in [0, 1]: the impact of historical
     data on the current weight estimate (0 = only the newest chunk
-    matters, 1 = all history counts equally).  Loss, weight-scheme and
-    ``backend`` choices mirror :class:`~repro.core.solver.CRHConfig`;
-    each arriving chunk is resolved through
-    :func:`repro.engine.make_backend`.  ``tol`` is the weight-movement
-    tolerance convergence reporting uses: a full-stream run counts as
-    converged when the final chunk moved no weight by more than ``tol``.
+    matters, 1 = all history counts equally).  Loss and weight-scheme
+    choices mirror :class:`~repro.core.solver.CRHConfig`.  ``tol`` is
+    the weight-movement tolerance convergence reporting uses: a
+    full-stream run counts as converged when the final chunk moved no
+    weight by more than ``tol``.
     """
 
     decay: float = 0.5
@@ -69,33 +65,13 @@ class ICRHConfig:
         default_factory=lambda: ExponentialWeights(normalizer="max")
     )
     normalize_by_counts: bool = True
-    backend: str = "auto"
     tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError(f"decay must be in [0, 1], got {self.decay}")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, "
-                f"got {self.backend!r}"
-            )
         if self.tol < 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-
-
-def losses_for_schema(schema, config: ICRHConfig) -> list[Loss]:
-    """One loss per schema property, per the config's kind mapping."""
-    losses: list[Loss] = []
-    for prop in schema:
-        if prop.kind is PropertyKind.CATEGORICAL:
-            name = config.categorical_loss
-        elif prop.kind is PropertyKind.TEXT:
-            name = config.text_loss
-        else:
-            name = config.continuous_loss
-        losses.append(loss_by_name(name))
-    return losses
 
 
 class IncrementalCRH:
@@ -104,35 +80,57 @@ class IncrementalCRH:
     Use :meth:`partial_fit` chunk by chunk (online deployment),
     :func:`icrh` to run over a whole timestamped dataset at once, or
     :class:`~repro.streaming.service.TruthService` for the long-lived
-    ingest/read serving facade.  All per-source state lives in
-    :attr:`state`, a :class:`~repro.streaming.state.TruthState`.
+    ingest/read serving facade.
+
+    Sources register in first-appearance order and keep their index for
+    the lifetime of the model.  A new source starts with zero
+    accumulated distance and weight 1 — exactly Algorithm 2's line-1
+    initialization — so registration order never changes any source's
+    weight value.
     """
 
     def __init__(self, config: ICRHConfig | None = None,
                  tracer: Tracer | None = None) -> None:
         self.config = config or ICRHConfig()
         self.tracer = tracer
-        #: the per-source accumulator/weight layer (shared with serving)
-        self.state = TruthState()
-        self._chunks_seen = 0
+        self._ids: list[Hashable] = []
+        self._index: dict[Hashable, int] = {}
+        self._accumulated = GrowableArray(np.float64, 0.0)
+        self._counts = GrowableArray(np.float64, 0.0)
+        self._weights = GrowableArray(np.float64, 1.0)
+        self._history: list[np.ndarray] = []
+        #: chunks absorbed (one per :meth:`partial_fit`) — also the
+        #: weight epoch the serving layer versions its truths by
+        self.chunks_seen = 0
         self._last_weight_delta: float | None = None
-        #: stream windows consumed (one per partial_fit call)
-        self.window_advances = 0
-        #: times the decay factor was applied to accumulated history
-        self.decay_applications = 0
 
     # ------------------------------------------------------------------
     @property
+    def n_sources(self) -> int:
+        """Number of registered sources."""
+        return len(self._ids)
+
+    @property
     def source_ids(self) -> tuple:
         """All sources seen so far, in order of first appearance."""
-        return self.state.source_ids
+        return tuple(self._ids)
+
+    @property
+    def accumulated(self) -> np.ndarray:
+        """Decayed accumulated distances ``a_k`` (live view)."""
+        return self._accumulated.data
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Decayed observation counts (live view)."""
+        return self._counts.data
 
     @property
     def weights(self) -> np.ndarray:
         """Current source weights, aligned with :attr:`source_ids`."""
-        if self._chunks_seen == 0:
+        if self.chunks_seen == 0:
             raise ValueError("no chunk processed yet")
-        return self.state.weights
+        return self._weights.data
 
     @property
     def weight_history(self) -> np.ndarray:
@@ -141,14 +139,20 @@ class IncrementalCRH:
         Sources that joined the stream late carry ``NaN`` for the chunks
         before their arrival.
         """
-        if self._chunks_seen == 0:
+        if not self._history:
             raise ValueError("no chunk processed yet")
-        return self.state.weight_history()
+        padded = np.full((len(self._history), len(self._ids)), np.nan)
+        for t, row in enumerate(self._history):
+            padded[t, :row.size] = row
+        return padded
 
     @property
-    def chunks_seen(self) -> int:
-        """Chunks absorbed so far."""
-        return self._chunks_seen
+    def growth_events(self) -> int:
+        """Buffer reallocations across the three accumulator arrays —
+        O(log K) for K sources."""
+        return (self._accumulated.growth_events
+                + self._counts.growth_events
+                + self._weights.growth_events)
 
     @property
     def last_weight_delta(self) -> float | None:
@@ -156,25 +160,47 @@ class IncrementalCRH:
         before the first chunk) — what convergence reporting reads."""
         return self._last_weight_delta
 
-    def _positions_for(self, chunk) -> np.ndarray:
-        """Accumulator positions of the chunk's sources, registering
-        first-time sources (a new source starts with ``a_k = 0`` and
-        weight 1, exactly Algorithm 2's line-1 initialization).
-        Amortized O(1) per source via the state layer's growable
-        arrays."""
-        return self.state.register(chunk.source_ids)
+    def register(self, source_ids: Sequence[Hashable]) -> np.ndarray:
+        """Positions of ``source_ids``, registering first-timers.
+
+        New sources append with ``a_k = 0``, count 0 and weight 1;
+        existing sources keep their index.  Amortized O(1) per source.
+        """
+        positions = np.empty(len(source_ids), dtype=np.int64)
+        for i, source_id in enumerate(source_ids):
+            index = self._index.get(source_id)
+            if index is None:
+                index = len(self._ids)
+                self._ids.append(source_id)
+                self._index[source_id] = index
+                self._accumulated.append(0.0)
+                self._counts.append(0.0)
+                self._weights.append(1.0)
+            positions[i] = index
+        return positions
+
+    def load(self, source_ids: Sequence[Hashable],
+             accumulated: np.ndarray, counts: np.ndarray,
+             weights: np.ndarray, history: Sequence[np.ndarray],
+             chunks_seen: int) -> None:
+        """Restore the model from snapshot arrays (see
+        :meth:`repro.streaming.service.TruthService.snapshot`)."""
+        if self._ids:
+            raise ValueError("cannot load into a model with sources")
+        self.register(source_ids)
+        self._accumulated.data[:] = accumulated
+        self._counts.data[:] = counts
+        self._weights.data[:] = weights
+        self._history = [np.asarray(row, dtype=np.float64).copy()
+                         for row in history]
+        self.chunks_seen = int(chunks_seen)
 
     # ------------------------------------------------------------------
-    def _losses_for(self, dataset) -> list[Loss]:
-        """One loss per property of ``dataset`` (see
-        :func:`losses_for_schema`)."""
-        return losses_for_schema(dataset.schema, self.config)
-
     def partial_fit(self, chunk) -> TruthTable:
         """Process one chunk: truths from current weights, then update.
 
-        ``chunk`` may be dense or sparse; it is resolved through the
-        config's ``backend`` selector.  Chunks align sources by
+        ``chunk`` may be dense or sparse; the losses read only its claim
+        views, so both give identical bits.  Chunks align sources by
         *identifier*, so the stream's source set may evolve: a
         previously unseen source joins with zero accumulated distance
         and weight 1 (Algorithm 2 line 1), and sources absent from a
@@ -184,19 +210,15 @@ class IncrementalCRH:
         When a tracer was given at construction, each call emits one
         ``chunk`` record (weights, weight delta, arrival counters).
         """
-        tracing = self.tracer is not None
-        state = self.state
-        chunk = make_backend(chunk, self.config.backend).data
-        known_sources = state.n_sources
-        positions = self._positions_for(chunk)
-        new_sources = state.n_sources - known_sources
-        weights_for_chunk = state.weights[positions]
-        losses = self._losses_for(chunk)
+        losses = losses_for_schema(chunk.schema, self.config)
+        known_sources = self.n_sources
+        positions = self.register(chunk.source_ids)
         # Line 3: truths for the current chunk under the learned
         # weights.
-        states = resolve_properties(chunk, losses, weights_for_chunk)
-        # Lines 4-5: decay-accumulate distances, then recompute
-        # weights.
+        states = resolve_properties(chunk, losses,
+                                    self._weights.data[positions])
+        # Line 4: decay the accumulated distances and counts, then add
+        # the chunk's deviations.
         chunk_dev = np.zeros(chunk.n_sources)
         chunk_cnt = np.zeros(chunk.n_sources)
         for loss, prop, truth_state in zip(losses, chunk.properties, states):
@@ -206,27 +228,41 @@ class IncrementalCRH:
             )
             chunk_dev += totals
             chunk_cnt += counts
-        if self._chunks_seen:
-            self.decay_applications += 1
-        state.decay(self.config.decay)
-        state.add_deviations(positions, chunk_dev, chunk_cnt)
-        self._last_weight_delta = state.refresh_weights(
-            self.config.weight_scheme,
-            self.config.normalize_by_counts,
-        )
-        self._chunks_seen += 1
-        self.window_advances += 1
-        state.record_history()
-        if tracing:
+        accumulated = self._accumulated.data
+        counts = self._counts.data
+        accumulated *= self.config.decay
+        counts *= self.config.decay
+        np.add.at(accumulated, positions, chunk_dev)
+        np.add.at(counts, positions, chunk_cnt)
+        # Line 5: weights from the accumulators.  Sources with no
+        # surviving observations keep the line-1 weight of 1 rather
+        # than the best-in-class weight a zero deviation would imply.
+        if self.config.normalize_by_counts:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                normalized = accumulated / counts
+            per_source = np.where(counts > 0, normalized, 0.0)
+        else:
+            per_source = accumulated
+        weights = self.config.weight_scheme.weights(per_source)
+        unseen = counts <= 1e-12
+        if unseen.any():
+            weights = np.where(unseen, 1.0, weights)
+        current = self._weights.data
+        previous = current.copy()
+        current[:] = weights
+        self._last_weight_delta = float(np.abs(current - previous).max())
+        self.chunks_seen += 1
+        self._history.append(current.copy())
+        if self.tracer is not None:
             self.tracer.emit(stream_chunk_record(
-                self._chunks_seen,
+                self.chunks_seen,
                 n_objects=chunk.n_objects,
                 n_sources=chunk.n_sources,
-                new_sources=new_sources,
-                weights=state.weights,
+                new_sources=self.n_sources - known_sources,
+                weights=current,
                 weight_delta=self._last_weight_delta,
-                window_advances=self.window_advances,
-                decay_applications=self.decay_applications,
+                window_advances=self.chunks_seen,
+                decay_applications=self.chunks_seen - 1,
             ))
         return states_to_truth_table(chunk, states)
 
@@ -255,28 +291,16 @@ def icrh(dataset, window: int = 1,
          tracer: Tracer | None = None) -> ICRHResult:
     """Run I-CRH over a timestamped dataset, chunking by time window.
 
-    ``dataset`` may be dense or sparse; it is resolved once through the
-    config's ``backend`` selector (an
-    :class:`~repro.core.session.ExecutionSession`) and chunk views
-    inherit that representation.  I-CRH has no runner formulation, so a
-    ``process``/``mmap`` request runs inline on the sparse claims and
-    reports ``backend="sparse"`` with the degradation reason.  Returns
-    the stitched truth table over all objects (aligned with
-    ``dataset``), the final weights, and the per-chunk weight history.
-    The result is stamped with the completing
-    ``backend``/``backend_reason``, and ``converged`` reports whether
-    the final chunk's weight delta fell below ``config.tol``.  With a
-    tracer, emits ``run_start``, one ``chunk`` record per window, and a
-    ``run_end`` carrying the stream counters.
+    ``dataset`` may be dense or sparse; chunk views inherit its
+    representation.  Returns the stitched truth table over all objects
+    (aligned with ``dataset``), the final weights, and the per-chunk
+    weight history.  ``converged`` reports whether the final chunk's
+    weight delta fell below ``config.tol``.  With a tracer, emits
+    ``run_start``, one ``chunk`` record per window, and a ``run_end``
+    carrying the stream counters.
     """
     started = time.perf_counter()
     config = config or ICRHConfig()
-    session = ExecutionSession(dataset,
-                               make_backend(dataset, config.backend))
-    # Degrading on a process/mmap backend also closes it; dense and
-    # sparse backends hold nothing to close.
-    session.require_inline("I-CRH has no runner formulation")
-    dataset = session.data
     model = IncrementalCRH(config, tracer=tracer)
     tracing = tracer is not None
     if tracing:
@@ -285,9 +309,7 @@ def icrh(dataset, window: int = 1,
             n_sources=dataset.n_sources,
             n_objects=dataset.n_objects,
             n_properties=len(dataset.schema),
-            backend=session.backend_name,
-            backend_reason=session.backend_reason,
-            n_claims=session.backend.n_claims(),
+            n_claims=dataset.n_observations(),
         ))
     columns: list[np.ndarray] = []
     for prop in dataset.schema:
@@ -317,10 +339,10 @@ def icrh(dataset, window: int = 1,
             iterations=model.chunks_seen,
             converged=converged,
             elapsed_seconds=elapsed,
-            window_advances=model.window_advances,
-            decay_applications=model.decay_applications,
+            window_advances=model.chunks_seen,
+            decay_applications=model.chunks_seen - 1,
         ))
-    result = session.stamp(TruthDiscoveryResult(
+    result = TruthDiscoveryResult(
         truths=truths,
         weights=model.weights,
         source_ids=dataset.source_ids,
@@ -328,7 +350,7 @@ def icrh(dataset, window: int = 1,
         iterations=model.chunks_seen,
         converged=converged,
         elapsed_seconds=elapsed,
-    ))
+    )
     return ICRHResult(
         result=result,
         weight_history=model.weight_history,

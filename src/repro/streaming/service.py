@@ -5,9 +5,8 @@ ingest/read/snapshot surface the ROADMAP's serving story asks for:
 
 * :class:`~repro.streaming.store.ClaimStore` absorbs arriving claims
   and tracks the dirty set;
-* :class:`~repro.streaming.icrh.IncrementalCRH` (over
-  :class:`~repro.streaming.state.TruthState`) advances Algorithm 2 one
-  sealed window at a time;
+* :class:`~repro.streaming.icrh.IncrementalCRH` holds the
+  Algorithm-2 state and advances it one sealed window at a time;
 * :class:`~repro.streaming.planner.RecomputePlanner` re-resolves only
   dirty objects through the shared segment kernels;
 * :class:`~repro.streaming.state.TruthCache` serves warm, versioned
@@ -37,12 +36,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..core.losses import losses_for_schema
 from ..core.regularizers import (
     ExponentialWeights,
     LpNormWeights,
@@ -53,7 +53,7 @@ from ..data.records import Record
 from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
 from ..observability.metrics import MetricsRegistry
-from .icrh import ICRHConfig, IncrementalCRH, losses_for_schema
+from .icrh import ICRHConfig, IncrementalCRH
 from .planner import RecomputePlanner, resolve_truths
 from .state import TruthCache
 from .store import Claim, ClaimStore
@@ -196,15 +196,18 @@ def _config_to_dict(config: ICRHConfig) -> dict:
         "continuous_loss": config.continuous_loss,
         "text_loss": config.text_loss,
         "normalize_by_counts": config.normalize_by_counts,
-        "backend": config.backend,
         "tol": config.tol,
         "weight_scheme": _scheme_to_dict(config.weight_scheme),
     }
 
 
 def _config_from_dict(data: dict) -> ICRHConfig:
-    """Rebuild an :class:`~repro.streaming.icrh.ICRHConfig` from JSON."""
+    """Rebuild an :class:`~repro.streaming.icrh.ICRHConfig` from JSON.
+
+    Ignores the ``backend`` key older snapshots carry.
+    """
     fields = dict(data)
+    fields.pop("backend", None)
     scheme = _scheme_from_dict(fields.pop("weight_scheme"))
     return ICRHConfig(weight_scheme=scheme, **fields)
 
@@ -225,15 +228,13 @@ class TruthService:
 
     ``codecs`` seeds the store's label coding (pass the source
     dataset's codecs when replaying one, so categorical codes — and
-    vote tie-breaks — line up with the batch oracle).  The execution
-    path is pinned to the sparse backend: chunks assembled by the
-    claim store must never be densified, because densification would
-    reorder claims and break replay equivalence.
+    vote tie-breaks — line up with the batch oracle).  Chunks
+    assembled by the claim store run sparse, in ingestion claim order,
+    which is what replay equivalence rests on.
     """
 
     def __init__(self, schema: DatasetSchema, *, window: int = 1,
                  config: ICRHConfig | None = None, codecs=None,
-                 planner: RecomputePlanner | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -243,10 +244,8 @@ class TruthService:
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self._store = ClaimStore(schema, codecs=codecs)
         self._cache = TruthCache(schema)
-        self._planner = planner or RecomputePlanner()
-        serving_config = (self.config if self.config.backend == "sparse"
-                          else replace(self.config, backend="sparse"))
-        self._model = IncrementalCRH(serving_config)
+        self._planner = RecomputePlanner()
+        self._model = IncrementalCRH(self.config)
         self._losses = losses_for_schema(schema, self.config)
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
@@ -304,14 +303,14 @@ class TruthService:
     def _current_weights(self) -> np.ndarray:
         """Weights over *all* store sources, in store order.
 
-        The model's state registers the store's source list (a prefix
-        of the current one) at each seal; sources that arrived since
-        carry the Algorithm-2 line-1 weight of 1.
+        The model registers the store's source list (a prefix of the
+        current one) at each seal; sources that arrived since carry the
+        Algorithm-2 line-1 weight of 1.
         """
         weights = np.ones(self._store.n_sources)
-        k = self._model.state.n_sources
+        k = self._model.n_sources
         if k:
-            weights[:k] = self._model.state.weights
+            weights[:k] = self._model.weights
         return weights
 
     # ------------------------------------------------------------------
@@ -407,7 +406,7 @@ class TruthService:
         truths = self._model.partial_fit(chunk)
         self._cache.ensure(self._store.n_objects)
         self._cache.store(indices, truths.columns,
-                          version=self._model.state.epoch)
+                          version=self._model.chunks_seen)
         # Window members are freshly resolved; anything else stays
         # dirty for the planner.
         self._store.dirty.difference_update(objects)
@@ -422,23 +421,18 @@ class TruthService:
         objects were re-resolved."""
         if not self._store.dirty:
             return 0
-        plan = self._planner.plan(self._store.dirty,
-                                  self._store.n_objects)
-        if plan.scope == "none":
-            return 0
-        self._resolve_into_cache(plan.object_indices, plan=plan)
+        indices = self._planner.plan(self._store.dirty)
+        self._resolve_into_cache(indices)
         self._store.dirty.clear()
-        return plan.n_objects
+        return int(indices.size)
 
-    def _resolve_into_cache(self, indices: np.ndarray, *,
-                            plan=None) -> None:
+    def _resolve_into_cache(self, indices: np.ndarray) -> None:
         """Re-resolve ``indices`` under current weights into the cache."""
         columns = resolve_truths(self._store, indices,
-                                 self._current_weights(), self._losses,
-                                 plan=plan)
+                                 self._current_weights(), self._losses)
         self._cache.ensure(self._store.n_objects)
         self._cache.store(indices, columns,
-                          version=self._model.state.epoch)
+                          version=self._model.chunks_seen)
 
     def recompute_all(self) -> int:
         """Re-resolve *every* object under the current weights.
@@ -471,7 +465,7 @@ class TruthService:
         previous = self._snapshot
         seq = 0 if previous is None else previous.seq + 1
         self._snapshot = TruthSnapshot(
-            seq=seq, epoch=self._model.state.epoch,
+            seq=seq, epoch=self._model.chunks_seen,
             n_objects=int(versions.size), columns=columns,
             versions=versions,
         )
@@ -580,7 +574,7 @@ class TruthService:
         registry.gauge("dirty_objects").set(len(self._store.dirty))
         registry.gauge("pending_timestamps").set(len(self._pending))
         registry.gauge("cached_objects").set(self._cache.n_cached())
-        registry.gauge("truth_version").set(self._model.state.epoch)
+        registry.gauge("truth_version").set(self._model.chunks_seen)
         drift = self._model.last_weight_delta
         registry.gauge("weight_drift").set(
             0.0 if drift is None else drift)
@@ -655,15 +649,17 @@ class TruthService:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         save_dataset(self._store.to_claims_matrix(), directory)
-        state = self._model.state
+        model = self._model
         self._cache.ensure(self._store.n_objects)
-        history = (state.weight_history() if state.history_length
-                   else np.zeros((0, state.n_sources)))
+        # Sources register only inside a chunk step, so a model that
+        # has seen no chunk has no sources either.
+        fitted = model.chunks_seen > 0
         arrays = {
-            "accumulated": state.accumulated.copy(),
-            "counts": state.counts.copy(),
-            "weights": state.weights.copy(),
-            "weight_history": history,
+            "accumulated": model.accumulated.copy(),
+            "counts": model.counts.copy(),
+            "weights": model.weights.copy() if fitted else np.zeros(0),
+            "weight_history": (model.weight_history if fitted
+                               else np.zeros((0, 0))),
             "cache_versions": self._cache.all_versions(),
         }
         for m, column in enumerate(self._cache.full_columns()):
@@ -673,11 +669,8 @@ class TruthService:
             "snapshot_schema": SNAPSHOT_SCHEMA,
             "window": self.window,
             "config": _config_to_dict(self.config),
-            "n_state_sources": state.n_sources,
-            "epoch": state.epoch,
-            "chunks_seen": self._model.chunks_seen,
-            "window_advances": self._model.window_advances,
-            "decay_applications": self._model.decay_applications,
+            "n_state_sources": model.n_sources,
+            "epoch": model.chunks_seen,
             "sealed_high": self._sealed_high,
             "pending": [[stamp, objs]
                         for stamp, objs in self._pending.items()],
@@ -689,7 +682,12 @@ class TruthService:
     @classmethod
     def restore(cls, directory, *,
                 metrics: MetricsRegistry | None = None) -> "TruthService":
-        """Rebuild a service from a :meth:`snapshot` directory."""
+        """Rebuild a service from a :meth:`snapshot` directory.
+
+        Older snapshots' ``chunks_seen``, ``window_advances`` and
+        ``decay_applications`` keys are ignored: ``epoch`` carries the
+        chunk count.
+        """
         directory = Path(directory)
         meta = json.loads((directory / "service.json").read_text())
         if meta.get("snapshot_schema") != SNAPSHOT_SCHEMA:
@@ -715,15 +713,12 @@ class TruthService:
                 observed = np.flatnonzero(~np.isnan(row))
                 length = int(observed[-1]) + 1 if observed.size else 0
                 history.append(row[:length])
-            service._model.state.load(
+            service._model.load(
                 service._store.source_ids[:k],
                 bundle["accumulated"], bundle["counts"],
-                bundle["weights"], history, epoch=int(meta["epoch"]),
+                bundle["weights"], history,
+                chunks_seen=int(meta["epoch"]),
             )
-        service._model._chunks_seen = int(meta["chunks_seen"])
-        service._model.window_advances = int(meta["window_advances"])
-        service._model.decay_applications = int(
-            meta["decay_applications"])
         versions = bundle["cache_versions"]
         columns = [bundle[f"cache_col{m}"]
                    for m in range(len(matrix.schema))]

@@ -7,7 +7,7 @@ provides the two pieces that make that cheap:
 * :class:`GrowableArray` — an append-only numpy array with amortized
   doubling growth (O(1) amortized appends, O(log n) reallocations),
   shared by the :class:`ClaimStore` claim columns and the
-  :class:`~repro.streaming.state.TruthState` per-source accumulators.
+  :class:`~repro.streaming.icrh.IncrementalCRH` per-source accumulators.
 * :class:`ClaimStore` — a per-object claim index: every arriving
   :class:`Claim` lands in flat per-property arrays in *insertion order*,
   sources and objects are registered on first appearance, and every
@@ -69,8 +69,7 @@ class GrowableArray:
     """Append-only numpy array with amortized doubling growth.
 
     ``np.append`` reallocates the whole array per call — O(n) per append,
-    O(n^2) for a stream — which is exactly the
-    ``IncrementalCRH._positions_for`` pathology this class replaces.
+    O(n^2) for a stream.
     Appends write into spare capacity and the buffer doubles only when
     full, so ``n`` appends cost O(n) amortized with O(log n)
     reallocations (counted in :attr:`growth_events` for tests).

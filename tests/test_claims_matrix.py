@@ -110,15 +110,20 @@ class TestSubsetting:
     def test_select_objects_matches_dense(self):
         dense = _mixed_dataset(seed=7).build()
         sparse = ClaimsMatrix.from_dense(dense)
-        indices = np.array([2, 3, 11, 17])
-        expected = ClaimsMatrix.from_dense(dense.select_objects(indices))
-        actual = sparse.select_objects(indices)
-        assert actual.object_ids == expected.object_ids
-        for a, b in zip(actual.properties, expected.properties):
-            assert np.array_equal(a.claim_view().values,
-                                  b.claim_view().values)
-            assert np.array_equal(a.claim_view().indptr,
-                                  b.claim_view().indptr)
+        # A repeated index repeats the object's claims, as the dense
+        # table repeats its column.
+        for indices in (np.array([2, 3, 11, 17]), np.array([1, 1, 2]),
+                        np.array([], dtype=np.int64)):
+            expected = ClaimsMatrix.from_dense(
+                dense.select_objects(indices))
+            actual = sparse.select_objects(indices)
+            assert actual.object_ids == expected.object_ids
+            for a, b in zip(actual.properties, expected.properties):
+                av, bv = a.claim_view(), b.claim_view()
+                assert np.array_equal(av.values, bv.values)
+                assert np.array_equal(av.source_idx, bv.source_idx)
+                assert np.array_equal(av.object_idx, bv.object_idx)
+                assert np.array_equal(av.indptr, bv.indptr)
 
     def test_select_sources_matches_dense(self):
         dense = _mixed_dataset(seed=8).build()

@@ -33,7 +33,7 @@ from repro.data import (
 from repro.engine import ProcessBackend
 from repro.observability import MemoryTracer
 from repro.parallel import ParallelCRHConfig, parallel_crh
-from repro.streaming import ICRHConfig, icrh
+from repro.streaming import icrh
 
 LOSS_CONFIGS = [
     ("zero_one", "absolute"),
@@ -163,9 +163,8 @@ class TestStreamingEquivalence:
     def test_dense_sparse_bit_identical(self, seed):
         dataset = _fuzz_dataset(seed + 40, k=6, n=30)
         results = {
-            name: icrh(dataset, window=1,
-                       config=ICRHConfig(backend=name))
-            for name in ("dense", "sparse")
+            "dense": icrh(dataset, window=1),
+            "sparse": icrh(ClaimsMatrix.from_dense(dataset), window=1),
         }
         _assert_truths_equal(results["dense"].truths,
                              results["sparse"].truths)

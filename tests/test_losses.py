@@ -1,8 +1,12 @@
 """Unit tests for the loss functions of Section 2.4."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro import crh
+from repro.core.finegrained import fine_grained_crh
 from repro.core.losses import (
     Loss,
     NormalizedAbsoluteLoss,
@@ -14,6 +18,7 @@ from repro.core.losses import (
     register_loss,
 )
 from repro.data.schema import PropertyKind
+from repro.streaming import ICRHConfig, TruthService, icrh
 
 
 @pytest.fixture()
@@ -189,3 +194,27 @@ class TestContinuousLosses:
         assert loss.objective_contribution(
             state, continuous_prop, weights
         ) == pytest.approx(expected)
+
+
+class TestKindMapping:
+    """Every solver maps property kinds to losses through one checked
+    function: a loss of the wrong kind is refused, naming the
+    property, instead of running (or crashing) on the wrong data."""
+
+    @pytest.mark.parametrize("run", [
+        lambda ds, **kw: crh(ds, **kw),
+        lambda ds, **kw: icrh(ds, config=ICRHConfig(**kw)),
+        lambda ds, **kw: TruthService(ds.schema, config=ICRHConfig(**kw)),
+        lambda ds, **kw: fine_grained_crh(ds, **kw),
+    ], ids=["crh", "icrh", "TruthService", "fine_grained_crh"])
+    @pytest.mark.parametrize("override, kind", [
+        ({"categorical_loss": "absolute"}, PropertyKind.CATEGORICAL),
+        ({"continuous_loss": "zero_one"}, PropertyKind.CONTINUOUS),
+    ], ids=["categorical", "continuous"])
+    def test_wrong_kind_names_the_property(self, small_weather, run,
+                                           override, kind):
+        dataset = small_weather.dataset
+        name = next(p.name for p in dataset.schema if p.kind is kind)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"property {name!r}")):
+            run(dataset, **override)

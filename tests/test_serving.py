@@ -16,10 +16,13 @@ The load-bearing guarantees checked here:
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data.records import EntryId, Record
 from repro.datasets import WeatherConfig, generate_weather_dataset
@@ -28,9 +31,9 @@ from repro.streaming import (
     ClaimStore,
     GrowableArray,
     ICRHConfig,
+    IncrementalCRH,
     RecomputePlanner,
     TruthService,
-    TruthState,
     as_claim,
     icrh,
     iter_dataset_claims,
@@ -317,38 +320,30 @@ class TestScanBoundedAssembly:
 
 
 class TestTruthState:
+    """Source registration on the I-CRH model's per-source state."""
+
     def test_registration_is_amortized(self):
-        state = TruthState()
-        state.register([f"s{k}" for k in range(5_000)])
-        assert state.n_sources == 5_000
-        assert state.growth_events <= 3 * 9  # 3 arrays, log2(5000/16)
+        model = IncrementalCRH()
+        model.register([f"s{k}" for k in range(5_000)])
+        assert model.n_sources == 5_000
+        assert model.growth_events <= 3 * 9  # 3 arrays, log2(5000/16)
 
     def test_register_is_idempotent(self):
-        state = TruthState()
-        first = state.register(["a", "b"])
-        second = state.register(["b", "a", "c"])
+        model = IncrementalCRH()
+        first = model.register(["a", "b"])
+        second = model.register(["b", "a", "c"])
         np.testing.assert_array_equal(first, [0, 1])
         np.testing.assert_array_equal(second, [1, 0, 2])
-        assert state.source_ids == ("a", "b", "c")
+        assert model.source_ids == ("a", "b", "c")
 
 
 class TestRecomputePlanner:
     def test_empty_dirty_set_plans_nothing(self):
-        plan = RecomputePlanner().plan(set(), 100)
-        assert plan.scope == "none" and plan.n_objects == 0
+        assert RecomputePlanner().plan(set()).size == 0
 
     def test_small_dirty_set_plans_dirty_scope(self):
-        plan = RecomputePlanner().plan({3, 7}, 100)
-        assert plan.scope == "dirty"
-        np.testing.assert_array_equal(plan.object_indices, [3, 7])
-
-    def test_large_dirty_set_escalates_to_full(self):
-        plan = RecomputePlanner(full_fraction=0.5).plan(set(range(60)), 100)
-        assert plan.scope == "full" and plan.n_objects == 100
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError, match="full_fraction"):
-            RecomputePlanner(full_fraction=0.0)
+        np.testing.assert_array_equal(RecomputePlanner().plan({7, 3}),
+                                      [3, 7])
 
 
 def assert_same_serving_state(service, oracle_result, dataset):
@@ -399,6 +394,23 @@ class TestReplayEquivalence:
         oracle = icrh(dataset, window=1, config=config)
         assert_same_serving_state(service, oracle, dataset)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 19), n_cities=st.integers(1, 4),
+           n_days=st.integers(2, 30), window=st.integers(1, 3),
+           batch=st.integers(1, 50))
+    @example(seed=0, n_cities=2, n_days=30, window=1, batch=7)
+    def test_replay_matches_icrh_under_any_batch_size(
+            self, seed, n_cities, n_days, window, batch):
+        """The replay contract holds whatever the ingest batch size:
+        sealed truths are chunk-final, so no batch boundary may
+        re-resolve a clean object under later weights."""
+        dataset = weather(seed, n_cities=n_cities, n_days=n_days)
+        order = np.argsort(dataset.object_timestamps, kind="stable")
+        sorted_view = dataset.select_objects(order)
+        service = replay(dataset, window=window, batch=batch)
+        oracle = icrh(sorted_view, window=window)
+        assert_same_serving_state(service, oracle, sorted_view)
+
 
 class TestDirtyRecompute:
     def test_late_claim_dirties_without_sealing(self, small_weather):
@@ -440,8 +452,7 @@ class TestDirtyRecompute:
 
     def test_read_resolves_dirty_on_demand(self, small_weather):
         dataset = small_weather.dataset
-        service = replay(dataset, window=2,
-                         planner=RecomputePlanner(full_fraction=1.0))
+        service = replay(dataset, window=2)
         # Bypass ingest's recompute by marking dirty manually.
         idx = service.store.object_position(dataset.object_ids[3])
         service.store.dirty.add(idx)
@@ -488,6 +499,43 @@ class TestSnapshotRestore:
         for col_a, col_b in zip(
                 original.get_truth(["new-object"]).columns,
                 restored.get_truth(["new-object"]).columns):
+            np.testing.assert_array_equal(col_a, col_b)
+
+    def test_restore_ignores_older_snapshot_keys(self, small_weather,
+                                                 tmp_path):
+        """Snapshots written before the I-CRH counters merged into one
+        carry ``config.backend``, ``chunks_seen``, ``window_advances``
+        and ``decay_applications``; restoring one ignores them and the
+        service keeps ingesting bit-identically."""
+        dataset = small_weather.dataset
+        claims = list(iter_dataset_claims(dataset))
+        half = len(claims) // 2
+        original = TruthService(dataset.schema, window=2,
+                                codecs=dataset.codecs())
+        original.ingest(claims[:half])
+        original.snapshot(tmp_path / "snap")
+        meta_path = tmp_path / "snap" / "service.json"
+        meta = json.loads(meta_path.read_text())
+        assert not {"chunks_seen", "window_advances",
+                    "decay_applications"} & set(meta)
+        assert "backend" not in meta["config"]
+        chunks = meta["epoch"]
+        meta["config"]["backend"] = "auto"
+        meta.update(chunks_seen=chunks, window_advances=chunks,
+                    decay_applications=max(chunks - 1, 0))
+        meta_path.write_text(json.dumps(meta))
+        restored = TruthService.restore(tmp_path / "snap")
+        for service in (original, restored):
+            service.ingest(claims[half:])
+            service.flush()
+        assert restored.model.chunks_seen == original.model.chunks_seen
+        np.testing.assert_array_equal(restored.get_weights(),
+                                      original.get_weights())
+        np.testing.assert_array_equal(restored.model.weight_history,
+                                      original.model.weight_history)
+        ids = list(dataset.object_ids)
+        for col_a, col_b in zip(original.get_truth(ids).columns,
+                                restored.get_truth(ids).columns):
             np.testing.assert_array_equal(col_a, col_b)
 
     def test_snapshot_rejects_custom_scheme(self, small_weather,

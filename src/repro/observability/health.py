@@ -12,21 +12,21 @@ worst verdict across all rules is the overall status:
 * ``unhealthy`` — at least one rule past fail.
 
 Rules are direction-aware: ``direction="above"`` trips when the value
-exceeds a threshold (backlogs, staleness), ``direction="below"`` when
-it drops under one (cache hit rate).  A metric absent from the values
+exceeds a threshold (staleness, latency), ``direction="below"`` when
+it drops under one (weight entropy).  A metric absent from the values
 dict is reported as ``healthy`` with ``value=None`` — absence of
 telemetry is not an outage signal.
 
 The compact rule syntax (CLI flags, config files) is
 ``metric{<|>}warn[:fail]``::
 
-    dirty_objects>100:1000      # degraded past 100 dirty, unhealthy past 1000
-    cache_hit_rate<0.5:0.1      # degraded under 50% hits, unhealthy under 10%
+    pending_timestamps>64:4096  # degraded past 64 pending, unhealthy past 4096
+    weight_entropy<0.5:0.1      # degraded under 0.5 nats, unhealthy under 0.1
     pending_timestamps>8        # warn-only: never worse than degraded
 
 :data:`DEFAULT_SERVING_RULES` covers the serving engine's standing
-SLOs: dirty-object backlog, pending-window staleness, and convergence
-stall (weight drift that stopped shrinking).
+SLOs: pending-window staleness and convergence stall (weight drift
+that stopped shrinking).
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class SLORule:
 def parse_rule(text: str, name: str | None = None) -> SLORule:
     """Parse the compact ``metric{<|>}warn[:fail]`` rule syntax.
 
-    >>> parse_rule("dirty_objects>100:1000")
-    SLORule(name='dirty_objects', metric='dirty_objects', warn=100.0,
-            fail=1000.0, direction='above')
+    >>> parse_rule("pending_timestamps>64:4096")
+    SLORule(name='pending_timestamps', metric='pending_timestamps',
+            warn=64.0, fail=4096.0, direction='above')
     """
     for op, direction in ((">", "above"), ("<", "below")):
         if op in text:
@@ -120,10 +120,8 @@ def parse_rule(text: str, name: str | None = None) -> SLORule:
     )
 
 
-#: the serving engine's standing SLOs: backlog, staleness, stall
+#: the serving engine's standing SLOs: staleness, stall
 DEFAULT_SERVING_RULES: tuple[SLORule, ...] = (
-    SLORule(name="backlog", metric="dirty_objects",
-            warn=1_000, fail=100_000),
     SLORule(name="staleness", metric="pending_timestamps",
             warn=64, fail=4_096),
     SLORule(name="convergence_stall", metric="weight_drift",
@@ -140,7 +138,8 @@ class RuleResult:
     status: str
 
     def render(self) -> str:
-        """One human-readable line (``backlog: healthy (12 <= 1000)``)."""
+        """One human-readable line
+        (``staleness: healthy (pending_timestamps>64:4096, value 12)``)."""
         observed = "absent" if self.value is None else f"{self.value:g}"
         return (f"{self.rule.name}: {self.status} "
                 f"({self.rule.render()}, value {observed})")

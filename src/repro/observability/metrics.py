@@ -5,7 +5,7 @@ The serving path's telemetry channel.  Where a
 computed*, the :class:`MetricsRegistry` of a
 :class:`~repro.streaming.service.TruthService` answers *what the
 service is doing now*: monotone counters (claims ingested, windows
-sealed), point-in-time gauges (dirty-object backlog, per-source weight
+sealed), point-in-time gauges (pending timestamps, per-source weight
 entropy), and fixed-bucket histograms whose quantiles approximate
 latency distributions without retaining samples.
 
@@ -72,7 +72,7 @@ def default_seconds_buckets() -> tuple[float, ...]:
 
 
 class Counter:
-    """A monotonically increasing total (claims ingested, cache hits)."""
+    """A monotonically increasing total (claims ingested, objects read)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -91,7 +91,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value that can move both ways (backlog, entropy)."""
+    """A point-in-time value that can move both ways (staleness, entropy)."""
 
     __slots__ = ("name", "labels", "value")
 

@@ -20,21 +20,9 @@ from typing import Hashable
 import numpy as np
 
 #: Version stamp carried by every record as ``v``; bump on breaking
-#: schema changes so downstream consumers can dispatch.  v2 added the
-#: ``profile`` event (phase/kernel wall-time and memory breakdowns) and
-#: the ``backend_reason`` field on ``run_start``.  v3 added the serving
-#: events ``ingest`` and ``read`` (TruthService batch/read telemetry:
-#: dirty-set size, cache hit rate, recompute counts).  v4 added
-#: sharded-router topology stamps on ``ingest`` and ``read`` records
-#: and made the read cache split optional (the router reported reads
-#: without a hit/miss notion).  v4 files written by older releases may
-#: still carry two ``run_start`` fields naming the since-removed
-#: compiled kernel tier and its resolution reason; readers ignore them.
-#: v4 files written before the router was removed may carry
-#: ``n_shards`` / ``ingest_mode``, and readers ignore them too.  Older
-#: v4 files may also carry ``profile`` records from the since-removed
-#: profiler, and ``ingest``/``read`` records from before TruthService
-#: reported only to its metrics registry; readers ignore both.
+#: schema changes so downstream consumers can dispatch.  Readers ignore
+#: the fields and record types v4 files written by older releases may
+#: carry that this module no longer emits.
 SCHEMA_VERSION = 4
 
 #: Glossary of every field a trace record can carry — and of every
@@ -123,23 +111,20 @@ METRIC_FIELDS: dict[str, str] = {
                        "the service's lifetime",
     "windows_sealed": "stream windows sealed (Algorithm-2 chunk steps "
                       "run) over the service's lifetime",
-    "dirty_objects": "objects in the dirty set, awaiting re-resolution "
-                     "by the recompute planner",
     "recomputed_objects": "objects the recompute planner re-resolved "
                           "under the current weights, lifetime total",
-    "read_objects": "objects get_truth calls returned truths for, "
+    "read_objects": "objects get_truth calls returned truths for from "
+                    "the published copy-on-write truth snapshot, "
                     "lifetime total",
-    "cache_hits": "read objects served from a warm truth-cache entry",
-    "cache_misses": "read objects resolved on demand (no cache entry, "
-                    "or invalidated by dirty claims)",
-    "cache_hit_rate": "lifetime cache_hits / read_objects (1.0 before "
-                      "the first read)",
+    "cache_hit_rate": "always 1.0: every mutating TruthService call "
+                      "resolves and publishes before it returns, so "
+                      "every read is served from the published "
+                      "snapshot; kept as a metrics() key because the "
+                      "repository benchmark reads it",
     "pending_timestamps": "distinct unsealed timestamps buffered for "
                           "window sealing (a staleness signal: claims "
                           "at these stamps have not reached an "
                           "Algorithm-2 chunk step yet)",
-    "cached_objects": "objects holding a warm entry in the versioned "
-                      "truth cache",
     "truth_version": "the weight epoch of the serving state: how many "
                      "Algorithm-2 weight refreshes (Eq. 5) the cached "
                      "truths are resolved under — truth-version churn "
@@ -162,9 +147,6 @@ METRIC_FIELDS: dict[str, str] = {
     "health_status": "SLO verdict of the health evaluator: 0 healthy, "
                      "1 degraded, 2 unhealthy (exported alongside the "
                      "registry by the metrics exporter)",
-    "snapshot_reads": "objects served by lock-free read_truth calls "
-                      "against a published copy-on-write truth "
-                      "snapshot (never blocks, bounded staleness)",
     "snapshot_seq": "monotone publication number of the latest "
                     "copy-on-write truth snapshot (0 is the empty "
                     "initial snapshot; the rate of change is the "

@@ -3,7 +3,7 @@
 Tails the JSONL snapshot stream a
 :class:`~repro.observability.export.MetricsExporter` appends to (or a
 one-shot Prometheus ``.prom`` file) and renders the serving engine's
-vitals in place: ingest/read counters, backlog and cache gauges,
+vitals in place: ingest/read counters, staleness and weight gauges,
 latency histogram quantiles, and the health verdict.  ``--once``
 renders a single frame (scripts, CI); without it the screen refreshes
 every ``--refresh`` seconds until interrupted::
@@ -36,11 +36,7 @@ REQUIRED_SERVING_METRICS = (
     "ingested_claims",
     "windows_sealed",
     "read_objects",
-    "cache_hits",
-    "cache_misses",
-    "dirty_objects",
     "pending_timestamps",
-    "cached_objects",
     "truth_version",
     "weight_entropy",
     "weight_drift",

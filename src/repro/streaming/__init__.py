@@ -9,13 +9,14 @@ Algorithm 2):
   time (:class:`Claim`), seals windows as they complete, serves warm
   truths/weights, and snapshots/restores its full state.  One writer
   thread ingests while any number of reader threads call the lock-free,
-  snapshot-isolated :meth:`TruthService.read_truth`
+  snapshot-isolated :meth:`TruthService.get_truth`, the one read
+  method; every mutating call publishes before it returns
   (``docs/ARCHITECTURE.md``, "Concurrent reads").
 
 The layers underneath: :class:`ClaimStore` (appendable claim index +
 dirty set), :class:`IncrementalCRH` (the Algorithm-2 accumulators,
 weights and history), :class:`~repro.streaming.state.TruthCache`
-(versioned truth cache) and :class:`RecomputePlanner` (dirty-set
+(warm truth columns, published copy-on-write) and :class:`RecomputePlanner` (dirty-set
 re-resolution through the shared segment kernels).
 """
 

@@ -9,8 +9,9 @@ ingest/read/snapshot surface the ROADMAP's serving story asks for:
   Algorithm-2 state and advances it one sealed window at a time;
 * :class:`~repro.streaming.planner.RecomputePlanner` re-resolves only
   dirty objects through the shared segment kernels;
-* :class:`~repro.streaming.state.TruthCache` serves warm, versioned
-  truths to :meth:`TruthService.get_truth`.
+* :class:`~repro.streaming.state.TruthCache` holds the warm truths
+  each publication freezes into the snapshot
+  :meth:`TruthService.get_truth` reads.
 
 Windowing: a window *seals* — runs one Algorithm-2 chunk step — once
 claims for more than ``window`` distinct timestamps are pending, or on
@@ -63,27 +64,19 @@ from .store import Claim, ClaimStore
 class TruthSnapshot:
     """One immutable published view of the truth cache.
 
-    Publications are copy-on-write: the column/version arrays are
-    read-only views frozen by
-    :meth:`~repro.streaming.state.TruthCache.publish`, so a reader
-    holding a snapshot sees a consistent truth state forever — later
-    seals and recomputes copy the backing buffers instead of mutating
-    them in place.  ``seq`` increases by one per publication and
-    ``epoch`` records the Algorithm-2 weight epoch the snapshot's
-    freshest truths were resolved under, which is what the torn-read
-    test in ``tests/test_serving.py`` checks against.
+    Publications are copy-on-write: the columns are read-only views
+    frozen by :meth:`~repro.streaming.state.TruthCache.publish`, so a
+    reader holding a snapshot sees a consistent truth state forever —
+    later seals and recomputes copy the backing buffers instead of
+    mutating them in place.  ``seq`` increases by one per publication.
     """
 
     #: monotone publication number (0 is the empty initial snapshot)
     seq: int
-    #: Algorithm-2 weight epoch at publication time
-    epoch: int
     #: objects covered by the snapshot (ids registered later are absent)
     n_objects: int
     #: read-only truth columns, one per schema property
     columns: tuple
-    #: read-only per-object resolution epochs (-1 = never resolved)
-    versions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -255,9 +248,6 @@ class TruthService:
         self._c_sealed = registry.counter("windows_sealed")
         self._c_recomputed = registry.counter("recomputed_objects")
         self._c_read = registry.counter("read_objects")
-        self._c_hits = registry.counter("cache_hits")
-        self._c_misses = registry.counter("cache_misses")
-        self._c_snapshot_reads = registry.counter("snapshot_reads")
         self._h_ingest = registry.histogram("ingest_seconds")
         self._h_read = registry.histogram("read_seconds")
         self._h_seal = registry.histogram("seal_seconds")
@@ -284,11 +274,6 @@ class TruthService:
     def n_sources(self) -> int:
         """Sources seen so far."""
         return self._store.n_sources
-
-    @property
-    def dirty_objects(self) -> int:
-        """Current dirty-set size (objects awaiting re-resolution)."""
-        return len(self._store.dirty)
 
     @property
     def store(self) -> ClaimStore:
@@ -322,8 +307,10 @@ class TruthService:
         Each claim is a :class:`~repro.streaming.store.Claim` (or
         anything :func:`as_claim` accepts) and must carry a timestamp.
         After the batch is absorbed, the recompute planner re-resolves
-        every dirty object under the current weights, so reads after
-        ``ingest`` returns are always fresh.
+        every dirty object under the current weights and the result is
+        published, so reads after ``ingest`` returns see the batch.  A
+        bad claim raises after the claims before it are absorbed,
+        resolved and published, as if the batch had ended there.
         """
         started = time.perf_counter()
         store = self._store
@@ -331,35 +318,37 @@ class TruthService:
         absorbed = 0
         new_objects = 0
         sealed = 0
-        for item in claims:
-            claim = as_claim(item)
-            if claim.timestamp is None:
-                raise ValueError(
-                    "claims need timestamps to drive window "
-                    "sealing; got None for object "
-                    f"{claim.object_id!r}"
-                )
-            obj, created = store.add(claim)
-            absorbed += 1
-            if created:
-                new_objects += 1
-                stamp = float(claim.timestamp)
-                if (self._sealed_high is not None
-                        and stamp <= self._sealed_high):
-                    # Late object in a sealed time range: dirty
-                    # only; weights are never rewritten.
-                    pass
-                else:
-                    self._pending.setdefault(stamp, []).append(obj)
-                    sealed += self._seal_ready()
-        dirty_after = len(store.dirty)
-        recomputed = self._recompute_dirty()
-        elapsed = time.perf_counter() - started
-        self._c_ingested.inc(absorbed)
-        self._c_recomputed.inc(recomputed)
-        self._h_ingest.observe(elapsed)
-        self._update_gauges()
-        self._publish()
+        try:
+            for item in claims:
+                claim = as_claim(item)
+                if claim.timestamp is None:
+                    raise ValueError(
+                        "claims need timestamps to drive window "
+                        "sealing; got None for object "
+                        f"{claim.object_id!r}"
+                    )
+                obj, created = store.add(claim)
+                absorbed += 1
+                if created:
+                    new_objects += 1
+                    stamp = float(claim.timestamp)
+                    if (self._sealed_high is not None
+                            and stamp <= self._sealed_high):
+                        # Late object in a sealed time range: dirty
+                        # only; weights are never rewritten.
+                        pass
+                    else:
+                        self._pending.setdefault(stamp, []).append(obj)
+                        sealed += self._seal_ready()
+        finally:
+            dirty_after = len(store.dirty)
+            recomputed = self._recompute_dirty()
+            elapsed = time.perf_counter() - started
+            self._c_ingested.inc(absorbed)
+            self._c_recomputed.inc(recomputed)
+            self._h_ingest.observe(elapsed)
+            self._update_gauges()
+            self._publish()
         return IngestReport(
             ingested_claims=absorbed,
             new_objects=new_objects,
@@ -405,8 +394,7 @@ class TruthService:
         chunk = self._store.dataset_for(indices)
         truths = self._model.partial_fit(chunk)
         self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, truths.columns,
-                          version=self._model.chunks_seen)
+        self._cache.store(indices, truths.columns)
         # Window members are freshly resolved; anything else stays
         # dirty for the planner.
         self._store.dirty.difference_update(objects)
@@ -431,8 +419,7 @@ class TruthService:
         columns = resolve_truths(self._store, indices,
                                  self._current_weights(), self._losses)
         self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, columns,
-                          version=self._model.chunks_seen)
+        self._cache.store(indices, columns)
 
     def recompute_all(self) -> int:
         """Re-resolve *every* object under the current weights.
@@ -456,18 +443,16 @@ class TruthService:
     def _publish(self) -> None:
         """Publish the current truth cache as an immutable snapshot.
 
-        Readers pick the snapshot up with one attribute read
-        (:meth:`snapshot_view`); the reference swap is atomic, so
-        :meth:`read_truth` never observes a half-written state.
+        Readers pick the snapshot up with one attribute read; the
+        reference swap is atomic, so :meth:`get_truth` never observes
+        a half-written state.
         """
         self._cache.ensure(self._store.n_objects)
-        columns, versions = self._cache.publish()
         previous = self._snapshot
         seq = 0 if previous is None else previous.seq + 1
         self._snapshot = TruthSnapshot(
-            seq=seq, epoch=self._model.chunks_seen,
-            n_objects=int(versions.size), columns=columns,
-            versions=versions,
+            seq=seq, n_objects=self._cache.n_objects,
+            columns=self._cache.publish(),
         )
         if self.registry.enabled:
             self.registry.gauge("snapshot_seq").set(seq)
@@ -476,19 +461,22 @@ class TruthService:
         """The latest published :class:`TruthSnapshot` (no lock taken)."""
         return self._snapshot
 
-    def read_truth(self, object_ids: Iterable) -> TruthTable:
-        """Snapshot-isolated truths for ``object_ids`` — never blocks.
+    def get_truth(self, object_ids: Iterable) -> TruthTable:
+        """Truths for ``object_ids`` from the latest published snapshot.
 
-        Serves the latest *published* snapshot: one atomic reference
-        read, then pure array indexing against immutable columns, so a
-        concurrent seal or recompute can never tear the result — every
-        value returned belongs to one single publication.  The cost of
-        the isolation: claims absorbed after the last publication are
-        not visible (objects never sealed/resolved read as missing),
-        and ids first seen after it raise ``KeyError`` exactly like
-        unknown ids.  Use :meth:`get_truth` for read-your-writes
-        freshness instead.
+        Lock-free from any thread: one atomic reference read, then
+        pure array indexing against immutable columns, so a concurrent
+        seal or recompute can never tear the result — every value
+        returned belongs to one single publication.  Every mutating
+        call (:meth:`ingest`, :meth:`flush`, :meth:`recompute_all`)
+        publishes before it returns, so a caller always reads its own
+        writes.  Unknown ids raise ``KeyError``, and so do ids an
+        ingest running on another thread has not published yet.  The
+        ``read_objects`` counter and ``read_seconds`` histogram are
+        updated without a lock, so concurrent readers can undercount
+        them.
         """
+        started = time.perf_counter()
         snapshot = self._snapshot
         ids = list(object_ids)
         index = self._store._object_index
@@ -501,57 +489,14 @@ class TruthService:
                     f"truth snapshot (seq {snapshot.seq})"
                 )
             indices[j] = position
-        columns = [column[indices] for column in snapshot.columns]
-        self._c_snapshot_reads.inc(len(ids))
-        return TruthTable(
-            schema=self.schema,
-            object_ids=ids,
-            columns=columns,
-            codecs=self._store.codecs(),
-        )
-
-    def get_truth(self, object_ids: Iterable) -> TruthTable:
-        """Current truths for ``object_ids`` (cache-served).
-
-        Unknown ids raise ``KeyError``.  Objects with no cache entry or
-        with un-recomputed dirty claims are resolved on demand under
-        the current weights (a cache miss); everything else is a warm
-        hit.
-        """
-        started = time.perf_counter()
-        ids = list(object_ids)
-        store = self._store
-        indices = np.fromiter(
-            (store.object_position(o) for o in ids),
-            dtype=np.int64, count=len(ids),
-        )
-        self._cache.ensure(store.n_objects)
-        if ids:
-            stale = np.fromiter(
-                (int(i) in store.dirty for i in indices),
-                dtype=bool, count=len(ids),
-            )
-            miss_mask = (self._cache.versions(indices) < 0) | stale
-            misses = np.unique(indices[miss_mask])
-            if misses.size:
-                self._resolve_into_cache(misses)
-                store.dirty.difference_update(int(i) for i in misses)
-                self._publish()
-        else:
-            miss_mask = np.zeros(0, dtype=bool)
-        columns = self._cache.columns_at(indices)
         table = TruthTable(
             schema=self.schema,
             object_ids=ids,
-            columns=columns,
-            codecs=store.codecs(),
+            columns=[column[indices] for column in snapshot.columns],
+            codecs=self._store.codecs(),
         )
-        hits = int((~miss_mask).sum())
         self._c_read.inc(len(ids))
-        self._c_hits.inc(hits)
-        self._c_misses.inc(len(ids) - hits)
         self._h_read.observe(time.perf_counter() - started)
-        self._update_gauges()
         return table
 
     def get_weights(self) -> np.ndarray:
@@ -571,9 +516,7 @@ class TruthService:
         registry = self.registry
         if not registry.enabled:
             return
-        registry.gauge("dirty_objects").set(len(self._store.dirty))
         registry.gauge("pending_timestamps").set(len(self._pending))
-        registry.gauge("cached_objects").set(self._cache.n_cached())
         registry.gauge("truth_version").set(self._model.chunks_seen)
         drift = self._model.last_weight_delta
         registry.gauge("weight_drift").set(
@@ -586,10 +529,6 @@ class TruthService:
         else:
             entropy = 0.0
         registry.gauge("weight_entropy").set(entropy)
-        hits = self._c_hits.value
-        reads = hits + self._c_misses.value
-        registry.gauge("cache_hit_rate").set(hits / reads
-                                             if reads else 1.0)
 
     def _serving_totals(self) -> dict:
         """The lifetime serving counters as a plain int dict (the
@@ -600,13 +539,10 @@ class TruthService:
             "windows_sealed": int(self._c_sealed.value),
             "recomputed_objects": int(self._c_recomputed.value),
             "read_objects": int(self._c_read.value),
-            "cache_hits": int(self._c_hits.value),
-            "cache_misses": int(self._c_misses.value),
-            "snapshot_reads": int(self._c_snapshot_reads.value),
         }
 
     def metrics(self) -> dict:
-        """Serving counters: sizes, dirty set, cache hit rate.
+        """Serving counters: sizes, windows, reads, publications.
 
         Backed by :attr:`registry` — the counter-valued keys read the
         live :class:`~repro.observability.metrics.MetricsRegistry`
@@ -614,23 +550,16 @@ class TruthService:
         ``docs/OBSERVABILITY.md`` glossary name.
         """
         totals = self._serving_totals()
-        hits = totals["cache_hits"]
-        reads = hits + totals["cache_misses"]
         return {
             "n_sources": self._store.n_sources,
             "n_objects": self._store.n_objects,
             "n_claims": self._store.n_claims(),
             "windows_sealed": totals["windows_sealed"],
             "pending_timestamps": len(self._pending),
-            "dirty_objects": len(self._store.dirty),
-            "cached_objects": self._cache.n_cached(),
             "ingested_claims": totals["ingested_claims"],
             "recomputed_objects": totals["recomputed_objects"],
             "read_objects": totals["read_objects"],
-            "cache_hits": hits,
-            "cache_misses": totals["cache_misses"],
-            "cache_hit_rate": hits / reads if reads else 1.0,
-            "snapshot_reads": totals["snapshot_reads"],
+            "cache_hit_rate": 1.0,
             "snapshot_seq": self._snapshot.seq,
         }
 
@@ -660,7 +589,6 @@ class TruthService:
             "weights": model.weights.copy() if fitted else np.zeros(0),
             "weight_history": (model.weight_history if fitted
                                else np.zeros((0, 0))),
-            "cache_versions": self._cache.all_versions(),
         }
         for m, column in enumerate(self._cache.full_columns()):
             arrays[f"cache_col{m}"] = column
@@ -674,7 +602,6 @@ class TruthService:
             "sealed_high": self._sealed_high,
             "pending": [[stamp, objs]
                         for stamp, objs in self._pending.items()],
-            "dirty": sorted(int(i) for i in self._store.dirty),
             "totals": self._serving_totals(),
         }
         (directory / "service.json").write_text(json.dumps(meta, indent=2))
@@ -684,9 +611,11 @@ class TruthService:
                 metrics: MetricsRegistry | None = None) -> "TruthService":
         """Rebuild a service from a :meth:`snapshot` directory.
 
-        Older snapshots' ``chunks_seen``, ``window_advances`` and
-        ``decay_applications`` keys are ignored: ``epoch`` carries the
-        chunk count.
+        Keys older snapshots carry are ignored: ``chunks_seen``,
+        ``window_advances`` and ``decay_applications`` (``epoch``
+        carries the chunk count), the per-object cache versions, the
+        ``dirty`` list (every snapshot is taken with the dirty set
+        drained) and retired ``totals`` counters.
         """
         directory = Path(directory)
         meta = json.loads((directory / "service.json").read_text())
@@ -719,11 +648,8 @@ class TruthService:
                 bundle["weights"], history,
                 chunks_seen=int(meta["epoch"]),
             )
-        versions = bundle["cache_versions"]
-        columns = [bundle[f"cache_col{m}"]
-                   for m in range(len(matrix.schema))]
-        service._cache.load(columns, versions)
-        service._cache.ensure(service._store.n_objects)
+        service._cache.load([bundle[f"cache_col{m}"]
+                             for m in range(len(matrix.schema))])
         sealed_high = meta.get("sealed_high")
         service._sealed_high = (None if sealed_high is None
                                 else float(sealed_high))
@@ -731,9 +657,9 @@ class TruthService:
             float(stamp): [int(i) for i in objs]
             for stamp, objs in meta.get("pending", [])
         }
-        service._store.dirty = {int(i) for i in meta.get("dirty", [])}
-        for name, value in meta.get("totals", {}).items():
-            service.registry.counter(name).inc(float(value))
+        totals = meta.get("totals", {})
+        for name in service._serving_totals():
+            service.registry.counter(name).inc(float(totals.get(name, 0)))
         service._update_gauges()
         service._publish()
         return service

@@ -203,8 +203,7 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
           f"{metrics['cache_hit_rate']:.1%}")
     print(f"state: {metrics['n_sources']} sources, "
           f"{metrics['n_objects']:,} objects, "
-          f"{metrics['dirty_objects']} dirty, "
-          f"{metrics['cached_objects']:,} cached")
+          f"{metrics['pending_timestamps']} pending timestamps")
     weights = service.weights_by_source()
     top = sorted(weights, key=weights.get, reverse=True)[:3]
     print("top sources: "

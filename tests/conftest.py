@@ -1,9 +1,20 @@
-"""Shared fixtures: small deterministic workloads used across test modules."""
+"""Shared fixtures: small deterministic workloads used across test modules.
+
+Also registers the hypothesis profiles.  ``tier1`` (the default) is
+derandomized, so every run of the suite draws the same examples, and
+sets no deadline, so a slow host cannot fail a property test.
+``ci-explore`` draws fresh random examples, runs more of them for the
+tests that leave the count to the profile, and prints the blob that
+reproduces a failure::
+
+    pytest tests/ --hypothesis-profile=ci-explore
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import (
     DatasetBuilder,
@@ -13,6 +24,11 @@ from repro.data import (
     continuous,
 )
 from repro.datasets import WeatherConfig, generate_weather_dataset
+
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("ci-explore", deadline=None, max_examples=500,
+                          print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture()

@@ -1,15 +1,20 @@
-"""Documentation link check: every relative link and anchor resolves.
+"""Documentation link check: every relative link, anchor and code path
+resolves.
 
 Scans the markdown the repository ships (``README.md`` and
 ``docs/*.md``) for ``[text](target)`` links and verifies that relative
 targets point at files that exist and that ``#fragment`` anchors match a
 heading in the target document (GitHub slug rules: lowercase, spaces to
 dashes, punctuation dropped).  External ``http(s)`` links are only
-checked for well-formedness — the suite must pass offline.
+checked for well-formedness — the suite must pass offline.  Every
+backticked dotted ``repro.…`` path in those documents plus
+``DESIGN.md`` and ``EXPERIMENTS.md`` must name a module or attribute
+that exists.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -17,6 +22,10 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted([REPO / "README.md", *(REPO / "docs").glob("*.md")])
+CODE_PATH_DOCUMENTS = sorted([*DOCUMENTS, REPO / "DESIGN.md",
+                              REPO / "EXPERIMENTS.md"])
+
+_CODE_PATH = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
@@ -80,3 +89,28 @@ def test_docs_reference_each_other():
     assert "OBSERVABILITY.md" in api
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert "OBSERVABILITY.md" in readme
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from
+    the longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("document", CODE_PATH_DOCUMENTS,
+                         ids=[d.name for d in CODE_PATH_DOCUMENTS])
+def test_code_paths_resolve(document):
+    paths = _CODE_PATH.findall(document.read_text(encoding="utf-8"))
+    broken = sorted({path for path in paths if not _resolves(path)})
+    assert not broken, f"{document.name}: unresolved code paths {broken}"

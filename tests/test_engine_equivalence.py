@@ -445,7 +445,7 @@ class TestMmapEquivalence:
 class TestBackendFuzz:
     """Hypothesis property: all four backends agree bitwise, always."""
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
         seed=st.integers(0, 10_000),
         density=st.floats(0.15, 0.7),

@@ -232,7 +232,6 @@ class TestJsonlRoundTrip:
         service.ingest(iter_dataset_claims(weather))
         service.flush()
         service.get_truth(list(weather.object_ids[:5]))
-        service.read_truth(list(weather.object_ids[:5]))
         prom = tmp_path / "serve.prom"
         MetricsExporter(service.registry, prom_path=prom,
                         health=HealthCheck()).export()

@@ -61,21 +61,21 @@ class TestRegistry:
 
     def test_gauge_moves_both_ways(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("dirty_objects")
+        gauge = registry.gauge("pending_timestamps")
         gauge.set(10.0)
         gauge.inc(-3.0)
-        assert registry.value("dirty_objects") == 7.0
+        assert registry.value("pending_timestamps") == 7.0
 
     def test_same_name_same_labels_is_same_instrument(self):
         registry = MetricsRegistry()
-        a = registry.counter("cache_hits", tier="1")
-        b = registry.counter("cache_hits", tier="1")
-        other = registry.counter("cache_hits", tier="2")
+        a = registry.counter("read_objects", tier="1")
+        b = registry.counter("read_objects", tier="1")
+        other = registry.counter("read_objects", tier="2")
         assert a is b
         assert a is not other
         a.inc()
-        assert registry.value("cache_hits", tier="1") == 1.0
-        assert registry.value("cache_hits", tier="2") == 0.0
+        assert registry.value("read_objects", tier="1") == 1.0
+        assert registry.value("read_objects", tier="2") == 0.0
 
     def test_one_kind_per_name(self):
         registry = MetricsRegistry()
@@ -92,7 +92,7 @@ class TestRegistry:
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("ingested_claims")
         counter.inc(5.0)
-        registry.gauge("dirty_objects").set(9.0)
+        registry.gauge("pending_timestamps").set(9.0)
         registry.histogram("read_seconds").observe(0.1)
         assert counter is registry.histogram("anything")  # shared null
         assert registry.snapshot() == {"counters": [], "gauges": [],
@@ -101,12 +101,12 @@ class TestRegistry:
 
     def test_snapshot_layout(self):
         registry = MetricsRegistry()
-        registry.counter("cache_hits").inc(3)
+        registry.counter("read_objects").inc(3)
         registry.gauge("truth_version").set(7)
         registry.histogram("read_seconds").observe(1e-4)
         snapshot = registry.snapshot()
         assert snapshot["counters"] == [
-            {"name": "cache_hits", "labels": {}, "value": 3.0}]
+            {"name": "read_objects", "labels": {}, "value": 3.0}]
         assert snapshot["gauges"] == [
             {"name": "truth_version", "labels": {}, "value": 7.0}]
         (histogram,) = snapshot["histograms"]
@@ -165,8 +165,8 @@ class TestPrometheusExposition:
     def _populated(self):
         registry = MetricsRegistry()
         registry.counter("ingested_claims").inc(10)
-        registry.counter("cache_hits", tier="1").inc(2)
-        registry.gauge("dirty_objects").set(3)
+        registry.counter("read_objects", tier="1").inc(2)
+        registry.gauge("pending_timestamps").set(3)
         histogram = registry.histogram("read_seconds",
                                        bounds=(1e-4, 1e-3))
         histogram.observe(5e-5)
@@ -178,7 +178,7 @@ class TestPrometheusExposition:
         text = self._populated().to_prometheus()
         assert validate_exposition(text) == []
         assert exposition_metric_names(text) >= {
-            "ingested_claims", "cache_hits", "dirty_objects",
+            "ingested_claims", "read_objects", "pending_timestamps",
             "read_seconds"}
 
     def test_histogram_buckets_are_cumulative(self):
@@ -215,15 +215,15 @@ class TestPrometheusExposition:
     def test_flatten_snapshot_sums_counters_and_expands_histograms(self):
         values = flatten_snapshot(self._populated().snapshot())
         assert values["ingested_claims"] == 10.0
-        assert values["cache_hits"] == 2.0  # labeled counters sum
-        assert values["dirty_objects"] == 3.0
+        assert values["read_objects"] == 2.0  # labeled counters sum
+        assert values["pending_timestamps"] == 3.0
         assert values["read_seconds_count"] == 3.0
         assert values["read_seconds_sum"] == pytest.approx(2.00055)
 
 
 class TestHealth:
     def test_rule_verdicts_above(self):
-        rule = SLORule(name="backlog", metric="dirty_objects",
+        rule = SLORule(name="staleness", metric="pending_timestamps",
                        warn=10, fail=100)
         assert rule.verdict(5) == "healthy"
         assert rule.verdict(50) == "degraded"
@@ -231,7 +231,7 @@ class TestHealth:
         assert rule.verdict(None) == "healthy"
 
     def test_rule_verdicts_below(self):
-        rule = SLORule(name="hits", metric="cache_hit_rate",
+        rule = SLORule(name="entropy", metric="weight_entropy",
                        warn=0.5, fail=0.1, direction="below")
         assert rule.verdict(0.9) == "healthy"
         assert rule.verdict(0.3) == "degraded"
@@ -248,7 +248,7 @@ class TestHealth:
             SLORule(name="x", metric="m", warn=1, direction="sideways")
 
     def test_parse_rule_round_trips(self):
-        for text in ("dirty_objects>100:1000", "cache_hit_rate<0.5:0.1",
+        for text in ("pending_timestamps>64:4096", "weight_entropy<0.5:0.1",
                      "pending_timestamps>8"):
             rule = parse_rule(text)
             assert rule.render() == text
@@ -282,13 +282,13 @@ class TestHealth:
 
     def test_report_dict_and_render(self):
         report = HealthCheck((
-            SLORule(name="backlog", metric="dirty_objects",
+            SLORule(name="staleness", metric="pending_timestamps",
                     warn=1, fail=10),
-        )).evaluate({"dirty_objects": 5})
+        )).evaluate({"pending_timestamps": 5})
         data = report.to_dict()
         assert data["status"] == "degraded"
-        assert data["rules"][0]["rule"] == "dirty_objects>1:10"
-        assert "backlog: degraded" in report.render()
+        assert data["rules"][0]["rule"] == "pending_timestamps>1:10"
+        assert "staleness: degraded" in report.render()
 
 
 class TestExporter:
@@ -301,7 +301,7 @@ class TestExporter:
 
     def test_export_appends_jsonl_and_reports_health(self, tmp_path):
         registry = MetricsRegistry()
-        registry.gauge("dirty_objects").set(5_000)  # past warn=1000
+        registry.gauge("pending_timestamps").set(100)  # past warn=64
         exporter = MetricsExporter(
             registry,
             prom_path=tmp_path / "m.prom",
@@ -309,7 +309,7 @@ class TestExporter:
             health=HealthCheck(),
         )
         first = exporter.export()
-        registry.gauge("dirty_objects").set(0)
+        registry.gauge("pending_timestamps").set(0)
         second = exporter.export()
         assert exporter.exports == 2
         assert first["health"]["status"] == "degraded"
@@ -375,9 +375,9 @@ class TestTopDashboard:
         frame = render_snapshot(self._export(tmp_path))
         # the overall verdict depends on live gauges (a short stream
         # can legitimately trip the stall rule); the section must render
-        assert "health: " in frame and "backlog:" in frame
+        assert "health: " in frame and "staleness:" in frame
         assert "ingested_claims" in frame
-        assert "dirty_objects" in frame
+        assert "pending_timestamps" in frame
         assert "ingest_seconds" in frame and "us" in frame
 
     def test_once_renders_single_frame(self, tmp_path, capsys):
@@ -408,7 +408,7 @@ class TestHttpEndpoints:
 
         registry = MetricsRegistry()
         registry.counter("ingested_claims").inc(5)
-        backlog = registry.gauge("dirty_objects")
+        pending = registry.gauge("pending_timestamps")
         server = _start_http_server(0, registry, HealthCheck())
         port = server.server_address[1]
         try:
@@ -424,7 +424,7 @@ class TestHttpEndpoints:
                 report = json.loads(reply.read())
             assert report["status"] == "healthy"
 
-            backlog.set(1e9)  # past the default fail threshold
+            pending.set(1e9)  # past the default fail threshold
             with pytest.raises(HTTPError) as excinfo:
                 urlopen(f"http://127.0.0.1:{port}/healthz")
             assert excinfo.value.code == 503
@@ -447,7 +447,7 @@ class TestServeSimCli:
         code = main(["serve-sim", "--cities", "2", "--days", "6",
                      "--prom", str(prom), "--metrics-jsonl",
                      str(jsonl), "--export-every", "2",
-                     "--slo", "dirty_objects>1000:100000"])
+                     "--slo", "pending_timestamps>64:4096"])
         assert code == 0
         out = capsys.readouterr().out
         assert "health:" in out
@@ -476,13 +476,12 @@ class TestServiceMetrics:
     def test_counters_track_serving_activity(self):
         service = _stream(_service(), n_claims=60)
         service.get_truth(service.object_ids)
-        service.get_truth(service.object_ids)  # all warm now
+        service.get_truth(service.object_ids)
         metrics = service.metrics()
         assert metrics["ingested_claims"] == 60
         assert metrics["windows_sealed"] >= 1
-        assert metrics["cache_hits"] + metrics["cache_misses"] == \
-            metrics["read_objects"]
-        assert metrics["cache_hits"] >= len(service.object_ids)
+        assert metrics["read_objects"] == 2 * len(service.object_ids)
+        assert metrics["cache_hit_rate"] == 1.0
         assert all(isinstance(v, int) for k, v in metrics.items()
                    if k != "cache_hit_rate")
 
@@ -490,13 +489,16 @@ class TestServiceMetrics:
         service = _stream(_service())
         service.get_truth(service.object_ids)
         names = {i.name for i in service.registry.instruments()}
-        assert {"dirty_objects", "pending_timestamps", "cached_objects",
-                "truth_version", "weight_entropy", "weight_drift",
-                "cache_hit_rate"} <= names
+        assert {"pending_timestamps", "truth_version", "weight_entropy",
+                "weight_drift", "snapshot_seq"} <= names
+        # names whose value could not change between calls are gone
+        assert not {"dirty_objects", "cached_objects", "cache_hits",
+                    "cache_misses", "cache_hit_rate",
+                    "snapshot_reads"} & names
         assert service.registry.histogram("ingest_seconds").count >= 1
         assert service.registry.histogram("read_seconds").count >= 1
         assert service.registry.histogram("seal_seconds").count >= 1
-        assert service.registry.value("cached_objects") == \
+        assert service.registry.value("read_objects") == \
             len(service.object_ids)
 
     def test_injected_registry_is_used(self):
@@ -530,8 +532,7 @@ class TestServiceMetrics:
         restored = TruthService.restore(tmp_path)
         before, after = service.metrics(), restored.metrics()
         for name in ("ingested_claims", "windows_sealed",
-                     "recomputed_objects", "read_objects",
-                     "cache_hits", "cache_misses"):
+                     "recomputed_objects", "read_objects"):
             assert after[name] == before[name], name
         assert restored.registry.value("ingested_claims") == \
             before["ingested_claims"]

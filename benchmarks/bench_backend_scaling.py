@@ -4,7 +4,8 @@ Two acceptance benchmarks run here, on the same 5%-density synthetic
 workload (K=50 sources, N=100k objects, 3 continuous properties):
 
 * **memory** (PR 2): the sparse backend's peak memory must be at least
-  5x lower than the dense backend's;
+  5x lower than the dense backend's, and at most
+  :data:`CLAIM_BYTES_BAR` times the claims matrix's own array bytes;
 * **parallel speedup** (PR 4): the process backend at 4 workers must be
   at least 1.7x faster than single-process sparse — asserted only when
   the machine actually has 4+ usable CPUs (measurements always print).
@@ -45,6 +46,8 @@ ITERATIONS = 8
 #: process-backend worker counts measured by the comparison
 WORKER_POINTS = (1, 2, 4)
 SPEEDUP_BAR = 1.7
+#: sparse peak memory bound, as a multiple of the claim arrays' bytes
+CLAIM_BYTES_BAR = 2.5
 
 
 def _smoke() -> bool:
@@ -116,6 +119,7 @@ def _assert_identical(reference, other) -> None:
 def run_comparison() -> dict:
     """Measure every backend, print the table, enforce the acceptance bars."""
     dataset = build_workload()
+    claim_bytes = dataset.nbytes()
     cpus = available_workers()
     print(f"\nBackend scaling: K={N_SOURCES}, N={_n_objects():,}, "
           f"density={DENSITY:.0%}, {dataset.n_claims():,} claims, "
@@ -135,6 +139,7 @@ def run_comparison() -> dict:
     dense_result, dense_peak, _ = measurements["dense"]
     ratio = dense_peak / sparse_peak
     print(f"  dense/sparse peak-memory ratio: {ratio:.1f}x")
+    print(f"  sparse peak / claim bytes: {sparse_peak / claim_bytes:.2f}x")
     _assert_identical(sparse_result, dense_result)
     speedups = {}
     for workers in WORKER_POINTS:
@@ -148,6 +153,11 @@ def run_comparison() -> dict:
             f"sparse backend saved only {ratio:.1f}x peak memory "
             f"(dense {dense_peak / 2**20:.1f} MiB, sparse "
             f"{sparse_peak / 2**20:.1f} MiB); acceptance bar is 5x"
+        )
+        assert sparse_peak <= CLAIM_BYTES_BAR * claim_bytes, (
+            f"sparse peak {sparse_peak / 2**20:.1f} MiB is "
+            f"{sparse_peak / claim_bytes:.2f}x the claim arrays' "
+            f"{claim_bytes / 2**20:.1f} MiB; bar is {CLAIM_BYTES_BAR}x"
         )
     if not _smoke() and cpus >= 4:
         assert speedups[4] >= SPEEDUP_BAR, (

@@ -54,7 +54,7 @@ def test_segment_weighted_median_throughput(benchmark, claim_views):
     result = benchmark(
         kernels.segment_weighted_median, view.values,
         view.claim_weights(weights), view.indptr,
-        group_of_claim=view.object_idx, plan=view.median_plan(),
+        group_of_claim=view.object_idx, order=view.median_order(),
     )
     assert result.shape == (50_000,)
 

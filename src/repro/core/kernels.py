@@ -117,72 +117,6 @@ def effective_claim_weights(
     return _effective_weights(claim_weights, indptr, group_of_claim)
 
 
-class MedianSortPlan:
-    """Reusable sort structure of :func:`segment_weighted_median`.
-
-    The kernel's dominant cost is the ``np.lexsort`` into ``(group,
-    value)`` order — an order that depends only on the claim values and
-    grouping, never on the iteration's weights.  A plan captures that
-    order (plus the values gathered into it and a reusable weight
-    scratch buffer, one trailing slot wide so ``np.add.reduceat`` can
-    take a prefix ending at the array's full length), so every
-    iteration of a solve pays one weight gather instead of a fresh
-    sort.  :meth:`~repro.data.claims_matrix.ClaimView.median_plan`
-    caches one plan per claim view — the arrays a plan is built from
-    are immutable for the view's lifetime.
-
-    Once the sort is amortized away, the next cost tier is the bundle
-    of segment arrays the kernel derives from ``indptr`` on every call
-    — starts, the occupied-group index, the binary search's initial
-    bounds.  Those are just as iteration-invariant as the sort
-    order, so :meth:`segments` computes them once (lazily, from the
-    first ``indptr`` the kernel passes in — the plan's grouping is
-    derived from that same ``indptr``, so it never changes for the
-    plan's lifetime) together with per-call ``lo`` / ``hi`` /
-    ``threshold`` scratch buffers.
-
-    The scratch buffers make a plan single-threaded state: two
-    concurrent median calls over one plan would race on them.  Every
-    engine (including the process backend, whose workers hold
-    per-shard views in distinct processes) runs kernels on one thread,
-    so this is the same contract the rest of the kernel layer already
-    has.
-    """
-
-    __slots__ = ("order", "sorted_values", "weight_scratch",
-                 "starts", "occupied", "_hi0",
-                 "_lo", "_hi", "_threshold")
-
-    def __init__(self, values: np.ndarray,
-                 group_of_claim: np.ndarray,
-                 indptr: np.ndarray | None = None) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        self.order = np.lexsort((values, group_of_claim))
-        self.sorted_values = values[self.order]
-        self.weight_scratch = np.empty(values.shape[0] + 1,
-                                       dtype=np.float64)
-        self.starts = None
-        if indptr is not None:
-            self.segments(indptr)
-
-    def segments(self, indptr: np.ndarray) -> "MedianSortPlan":
-        """Cache the segment arrays derived from ``indptr``; returns self.
-
-        Pure reuse: the cached arrays hold exactly the values the
-        kernel would compute per call (same dtypes, same contents).
-        """
-        if self.starts is None:
-            self.starts = np.asarray(indptr[:-1], dtype=np.int64)
-            sizes = np.diff(indptr).astype(np.int64)
-            self.occupied = np.flatnonzero(sizes > 0)
-            self._hi0 = np.maximum(sizes - 1, 0)
-            n_groups = sizes.shape[0]
-            self._lo = np.empty(n_groups, dtype=np.int64)
-            self._hi = np.empty(n_groups, dtype=np.int64)
-            self._threshold = np.empty(n_groups, dtype=np.float64)
-        return self
-
-
 def segment_weighted_mean(values: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray,
                           group_of_claim: np.ndarray | None = None,
@@ -203,7 +137,7 @@ def segment_weighted_mean(values: np.ndarray, claim_weights: np.ndarray,
 def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
                             indptr: np.ndarray,
                             group_of_claim: np.ndarray | None = None,
-                            plan: MedianSortPlan | None = None,
+                            order: np.ndarray | None = None,
                             effective: tuple[np.ndarray, np.ndarray]
                             | None = None) -> np.ndarray:
     """Weighted median of every claim group (Eq. 16); ``NaN`` when empty.
@@ -213,14 +147,15 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     weights, and pick the first claim whose cumulative weight reaches
     ``W/2 - 1e-12``.
 
-    ``plan`` optionally supplies a precomputed
-    :class:`MedianSortPlan` for exactly these ``values`` /
-    ``group_of_claim`` arrays (claim views cache one), skipping the
-    dominant ``np.lexsort``; ``effective`` optionally supplies the
+    ``order`` optionally supplies the ``np.lexsort((values,
+    group_of_claim))`` permutation for exactly these arrays (claim views
+    cache one, :meth:`~repro.data.claims_matrix.ClaimView.median_order`),
+    skipping the dominant sort; ``effective`` optionally supplies the
     :func:`effective_claim_weights` pair so a caller running several
     kernels over one weighting (the Huber loss) doesn't recompute it.
-    Both are pure reuse — the result is bit-identical
-    with or without them.
+    Both are pure reuse — the result is bit-identical with or without
+    them.  Every other row (sorted weights, segment starts, search
+    bounds) is allocated fresh per call, so the kernel holds no state.
 
     Every prefix mass is evaluated *segment-locally* (a reduction over
     the group's own rows only, never a global running sum), so the
@@ -234,35 +169,27 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     weights, totals = (effective if effective is not None
                        else _effective_weights(claim_weights, indptr,
                                                group_of_claim))
-    n_groups = indptr.shape[0] - 1
-    if plan is None:
-        plan = MedianSortPlan(values, group_of_claim, indptr)
-    else:
-        plan.segments(indptr)
-    sorted_values = plan.sorted_values
-    # The scratch's one trailing zero lets reduceat accept a prefix
-    # ending at the array's full length without changing any prefix sum.
-    sorted_weights = plan.weight_scratch
-    np.take(weights, plan.order, out=sorted_weights[:-1])
+    if order is None:
+        order = np.lexsort((values, group_of_claim))
+    # One trailing zero lets reduceat accept a prefix ending at the
+    # array's full length without changing any prefix sum.
+    sorted_weights = np.empty(values.shape[0] + 1, dtype=np.float64)
+    np.take(weights, order, out=sorted_weights[:-1])
     sorted_weights[-1] = 0.0
 
-    starts = plan.starts
-    # totals / 2 is an exact binary scaling, written in place into the
-    # plan's threshold scratch to keep the call allocation-free.
-    threshold = plan._threshold
-    np.divide(totals, 2.0, out=threshold)
-    threshold -= 1e-12
+    starts = np.asarray(indptr[:-1], dtype=np.int64)
+    sizes = np.diff(indptr).astype(np.int64)
+    occupied = np.flatnonzero(sizes > 0)
+    # totals / 2 is an exact binary scaling.
+    threshold = totals / 2.0 - 1e-12
     # Per-group binary search over the claim rank: find the first sorted
     # row whose segment-local prefix mass reaches the half-mass
     # threshold.  Prefix masses are non-decreasing in the rank (weights
     # are non-negative and float addition of non-negative terms is
     # monotone), and the full-group prefix always reaches the threshold,
     # so the search converges to the first crossing.
-    lo = plan._lo
-    lo.fill(0)
-    hi = plan._hi
-    np.copyto(hi, plan._hi0)
-    occupied = plan.occupied
+    lo = np.zeros(sizes.shape[0], dtype=np.int64)
+    hi = np.maximum(sizes - 1, 0)
     while True:
         open_ = occupied[lo[occupied] < hi[occupied]]
         if open_.size == 0:
@@ -275,8 +202,8 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
         reached = prefix_mass >= threshold[open_]
         hi[open_[reached]] = mid[reached]
         lo[open_[~reached]] = mid[~reached] + 1
-    result = np.full(n_groups, np.nan)
-    result[occupied] = sorted_values[starts[occupied] + lo[occupied]]
+    result = np.full(sizes.shape[0], np.nan)
+    result[occupied] = values[order[starts[occupied] + lo[occupied]]]
     return result
 
 
@@ -293,7 +220,8 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
     """Weighted vote per claim group (Eq. 9).
 
     Returns an ``int32`` vector of winning codes, ``MISSING_CODE`` for
-    empty groups; ties break toward the smallest code.
+    empty groups (every group, when the codec has no category yet);
+    ties break toward the smallest code.
 
     Past :data:`VOTE_DENSE_SCORE_CELLS` score cells the dense
     ``(n_categories, n_groups)`` matrix is replaced by a sparse
@@ -311,6 +239,8 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
         group_of_claim = _group_of_claim(indptr)
     weights, _ = _effective_weights(claim_weights, indptr, group_of_claim)
     n_groups = indptr.shape[0] - 1
+    if n_categories == 0:
+        return np.full(n_groups, MISSING_CODE, dtype=np.int32)
     if n_categories * n_groups > VOTE_DENSE_SCORE_CELLS:
         return _sparse_weighted_vote(codes, weights, group_of_claim,
                                      n_groups, n_categories)
@@ -375,6 +305,8 @@ def segment_label_distribution(
         distribution = scores / totals[None, :]
     empty = totals <= 0
     distribution[:, empty] = 0.0
+    if n_categories == 0:
+        return distribution, np.full(n_groups, MISSING_CODE, dtype=np.int32)
     column = distribution.argmax(axis=0).astype(np.int32)
     column[empty] = MISSING_CODE
     return distribution, column

@@ -265,7 +265,7 @@ class NormalizedAbsoluteLoss(Loss):
         state = TruthState(column=kernels.segment_weighted_median(
             view.values, view.claim_weights(weights), view.indptr,
             group_of_claim=view.object_idx,
-            plan=view.median_plan(),
+            order=view.median_order(),
         ))
         _entry_std(state.aux, prop)
         return state

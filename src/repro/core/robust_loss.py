@@ -68,7 +68,7 @@ class HuberLoss(Loss):
         The effective claim weights are computed once and shared by the
         median warm start and the IRLS solve (they derive the identical
         pair internally), and the median reuses the view's cached sort
-        plan — pure reuse, bit-identical.
+        order — pure reuse, bit-identical.
         """
         view = prop.claim_view()
         state = TruthState(column=np.empty(0))
@@ -80,7 +80,7 @@ class HuberLoss(Loss):
         initial = kernels.segment_weighted_median(
             view.values, claim_weights, view.indptr,
             group_of_claim=view.object_idx,
-            plan=view.median_plan(), effective=effective,
+            order=view.median_order(), effective=effective,
         )
         state.column = kernels.segment_huber_irls(
             view.values, claim_weights, view.indptr, std, initial,

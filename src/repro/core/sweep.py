@@ -14,7 +14,7 @@ properties calling the loss's only method for that side:
   :class:`~repro.core.session.ExecutionSession`.
 
 Iteration-invariant per-view state (the claim grouping, the weighted
-median's sort plan, the per-entry std) is cached on each claim view, so
+median's sort order, the per-entry std) is cached on each claim view, so
 it is computed once per view lifetime, not per iteration.  The process
 and mmap runners evaluate the same loss methods shard- or chunk-wise.
 """

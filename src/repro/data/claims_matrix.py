@@ -60,8 +60,9 @@ class ClaimView:
 
     The per-entry standard deviation of Eqs. 13/15 depends only on the
     claims, so it is computed once per view and cached; the weighted
-    median's sort plan (:meth:`median_plan`) is cached the same way —
-    both are pure functions of the view's immutable arrays.
+    median's ``(object, value)`` sort order (:meth:`median_order`) is
+    cached the same way — both are pure functions of the view's
+    immutable arrays, and they are the only derived arrays a view holds.
     """
 
     values: np.ndarray
@@ -71,7 +72,7 @@ class ClaimView:
     n_objects: int
     n_sources: int
     _std: np.ndarray | None = field(default=None, repr=False)
-    _median_plan: object | None = field(default=None, repr=False)
+    _median_order: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_claims(self) -> int:
@@ -92,21 +93,18 @@ class ClaimView:
             )
         return self._std
 
-    def median_plan(self):
-        """The weighted median's :class:`~repro.core.kernels.MedianSortPlan`.
+    def median_order(self) -> np.ndarray:
+        """The weighted median's ``(object, value)`` lexsort permutation.
 
-        The plan (the ``(object, value)`` lexsort order plus a weight
-        scratch buffer) depends only on the view's values and grouping,
-        never on iteration weights, so one plan serves every iteration
-        of a solve; cached on first use like :meth:`entry_std`.
+        The order depends only on the view's values and grouping, never
+        on iteration weights, so one sort serves every iteration of a
+        solve; cached on first use like :meth:`entry_std`.
         """
-        if self._median_plan is None:
-            from ..core.kernels import MedianSortPlan
-            self._median_plan = MedianSortPlan(
-                np.asarray(self.values, dtype=np.float64),
-                self.object_idx, self.indptr,
+        if self._median_order is None:
+            self._median_order = np.lexsort(
+                (np.asarray(self.values, dtype=np.float64), self.object_idx)
             )
-        return self._median_plan
+        return self._median_order
 
 
 def _canonical_order(object_idx: np.ndarray,

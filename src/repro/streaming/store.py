@@ -273,8 +273,13 @@ class ClaimStore:
                 f"unknown property {claim.property_name!r}; schema has "
                 f"{list(self._prop_index)}"
             )
-        source = self.source_position(claim.source_id)
+        # Convert and look up before registering anything, so a bad
+        # value or id leaves no source or object behind.
+        codec = self._codecs.get(claim.property_name)
+        value = (codec.encode(claim.value) if codec is not None
+                 else float(claim.value))
         obj = self._object_index.get(claim.object_id)
+        source = self.source_position(claim.source_id)
         created = obj is None
         if created:
             obj = len(self._object_ids)
@@ -288,9 +293,6 @@ class ClaimStore:
         first = self._first[m]._buf  # the raw buffer: no view per claim
         if first[obj] == _NO_CLAIM:
             first[obj] = len(self._obj[m])
-        codec = self._codecs.get(claim.property_name)
-        value = (codec.encode(claim.value) if codec is not None
-                 else claim.value)
         self._values[m].append(value)
         self._src[m].append(source)
         self._obj[m].append(obj)

@@ -222,6 +222,18 @@ class TestMemoryFootprint:
             f"{sparse_peak / 2**20:.1f} MiB - only {ratio:.1f}x"
         )
 
+    def test_sparse_peak_within_claim_bytes_bound(self):
+        """Absolute bar: the sparse solve's heap peak stays within 2.5x
+        the claims matrix's own array bytes."""
+        dataset = _synthetic_sparse(k=50, n=100_000, density=0.05)
+        claim_bytes = dataset.nbytes()
+        sparse_peak = _peak_bytes(dataset, "sparse")
+        assert sparse_peak <= 2.5 * claim_bytes, (
+            f"sparse peak {sparse_peak / 2**20:.1f} MiB is "
+            f"{sparse_peak / claim_bytes:.2f}x the "
+            f"{claim_bytes / 2**20:.1f} MiB of claim arrays; bar is 2.5x"
+        )
+
     def test_backends_still_identical_at_scale(self):
         dataset = _synthetic_sparse(k=20, n=5_000, density=0.05, seed=3)
         dense = crh(dataset, backend="dense", max_iterations=5)

@@ -4,7 +4,7 @@ Every segment kernel is checked against the scalar oracles in
 ``repro.core.weighted_stats`` on randomized segmented inputs, plus the
 edge cases the engines rely on: empty segments, zero-total-weight
 segments, value ties, and single-claim segments.  Also pinned: the
-weighted median's cached sort plan and precomputed effective weights
+weighted median's cached sort order and precomputed effective weights
 being pure reuse, and the vote kernel's sparse-scores fallback (same
 winners, O(claims) peak memory instead of O(categories * objects)).
 """
@@ -155,6 +155,21 @@ class TestEdgeCases:
         )
         assert np.all(votes == MISSING_CODE)
 
+    def test_empty_codec_votes_missing(self):
+        """A categorical property with no category yet (an empty codec)
+        resolves every group to missing instead of crashing."""
+        indptr = np.zeros(3, dtype=np.int64)
+        codes = np.empty(0, dtype=np.int32)
+        weights = np.empty(0)
+        votes = kernels.segment_weighted_vote(
+            codes, weights, indptr, n_categories=0)
+        assert votes.dtype == np.int32
+        assert votes.tolist() == [MISSING_CODE, MISSING_CODE]
+        distribution, column = kernels.segment_label_distribution(
+            codes, weights, indptr, n_categories=0)
+        assert distribution.shape == (0, 2)
+        assert column.tolist() == [MISSING_CODE, MISSING_CODE]
+
     def test_zero_weight_group_falls_back_to_uniform(self):
         values = np.array([1.0, 5.0, 9.0])
         weights = np.zeros(3)
@@ -245,33 +260,34 @@ class TestClaimDeviations:
         assert np.array_equal(matrix, prop.values, equal_nan=True)
 
 
-class TestFusedSweepReuse:
-    """Median plans and effective weights are pure reuse, bit for bit."""
+class TestMedianOrderReuse:
+    """A cached median order and effective weights are pure reuse."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_median_plan_and_effective_are_pure_reuse(self, seed):
+    def test_median_order_and_effective_are_pure_reuse(self, seed):
         values, weights, codes, indptr, group = _segment_case(seed)
         plain = kernels.segment_weighted_median(
             values, weights, indptr, group_of_claim=group)
-        plan = kernels.MedianSortPlan(
-            np.asarray(values, dtype=np.float64), group)
+        order = np.lexsort((np.asarray(values, dtype=np.float64), group))
         effective = kernels.effective_claim_weights(weights, indptr, group)
-        fused = kernels.segment_weighted_median(
+        reused = kernels.segment_weighted_median(
             values, weights, indptr, group_of_claim=group,
-            plan=plan, effective=effective)
-        refused = kernels.segment_weighted_median(
+            order=order, effective=effective)
+        repeated = kernels.segment_weighted_median(
             values, weights, indptr, group_of_claim=group,
-            plan=plan, effective=effective)  # plan scratch reused
-        assert np.array_equal(plain, fused, equal_nan=True)
-        assert np.array_equal(plain, refused, equal_nan=True)
+            order=order, effective=effective)
+        assert np.array_equal(plain, reused, equal_nan=True)
+        assert np.array_equal(plain, repeated, equal_nan=True)
 
-    def test_claim_view_caches_one_plan(self):
+    def test_claim_view_caches_one_order(self):
         dataset = _fuzz_dataset(3)
         sparse = ClaimsMatrix.from_dense(dataset)
         view = sparse.properties[0].claim_view()
-        plan = view.median_plan()
-        assert view.median_plan() is plan
-        assert isinstance(plan, kernels.MedianSortPlan)
+        order = view.median_order()
+        assert view.median_order() is order
+        assert order.dtype == np.int64
+        assert np.array_equal(
+            order, np.lexsort((view.values, view.object_idx)))
 
 
 class TestVoteSparseFallback:

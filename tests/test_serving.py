@@ -27,6 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.data import DatasetSchema, categorical, continuous
+from repro.data.encoding import MISSING_CODE
 from repro.data.records import EntryId, Record
 from repro.datasets import WeatherConfig, generate_weather_dataset
 from repro.streaming import (
@@ -639,6 +641,42 @@ class TestServiceSurface:
                                       reference.get_weights())
         assert_tables_equal(service.get_truth(["a", "b"]),
                             reference.get_truth(["a", "b"]))
+
+    @pytest.mark.parametrize("bad", [
+        Claim("b", "temp", "s9", "warm", 5.0),
+        Claim(["b"], "temp", "s9", 60.0, 5.0),
+    ], ids=["bad-value", "unhashable-object"])
+    def test_bad_claim_registers_no_ids(self, mixed_schema, bad):
+        """A claim whose value does not convert, or whose object id
+        cannot be looked up, raises before its source or object is
+        registered, so a later good claim for the same object opens
+        (and seals) its window as a first claim would."""
+        service = TruthService(mixed_schema, window=1)
+        service.ingest([Claim("a", "temp", "s1", 70.0, 0.0)])
+        with pytest.raises((ValueError, TypeError)):
+            service.ingest([bad])
+        assert service.object_ids == ("a",)
+        assert service.source_ids == ("s1",)
+        service.ingest([Claim("b", "temp", "s1", 60.0, 5.0),
+                        Claim("c", "temp", "s1", 61.0, 6.0)])
+        assert service.metrics()["windows_sealed"] == 2
+        assert service.get_truth(["b"]).columns[0][0] == 60.0
+
+    @pytest.mark.parametrize("loss", ["zero_one", "probability"])
+    def test_categorical_property_without_claims(self, loss):
+        """A codec-backed property with no codec seed and no claim yet
+        resolves to missing; sealing and later ingests still work."""
+        schema = DatasetSchema.of(continuous("temp"), categorical("cond"))
+        service = TruthService(schema, window=1,
+                               config=ICRHConfig(categorical_loss=loss))
+        report = service.ingest([Claim("a", "temp", "s1", 70.0, 0.0),
+                                 Claim("b", "temp", "s1", 70.0, 1.0)])
+        assert report.windows_sealed == 1
+        report = service.ingest([Claim("c", "temp", "s1", 71.0, 2.0)])
+        assert report.windows_sealed == 1
+        table = service.get_truth(["a", "b", "c"])
+        assert table.columns[0].tolist() == [70.0, 70.0, 71.0]
+        assert table.columns[1].tolist() == [MISSING_CODE] * 3
 
     def test_unknown_object_read_raises(self, mixed_schema):
         service = TruthService(mixed_schema)

@@ -80,11 +80,15 @@ class CategoricalCodec:
         return self._add(label)
 
     def encode_many(self, labels: Sequence[Hashable]) -> np.ndarray:
-        """Vector-encode a sequence of labels to an ``int32`` array."""
-        return np.fromiter(
-            (self.encode(lab) for lab in labels), dtype=np.int32,
-            count=len(labels),
-        )
+        """Vector-encode a sequence of labels to an ``int32`` array.
+
+        Same codes, and the same labels learned in the same order, as
+        encoding one label at a time; each distinct label is encoded
+        once.
+        """
+        codes = {label: self.encode(label) for label in dict.fromkeys(labels)}
+        return np.fromiter(map(codes.__getitem__, labels), dtype=np.int32,
+                           count=len(labels))
 
     def decode(self, code: int) -> Hashable | None:
         """Label for ``code``; :data:`MISSING_CODE` decodes to ``None``."""

@@ -173,10 +173,10 @@ class IncrementalCRH:
                 index = len(self._ids)
                 self._ids.append(source_id)
                 self._index[source_id] = index
-                self._accumulated.append(0.0)
-                self._counts.append(0.0)
-                self._weights.append(1.0)
             positions[i] = index
+        # New slots take each array's fill: a_k = 0, count 0, weight 1.
+        for array in (self._accumulated, self._counts, self._weights):
+            array.resize_to(len(self._ids))
         return positions
 
     def load(self, source_ids: Sequence[Hashable],

@@ -305,41 +305,57 @@ class TruthService:
         """Absorb a batch of claims, sealing windows as they complete.
 
         Each claim is a :class:`~repro.streaming.store.Claim` (or
-        anything :func:`as_claim` accepts) and must carry a timestamp.
+        anything :func:`as_claim` accepts) and must carry a timestamp
+        and a value that is neither ``None`` nor NaN.  The batch is
+        validated up front, then stored column-wise, split only where
+        a new object's timestamp completes a window: the claims up to
+        and including that object's first claim are stored, the window
+        seals, and storing resumes after it — so seals see exactly the
+        claims and sources that arrived before the sealing claim.
         After the batch is absorbed, the recompute planner re-resolves
         every dirty object under the current weights and the result is
         published, so reads after ``ingest`` returns see the batch.  A
         bad claim raises after the claims before it are absorbed,
-        resolved and published, as if the batch had ended there.
+        resolved and published, as if the batch had ended there; no id
+        or label of the bad claim or any later one is registered.
         """
         started = time.perf_counter()
         store = self._store
         k_before = store.n_sources
-        absorbed = 0
-        new_objects = 0
-        sealed = 0
+        n_before = store.n_objects
+        batch: list[Claim] = []
+        error = None
         try:
             for item in claims:
-                claim = as_claim(item)
-                if claim.timestamp is None:
-                    raise ValueError(
-                        "claims need timestamps to drive window "
-                        "sealing; got None for object "
-                        f"{claim.object_id!r}"
-                    )
-                obj, created = store.add(claim)
-                absorbed += 1
-                if created:
-                    new_objects += 1
-                    stamp = float(claim.timestamp)
-                    if (self._sealed_high is not None
-                            and stamp <= self._sealed_high):
-                        # Late object in a sealed time range: dirty
-                        # only; weights are never rewritten.
-                        pass
-                    else:
-                        self._pending.setdefault(stamp, []).append(obj)
-                        sealed += self._seal_ready()
+                batch.append(item if isinstance(item, Claim)
+                             else as_claim(item))
+        except Exception as exc:
+            error = exc
+        absorbed = 0
+        sealed = 0
+        try:
+            columns, bad = store.columns(batch)
+            error = bad if bad is not None else error
+            stamps = columns.timestamps
+            for p in columns.new_objects.tolist():
+                stamp = float(stamps[p])
+                if (self._sealed_high is not None
+                        and stamp <= self._sealed_high):
+                    # Late object in a sealed time range: dirty only;
+                    # weights are never rewritten.
+                    continue
+                obj = int(columns.object_index[p])
+                waiting = self._pending.get(stamp)
+                if waiting is not None:
+                    waiting.append(obj)
+                    continue
+                self._pending[stamp] = [obj]
+                if len(self._pending) > self.window:
+                    store.absorb(columns, absorbed, p + 1)
+                    absorbed = p + 1
+                    sealed += self._seal_ready()
+            store.absorb(columns, absorbed)
+            absorbed = columns.timestamps.size
         finally:
             dirty_after = len(store.dirty)
             recomputed = self._recompute_dirty()
@@ -349,9 +365,11 @@ class TruthService:
             self._h_ingest.observe(elapsed)
             self._update_gauges()
             self._publish()
+        if error is not None:
+            raise error
         return IngestReport(
             ingested_claims=absorbed,
-            new_objects=new_objects,
+            new_objects=store.n_objects - n_before,
             new_sources=store.n_sources - k_before,
             windows_sealed=sealed,
             dirty_objects=dirty_after,

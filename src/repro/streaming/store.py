@@ -1,17 +1,19 @@
 """Appendable claim storage for the truth-serving layer.
 
-The serving stack (``repro.streaming.service``) needs to absorb claims
-one at a time without paying a reallocation per arrival.  This module
+The serving stack (``repro.streaming.service``) absorbs claims in
+batches without paying a reallocation per arrival.  This module
 provides the two pieces that make that cheap:
 
 * :class:`GrowableArray` — an append-only numpy array with amortized
-  doubling growth (O(1) amortized appends, O(log n) reallocations),
+  doubling growth (O(1) amortized per element, O(log n) reallocations),
   shared by the :class:`ClaimStore` claim columns and the
   :class:`~repro.streaming.icrh.IncrementalCRH` per-source accumulators.
-* :class:`ClaimStore` — a per-object claim index: every arriving
-  :class:`Claim` lands in flat per-property arrays in *insertion order*,
-  sources and objects are registered on first appearance, and every
-  touched object joins a **dirty set** the recompute planner drains.
+* :class:`ClaimStore` — a per-object claim index: a batch is validated
+  once into :class:`ClaimColumns`, then stored column-wise — sources
+  and objects register in first-appearance order, each property's
+  claims land in flat arrays in *insertion order* with one value
+  conversion and one ``extend`` per column, and every touched object
+  joins a **dirty set** the recompute planner drains.
 
 Claim ordering contract
 -----------------------
@@ -38,6 +40,7 @@ does — scans the whole store.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -70,8 +73,8 @@ class GrowableArray:
 
     ``np.append`` reallocates the whole array per call — O(n) per append,
     O(n^2) for a stream.
-    Appends write into spare capacity and the buffer doubles only when
-    full, so ``n`` appends cost O(n) amortized with O(log n)
+    Extends write into spare capacity and the buffer doubles only when
+    full, so ``n`` elements cost O(n) amortized with O(log n)
     reallocations (counted in :attr:`growth_events` for tests).
     """
 
@@ -136,13 +139,6 @@ class GrowableArray:
         self._shared = False
         self.growth_events += 1
 
-    def append(self, value) -> int:
-        """Append one element; returns its index."""
-        self._reserve(1)
-        self._buf[self._n] = value
-        self._n += 1
-        return self._n - 1
-
     def extend(self, values) -> None:
         """Append a whole array of elements at once."""
         values = np.asarray(values)
@@ -160,15 +156,98 @@ class GrowableArray:
         self._n = n
 
 
+class ClaimColumns(NamedTuple):
+    """A validated claim batch, column-wise (see :meth:`ClaimStore.columns`).
+
+    Object and source indices are the ones the store assigns when the
+    batch is stored: registered ids keep theirs, new ids take the next
+    free ones in first-appearance order.  The indices hold only while
+    the batch's segments are stored in order (:meth:`ClaimStore.absorb`
+    checks it).
+    """
+
+    #: object id per claim
+    objects: list
+    #: source id per claim
+    sources: list
+    #: event time per claim (float64, never NaN)
+    timestamps: np.ndarray
+    #: object index per claim (int64)
+    object_index: np.ndarray
+    #: source index per claim (int64)
+    source_index: np.ndarray
+    #: ascending claim positions that introduce a new object
+    new_objects: np.ndarray
+    #: ascending claim positions that introduce a new source
+    new_sources: np.ndarray
+    #: per property, the ascending positions of its claims
+    rows: tuple
+    #: per property, its claims' values: float64, or labels for
+    #: codec-backed properties (encoded when stored)
+    values: tuple
+    #: registered objects when the indices were assigned
+    base_objects: int
+    #: registered sources when the indices were assigned
+    base_sources: int
+
+
+def _is_missing(value) -> bool:
+    """Whether a label is what a codec encodes as missing."""
+    return value is None or (isinstance(value, float) and value != value)
+
+
+def _assign(ids, registered: dict, base: int):
+    """Indices of ``ids`` (registered ones keep theirs, new ones take
+    ``base``, ``base + 1``, ... in first-appearance order) and the
+    ascending positions that introduce a new id."""
+    try:  # the common case for sources: every id is registered
+        return (np.fromiter(map(registered.__getitem__, ids),
+                            dtype=np.int64, count=len(ids)),
+                np.empty(0, dtype=np.int64))
+    except KeyError:
+        pass
+    lookup = dict.fromkeys(ids)
+    fresh = base
+    for key in lookup:
+        index = registered.get(key)
+        if index is None:
+            index = fresh
+            fresh += 1
+        lookup[key] = index
+    indices = np.fromiter(map(lookup.__getitem__, ids), dtype=np.int64,
+                          count=len(ids))
+    if fresh == base:
+        return indices, np.empty(0, dtype=np.int64)
+    # A new id's first claim exceeds every earlier index, and no
+    # registered index reaches base.
+    running = np.maximum.accumulate(
+        np.concatenate(([base - 1], indices)))
+    return indices, np.flatnonzero(indices > running[:-1])
+
+
+def _register(ids: list, index: dict, fresh: list) -> None:
+    """Append the ``fresh`` ids, giving each the next index.  ``index``
+    is updated in place, never rebound: ``TruthService.get_truth``
+    reads the object index without a lock."""
+    index.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+    ids.extend(fresh)
+
+
 class ClaimStore:
     """Per-object claim index with first-appearance registries.
 
-    Claims append to flat per-property arrays (values, source index,
-    object index) in arrival order; sources and objects get dense
-    indices when first seen.  Every touched object index is added to
-    :attr:`dirty` — the invalidation contract the service's recompute
-    planner drains after each ingest batch.  Per property, each object's
-    first claim position bounds the claims :meth:`dataset_for` scans.
+    One batch path stores claims: :meth:`columns` validates a batch
+    into :class:`ClaimColumns` (registering nothing, and stopping at
+    the first bad claim), and :meth:`absorb` stores it — whole, or as
+    consecutive segments, which is how the service splits a batch at
+    the claims that seal a window.  :meth:`add` is a one-row call of
+    the same path.  Claims append to flat per-property arrays (values,
+    source index, object index) in arrival order; sources and objects
+    get dense indices when first seen.  Every touched object index is
+    added to :attr:`dirty` — the invalidation contract the service's
+    recompute planner drains after each ingest batch.  Per property,
+    each object's first claim position bounds the claims
+    :meth:`dataset_for` scans.
     """
 
     def __init__(self, schema: DatasetSchema,
@@ -182,6 +261,8 @@ class ClaimStore:
                 seed = codecs.get(prop.name)
                 labels = seed.labels if seed is not None else ()
                 self._codecs[prop.name] = CategoricalCodec(labels)
+        #: per property, its codec (``None`` for continuous properties)
+        self._codec_of = [self._codecs.get(p.name) for p in schema]
         self._values: list[GrowableArray] = []
         self._src: list[GrowableArray] = []
         self._obj: list[GrowableArray] = []
@@ -247,57 +328,196 @@ class ClaimStore:
         """Codecs of the codec-backed properties, keyed by name."""
         return dict(self._codecs)
 
-    def source_position(self, source_id: Hashable) -> int:
-        """Index of ``source_id``, registering it if unseen."""
-        index = self._source_index.get(source_id)
-        if index is None:
-            index = len(self._source_ids)
-            self._source_ids.append(source_id)
-            self._source_index[source_id] = index
-        return index
-
     def object_position(self, object_id: Hashable) -> int:
         """Index of a *known* ``object_id`` (KeyError if never claimed)."""
         return self._object_index[object_id]
 
     # ------------------------------------------------------------------
+    def columns(self, claims: Sequence[Claim]
+                ) -> tuple[ClaimColumns, Exception | None]:
+        """Validate a batch; registers nothing.
+
+        Returns the columns of the batch's longest valid prefix and the
+        error the first bad claim raises (``None`` if every claim is
+        good).  A claim is bad when its timestamp is missing, NaN or
+        not a number, its property is not in the schema, its value is
+        ``None`` or NaN or does not convert, or its object or source id
+        is unhashable.  Every check is per claim, so the prefix is found
+        by bisection over whole-batch validations.
+        """
+        try:
+            return self._columns(claims), None
+        except (TypeError, ValueError):
+            pass
+        good, bad = 0, len(claims)
+        while bad - good > 1:
+            middle = (good + bad) // 2
+            try:
+                self._columns(claims[:middle])
+                good = middle
+            except (TypeError, ValueError):
+                bad = middle
+        try:
+            self._columns(claims[good:good + 1])
+        except (TypeError, ValueError) as exc:
+            return self._columns(claims[:good]), exc
+        raise RuntimeError("claim checks must be per claim")
+
+    def _columns(self, claims: Sequence[Claim]) -> ClaimColumns:
+        """:meth:`columns` of an all-good batch; raises on any bad
+        claim (:meth:`columns` re-raises from the bad claim alone, so
+        its message is exact)."""
+        n = len(claims)
+        # One list per field: zip(*claims) slows down with batch size.
+        objects, names, sources, values, stamps = (
+            [claim[field] for claim in claims] for field in range(5))
+        try:
+            timestamps = np.fromiter(map(float, stamps), dtype=np.float64,
+                                     count=n)
+            bad = np.isnan(timestamps)
+        except (TypeError, ValueError, OverflowError):
+            bad = np.ones(n, dtype=bool)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(
+                "claims need timestamps to drive window sealing; got "
+                f"{stamps[j]!r} for object {objects[j]!r}"
+            )
+        try:
+            prop = np.fromiter(map(self._prop_index.get, names, repeat(-1)),
+                               dtype=np.int64, count=n)
+        except TypeError:  # an unhashable property name
+            prop = np.full(n, -1, dtype=np.int64)
+        # Group claim positions by property; the stable sort keeps each
+        # group ascending, and an unknown property (-1) sorts first.
+        order = np.argsort(prop, kind="stable")
+        grouped = prop[order]
+        if n and grouped[0] < 0:
+            j = int(order[0])
+            raise ValueError(
+                f"unknown property {names[j]!r}; schema has "
+                f"{list(self._prop_index)}"
+            )
+        bounds = np.searchsorted(
+            grouped, np.arange(len(self.schema) + 1)).tolist()
+        boxed = np.fromiter(values, dtype=object, count=n)
+        rows, converted = [], []
+        for m, spec in enumerate(self.schema):
+            at = order[bounds[m]:bounds[m + 1]]
+            column, j = [], -1
+            if at.size and spec.uses_codec:
+                column = boxed[at].tolist()
+                try:
+                    distinct = dict.fromkeys(column)
+                except TypeError as exc:
+                    raise TypeError(
+                        f"labels of property {spec.name!r} must be "
+                        f"hashable: {exc}") from None
+                missing = [label for label in distinct
+                           if _is_missing(label)]
+                j = int(at[column.index(missing[0])]) if missing else -1
+            elif at.size:
+                try:
+                    column = boxed[at].astype(np.float64)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(
+                        f"values of property {spec.name!r} must be "
+                        f"numbers: {exc}") from None
+                nan = np.isnan(column)
+                j = int(at[np.argmax(nan)]) if nan.any() else -1
+            if j >= 0:
+                raise ValueError(
+                    f"missing value (None or NaN) for object "
+                    f"{objects[j]!r}, property {spec.name!r}"
+                )
+            rows.append(at)
+            converted.append(column)
+        try:
+            object_index, new_objects = _assign(
+                objects, self._object_index, self.n_objects)
+            source_index, new_sources = _assign(
+                sources, self._source_index, self.n_sources)
+        except TypeError as exc:
+            raise TypeError(f"object and source ids must be hashable: "
+                            f"{exc}") from None
+        return ClaimColumns(
+            objects=objects, sources=sources, timestamps=timestamps,
+            object_index=object_index, source_index=source_index,
+            new_objects=new_objects, new_sources=new_sources,
+            rows=tuple(rows), values=tuple(converted),
+            base_objects=self.n_objects, base_sources=self.n_sources,
+        )
+
+    def absorb(self, columns: ClaimColumns, start: int = 0,
+               stop: int | None = None) -> None:
+        """Store the claims at positions ``[start, stop)`` of a batch.
+
+        Registers the segment's new sources and objects (first
+        appearance order; an object's timestamp is its first claim's),
+        appends each property's claims with one value conversion and
+        one ``extend`` per column, lowers each touched object's first
+        claim position with one ``np.minimum.at``, and adds the touched
+        objects to :attr:`dirty`.  A batch's segments must be stored in
+        order, each starting where the previous one stopped.
+        """
+        n = columns.timestamps.size
+        stop = n if stop is None else stop
+        if start >= stop:
+            return
+        whole = start == 0 and stop == n
+
+        def segment(positions):
+            """``positions[lo:hi]`` spans the claims in the segment."""
+            if whole:
+                return 0, positions.size
+            lo, hi = np.searchsorted(positions, (start, stop))
+            return int(lo), int(hi)
+
+        sources = segment(columns.new_sources)
+        objects = segment(columns.new_objects)
+        if (self.n_sources != columns.base_sources + sources[0]
+                or self.n_objects != columns.base_objects + objects[0]):
+            raise ValueError(
+                "claim columns are stale: store a batch's segments in "
+                "order, right after ClaimStore.columns")
+        fresh = columns.new_sources[slice(*sources)].tolist()
+        _register(self._source_ids, self._source_index,
+                  [columns.sources[p] for p in fresh])
+        fresh = columns.new_objects[slice(*objects)]
+        if fresh.size:
+            _register(self._object_ids, self._object_index,
+                      [columns.objects[p] for p in fresh.tolist()])
+            self._object_ts.extend(columns.timestamps[fresh])
+            for column in self._first:
+                column.resize_to(self.n_objects)
+        for m, (rows, values) in enumerate(zip(columns.rows,
+                                               columns.values)):
+            lo, hi = segment(rows)
+            if hi == lo:
+                continue
+            at = rows[lo:hi]
+            codec = self._codec_of[m]
+            obj = columns.object_index[at]
+            first = len(self._obj[m])
+            self._values[m].extend(values[lo:hi] if codec is None
+                                   else codec.encode_many(values[lo:hi]))
+            self._src[m].extend(columns.source_index[at])
+            self._obj[m].extend(obj)
+            np.minimum.at(self._first[m].data, obj,
+                          np.arange(first, first + at.size))
+        self.dirty.update(columns.object_index[start:stop].tolist())
+
     def add(self, claim: Claim) -> tuple[int, bool]:
         """Absorb one claim; returns ``(object_index, object_is_new)``.
 
-        The object joins :attr:`dirty`; a new object's timestamp is the
-        claim's (later claims never move an object between windows).
+        A one-row :meth:`columns` + :meth:`absorb`: a bad claim raises
+        before anything registers.
         """
-        m = self._prop_index.get(claim.property_name)
-        if m is None:
-            raise ValueError(
-                f"unknown property {claim.property_name!r}; schema has "
-                f"{list(self._prop_index)}"
-            )
-        # Convert and look up before registering anything, so a bad
-        # value or id leaves no source or object behind.
-        codec = self._codecs.get(claim.property_name)
-        value = (codec.encode(claim.value) if codec is not None
-                 else float(claim.value))
-        obj = self._object_index.get(claim.object_id)
-        source = self.source_position(claim.source_id)
-        created = obj is None
-        if created:
-            obj = len(self._object_ids)
-            self._object_ids.append(claim.object_id)
-            self._object_index[claim.object_id] = obj
-            self._object_ts.append(
-                np.nan if claim.timestamp is None
-                else float(claim.timestamp))
-            for column in self._first:
-                column.append(_NO_CLAIM)
-        first = self._first[m]._buf  # the raw buffer: no view per claim
-        if first[obj] == _NO_CLAIM:
-            first[obj] = len(self._obj[m])
-        self._values[m].append(value)
-        self._src[m].append(source)
-        self._obj[m].append(obj)
-        self.dirty.add(obj)
-        return obj, created
+        columns, error = self.columns([claim])
+        if error is not None:
+            raise error
+        self.absorb(columns)
+        return int(columns.object_index[0]), columns.new_objects.size > 0
 
     # ------------------------------------------------------------------
     def _scan_start(self, m: int, indices: np.ndarray) -> int:
@@ -409,11 +629,10 @@ class ClaimStore:
         documented as part of the snapshot format.
         """
         store = cls(matrix.schema, codecs=matrix.codecs())
-        for source_id in matrix.source_ids:
-            store.source_position(source_id)
-        store._object_ids = list(matrix.object_ids)
-        store._object_index = {
-            o: i for i, o in enumerate(store._object_ids)}
+        _register(store._source_ids, store._source_index,
+                  list(matrix.source_ids))
+        _register(store._object_ids, store._object_index,
+                  list(matrix.object_ids))
         if matrix.object_timestamps is not None:
             store._object_ts.extend(
                 np.asarray(matrix.object_timestamps, dtype=np.float64))

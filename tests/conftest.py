@@ -3,11 +3,13 @@
 Also registers the hypothesis profiles.  ``tier1`` (the default) is
 derandomized, so every run of the suite draws the same examples, and
 sets no deadline, so a slow host cannot fail a property test.
-``ci-explore`` draws fresh random examples, runs more of them for the
-tests that leave the count to the profile, and prints the blob that
-reproduces a failure::
+``ci-explore`` draws fresh random examples, runs more of them, and
+prints the blob that reproduces a failure::
 
     pytest tests/ --hypothesis-profile=ci-explore
+
+Tests that pin their example count pass it through :func:`examples`,
+so ``ci-explore`` scales their counts too.
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.register_profile("ci-explore", deadline=None, max_examples=500,
                           print_blob=True)
 settings.load_profile("tier1")
+
+
+def examples(n: int) -> int:
+    """A pinned ``max_examples`` scaled by the loaded profile's
+    ``max_examples / 100``.
+
+    ``tier1`` keeps hypothesis's default of 100, so it gets exactly
+    ``n``; ``ci-explore`` (500) draws five times as many.  Evaluated when
+    a test module is imported, after pytest's ``--hypothesis-profile``
+    option has loaded its profile.
+    """
+    return max(1, round(n * settings().max_examples / 100))
 
 
 @pytest.fixture()

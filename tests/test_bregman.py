@@ -13,6 +13,7 @@ from repro.core.bregman import (
     bregman_divergence,
 )
 from repro.data import DatasetBuilder, DatasetSchema, TruthTable, continuous
+from tests.conftest import examples
 
 positive_floats = st.floats(min_value=0.1, max_value=1e4,
                             allow_nan=False)
@@ -46,7 +47,7 @@ class TestDivergences:
 @given(st.lists(st.tuples(positive_floats,
                           st.floats(min_value=0.01, max_value=10)),
                 min_size=2, max_size=15))
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 def test_weighted_mean_is_bregman_centroid(pairs):
     """Banerjee et al.'s theorem: for every generator, the weighted mean
     minimizes the weighted divergence over the second argument."""

@@ -19,6 +19,7 @@ from repro.data import (
     continuous,
 )
 from repro.data.encoding import MISSING_CODE, CategoricalCodec
+from tests.conftest import examples
 
 LABELS = ("a", "b", "c", "d")
 
@@ -52,7 +53,7 @@ def sparse_datasets(draw):
 
 
 @given(sparse_datasets())
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 def test_counts_are_consistent(dataset):
     graph = build_claim_graph(dataset)
     assert graph.n_claims == dataset.n_observations()
@@ -64,7 +65,7 @@ def test_counts_are_consistent(dataset):
 
 
 @given(sparse_datasets())
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 def test_fact_segments_are_well_formed(dataset):
     graph = build_claim_graph(dataset)
     starts = graph.entry_fact_start
@@ -78,7 +79,7 @@ def test_fact_segments_are_well_formed(dataset):
 
 
 @given(sparse_datasets(), st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 def test_argmax_matches_bruteforce(dataset, seed):
     graph = build_claim_graph(dataset)
     rng = np.random.default_rng(seed)
@@ -91,7 +92,7 @@ def test_argmax_matches_bruteforce(dataset, seed):
 
 
 @given(sparse_datasets())
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 def test_sum_reductions_match_bruteforce(dataset):
     graph = build_claim_graph(dataset)
     rng = np.random.default_rng(0)
@@ -112,7 +113,7 @@ def test_sum_reductions_match_bruteforce(dataset):
 
 
 @given(sparse_datasets())
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 def test_baselines_stay_finite_on_fuzzed_data(dataset):
     """The fact-based methods must not blow up on arbitrary sparse data."""
     from repro.baselines import resolver_by_name
@@ -122,7 +123,7 @@ def test_baselines_stay_finite_on_fuzzed_data(dataset):
 
 
 @given(sparse_datasets())
-@settings(max_examples=10)
+@settings(max_examples=examples(10))
 def test_solver_backends_bit_identical(dataset):
     """Dense, sparse, and process execution of the full CRH solve agree
     to the bit on fuzzed mixed datasets (ISSUE PR-4 acceptance)."""

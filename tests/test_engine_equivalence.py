@@ -34,6 +34,7 @@ from repro.engine import ProcessBackend
 from repro.observability import MemoryTracer
 from repro.parallel import ParallelCRHConfig, parallel_crh
 from repro.streaming import icrh
+from tests.conftest import examples
 
 LOSS_CONFIGS = [
     ("zero_one", "absolute"),
@@ -457,7 +458,7 @@ class TestMmapEquivalence:
 class TestBackendFuzz:
     """Hypothesis property: all four backends agree bitwise, always."""
 
-    @settings(max_examples=10)
+    @settings(max_examples=examples(10))
     @given(
         seed=st.integers(0, 10_000),
         density=st.floats(0.15, 0.7),

@@ -23,6 +23,7 @@ from repro.data import (
     records_to_dataset,
 )
 from repro.data.encoding import CategoricalCodec
+from tests.conftest import examples
 
 # ----------------------------------------------------------------------
 # dataset strategy
@@ -59,7 +60,7 @@ def small_datasets(draw):
 # ----------------------------------------------------------------------
 
 @given(small_datasets(), st.permutations(range(4)))
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 def test_source_relabeling_equivariance(dataset, perm4):
     """Permuting sources permutes the weights and leaves truths intact."""
     k = dataset.n_sources
@@ -75,7 +76,7 @@ def test_source_relabeling_equivariance(dataset, perm4):
 
 
 @given(small_datasets())
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 def test_object_relabeling_equivariance(dataset):
     """Permuting objects permutes truth rows and leaves weights intact."""
     n = dataset.n_objects
@@ -91,7 +92,7 @@ def test_object_relabeling_equivariance(dataset):
 
 
 @given(small_datasets())
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 def test_truths_are_claimed_values(dataset):
     """With the vote/median truth updates, every resolved value was
     actually claimed by some source for that entry."""
@@ -104,7 +105,7 @@ def test_truths_are_claimed_values(dataset):
 
 
 @given(small_datasets())
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 def test_weights_finite_and_nonnegative(dataset):
     result = crh(dataset, max_iterations=20)
     assert np.isfinite(result.weights).all()
@@ -112,7 +113,7 @@ def test_weights_finite_and_nonnegative(dataset):
 
 
 @given(small_datasets())
-@settings(max_examples=20)
+@settings(max_examples=examples(20))
 def test_records_roundtrip_preserves_observations(dataset):
     rebuilt = records_to_dataset(dataset_to_records(dataset),
                                  dataset.schema)
@@ -126,7 +127,7 @@ def test_records_roundtrip_preserves_observations(dataset):
 
 
 @given(small_datasets(), st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=20)
+@settings(max_examples=examples(20))
 def test_continuous_scale_invariance(dataset, scale):
     """Scaling a continuous property rescales its truths and leaves the
     weights unchanged — the std normalization of Eq. 15 at work."""
@@ -151,7 +152,7 @@ def test_continuous_scale_invariance(dataset, scale):
 
 
 @given(small_datasets())
-@settings(max_examples=15)
+@settings(max_examples=examples(15))
 def test_unanimous_dataset_resolves_to_consensus(dataset):
     """If every source claims identical values, those are the truths and
     all sources are equally (perfectly) reliable."""

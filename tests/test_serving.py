@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.data import DatasetSchema, categorical, continuous
+from repro.data import DatasetSchema, categorical, continuous, text
 from repro.data.encoding import MISSING_CODE
 from repro.data.records import EntryId, Record
 from repro.datasets import WeatherConfig, generate_weather_dataset
@@ -43,6 +43,8 @@ from repro.streaming import (
     icrh,
     iter_dataset_claims,
 )
+from tests.claim_store_reference import assert_same_store, reference_add
+from tests.conftest import examples
 
 
 def assert_published(service) -> None:
@@ -74,16 +76,19 @@ def weather(seed: int, n_cities: int = 4, n_days: int = 8):
 
 
 class TestGrowableArray:
-    def test_append_returns_index_and_preserves_values(self):
+    def test_extend_preserves_values(self):
         arr = GrowableArray(np.float64, np.nan, capacity=2)
-        assert [arr.append(float(i)) for i in range(5)] == [0, 1, 2, 3, 4]
+        for i in range(5):
+            arr.extend([float(i)])
+        assert len(arr) == 5
         np.testing.assert_array_equal(arr.data, np.arange(5.0))
 
     def test_growth_is_logarithmic(self):
         arr = GrowableArray(np.int64, 0)
         for i in range(10_000):
-            arr.append(i)
+            arr.extend([i])
         assert len(arr) == 10_000
+        np.testing.assert_array_equal(arr.data, np.arange(10_000))
         # doubling from capacity 16: ceil(log2(10000 / 16)) = 10
         assert arr.growth_events <= 10
 
@@ -335,6 +340,112 @@ class TestScanBoundedAssembly:
         assert store._scan_start(temp, np.array([], dtype=np.int64)) == 4
 
 
+ORACLE_OBJECTS = tuple(f"o{i}" for i in range(6))
+ORACLE_SOURCES = tuple(f"s{i}" for i in range(5))
+
+#: ways to make a good claim bad, each named by what is wrong with it
+BAD_CLAIMS = {
+    "none-value": lambda c: c._replace(value=None),
+    "nan-value": lambda c: c._replace(value=float("nan")),
+    "none-label": lambda c: c._replace(property_name="condition",
+                                       value=None),
+    "nan-label": lambda c: c._replace(property_name="condition",
+                                      value=float("nan")),
+    "no-timestamp": lambda c: c._replace(timestamp=None),
+    "nan-timestamp": lambda c: c._replace(timestamp=float("nan")),
+    "text-timestamp": lambda c: c._replace(timestamp="noon"),
+    "huge-timestamp": lambda c: c._replace(timestamp=10 ** 400),
+    "unknown-property": lambda c: c._replace(property_name="nope"),
+    "unhashable-property": lambda c: c._replace(property_name=["temp"]),
+    "value-not-a-number": lambda c: c._replace(property_name="temp",
+                                               value="warm"),
+    "huge-value": lambda c: c._replace(property_name="temp",
+                                       value=10 ** 400),
+    "unhashable-label": lambda c: c._replace(property_name="condition",
+                                             value=["rain"]),
+    "unhashable-object": lambda c: c._replace(object_id=["o1"]),
+    "unhashable-source": lambda c: c._replace(source_id={"s": 1}),
+}
+
+
+@st.composite
+def oracle_batches(draw):
+    """A warm-up list and a batch over ``mixed_schema``: few objects and
+    sources (so duplicate cells, late claims for earlier objects and new
+    sources mid-batch are common), interleaved properties, and at most
+    one bad claim at a random position; plus cut points that split the
+    batch into consecutive segments."""
+    def claim():
+        prop = draw(st.sampled_from(PROPERTIES))
+        value = (draw(st.sampled_from(LABELS + ("fog",)))
+                 if prop == "condition"
+                 else draw(st.integers(0, 9) | st.floats(-5, 5)))
+        return Claim(draw(st.sampled_from(ORACLE_OBJECTS)), prop,
+                     draw(st.sampled_from(ORACLE_SOURCES)), value,
+                     float(draw(st.integers(0, 4))))
+
+    warm = [claim() for _ in range(draw(st.integers(0, 6)))]
+    batch = [claim() for _ in range(draw(st.integers(0, 30)))]
+    if batch and draw(st.booleans()):
+        at = draw(st.integers(0, len(batch) - 1))
+        batch[at] = BAD_CLAIMS[draw(st.sampled_from(sorted(BAD_CLAIMS)))](
+            batch[at])
+    cuts = sorted(draw(st.lists(st.integers(0, len(batch)), max_size=3)))
+    return warm, batch, cuts
+
+
+class TestBatchPathOracle:
+    """``ClaimStore.columns`` + ``absorb`` leave exactly the state the
+    per-claim reference (``tests/claim_store_reference.py``) leaves."""
+
+    @settings(max_examples=examples(200))
+    @given(oracle_batches())
+    def test_batch_path_matches_per_claim_reference(self, drawn):
+        warm, batch, cuts = drawn
+        schema = DatasetSchema.of(
+            continuous("temp", unit="F"), continuous("humidity"),
+            categorical("condition", ["sunny", "cloudy", "rain"]))
+        store, reference = ClaimStore(schema), ClaimStore(schema)
+        for claim in warm:
+            store.add(claim)
+            reference_add(reference, claim)
+        columns, error = store.columns(batch)
+        good = columns.timestamps.size
+        for start, stop in zip([0] + cuts, cuts + [good]):
+            store.absorb(columns, min(start, good), min(stop, good))
+        absorbed = 0
+        for claim in batch:
+            try:
+                reference_add(reference, claim)
+            except (ValueError, TypeError):
+                break
+            absorbed += 1
+        assert good == absorbed
+        assert (error is None) == (absorbed == len(batch))
+        assert_same_store(store, reference)
+
+    def test_stale_columns_are_refused(self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        columns, _ = store.columns([Claim("o1", "temp", "a", 1.0, 0.0),
+                                    Claim("o2", "temp", "a", 2.0, 1.0)])
+        with pytest.raises(ValueError, match="stale"):
+            store.absorb(columns, 1)
+        store.absorb(columns)
+        with pytest.raises(ValueError, match="stale"):
+            store.absorb(columns)
+
+    def test_bad_claim_reports_its_own_error(self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        batch = [Claim("o1", "temp", "a", 1.0, 0.0),
+                 Claim("o2", "humidity", "b", None, 1.0),
+                 Claim("o3", "nope", "a", 1.0, 2.0)]
+        columns, error = store.columns(batch)
+        assert columns.timestamps.size == 1
+        assert isinstance(error, ValueError)
+        assert "'o2'" in str(error) and "'humidity'" in str(error)
+        assert store.n_objects == 0 and store.n_sources == 0
+
+
 class TestTruthState:
     """Source registration on the I-CRH model's per-source state."""
 
@@ -410,7 +521,7 @@ class TestReplayEquivalence:
         oracle = icrh(dataset, window=1, config=config)
         assert_same_serving_state(service, oracle, dataset)
 
-    @settings(max_examples=30)
+    @settings(max_examples=examples(30))
     @given(seed=st.integers(0, 19), n_cities=st.integers(1, 4),
            n_days=st.integers(2, 30), window=st.integers(1, 3),
            batch=st.integers(1, 50))
@@ -610,9 +721,12 @@ class TestServiceSurface:
 
     @pytest.mark.parametrize("bad", [
         Claim("c", "temp", "s1", 50.0, None),
+        Claim("c", "temp", "s1", 50.0, float("nan")),
         Claim("c", "nope", "s1", 50.0, 2.0),
+        Claim("c", "temp", "s4", None, 2.0),
         42,
-    ], ids=["no-timestamp", "unknown-property", "not-a-claim"])
+    ], ids=["no-timestamp", "nan-timestamp", "unknown-property",
+            "missing-value", "not-a-claim"])
     def test_bad_claim_mid_batch_keeps_the_prefix(self, mixed_schema, bad):
         """An ``ingest`` that raises on a bad claim ends as if the batch
         had stopped just before it: the claims before it are counted,
@@ -661,6 +775,68 @@ class TestServiceSurface:
                         Claim("c", "temp", "s1", 61.0, 6.0)])
         assert service.metrics()["windows_sealed"] == 2
         assert service.get_truth(["b"]).columns[0][0] == 60.0
+
+    @pytest.mark.parametrize("missing", [None, float("nan")],
+                             ids=["none", "nan"])
+    @pytest.mark.parametrize("kind", [categorical, continuous, text])
+    def test_missing_value_rejected(self, kind, missing):
+        """A ``None`` or NaN value is not a claim on any property kind:
+        it raises naming the object and property, after the claims
+        before it are absorbed, and registers no id or label — so it
+        never becomes a vote for some other label."""
+        prop = (categorical("condition", ("sunny", "rain", "snow"))
+                if kind is categorical else kind("condition"))
+        schema = DatasetSchema.of(prop)
+        labels = kind is not continuous
+        good = "sunny" if labels else 70.0
+        service = TruthService(schema, window=1)
+        with pytest.raises(ValueError, match=r"'a'.*'condition'"):
+            service.ingest([Claim("a", "condition", "s1", good, 0.0),
+                            Claim("a", "condition", "s2", missing, 0.0),
+                            Claim("a", "condition", "s3", missing, 0.0)])
+        assert service.source_ids == ("s1",)
+        assert service.metrics()["ingested_claims"] == 1
+        if labels:
+            assert service.store.codecs()["condition"].labels == ("sunny",)
+        service.ingest([Claim("b", "condition", "s1",
+                              "rain" if labels else 60.0, 1.0)])
+        service.flush()
+        truth = service.get_truth(["a"]).columns[0][0]
+        assert truth == (0 if labels else 70.0)
+        assert service.source_ids == ("s1",)
+
+    def test_late_claim_after_seal_trigger_matches_single_claims(
+            self, mixed_schema):
+        """One batch is split at the claim that seals a window: the late
+        claim (and new source) for the sealing window's object that
+        follows the trigger lands after the seal, exactly as in a
+        one-claim-per-ingest replay."""
+        claims = [Claim("a", "temp", "s1", 70.0, 0.0),
+                  Claim("a", "temp", "s2", 72.0, 0.0),
+                  Claim("a", "condition", "s1", "sunny", 0.0),
+                  Claim("b", "temp", "s1", 60.0, 1.0),  # seals {0}
+                  Claim("a", "temp", "s3", 90.0, 0.0),  # late, new source
+                  Claim("a", "condition", "s3", "rain", 0.0),
+                  Claim("b", "temp", "s3", 65.0, 1.0),
+                  Claim("b", "temp", "s2", 61.0, 1.0)]
+        batched = TruthService(mixed_schema, window=1)
+        single = TruthService(mixed_schema, window=1)
+        report = batched.ingest(claims)
+        for claim in claims:
+            single.ingest([claim])
+        assert report.windows_sealed == 1
+        for service in (batched, single):
+            assert service.model.source_ids == ("s1", "s2")
+        assert_tables_equal(batched.get_truth(["a", "b"]),
+                            single.get_truth(["a", "b"]))
+        batched.flush()
+        single.flush()
+        np.testing.assert_array_equal(batched.model.weight_history,
+                                      single.model.weight_history)
+        np.testing.assert_array_equal(batched.get_weights(),
+                                      single.get_weights())
+        assert_tables_equal(batched.get_truth(["a", "b"]),
+                            single.get_truth(["a", "b"]))
 
     @pytest.mark.parametrize("loss", ["zero_one", "probability"])
     def test_categorical_property_without_claims(self, loss):

@@ -16,6 +16,7 @@ from repro.mapreduce import (
     VectorJob,
     group_by_key,
 )
+from tests.conftest import examples
 
 
 @st.composite
@@ -47,7 +48,7 @@ def _as_dict(output: KeyedArrays) -> dict[int, float]:
 @given(random_batches(),
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=6))
-@settings(max_examples=50)
+@settings(max_examples=examples(50))
 def test_segment_sums_match_bincount(batch, n_mappers, n_reducers):
     cluster = VectorCluster(ClusterConfig(
         n_mappers=n_mappers, n_reducers=n_reducers,
@@ -64,7 +65,7 @@ def test_segment_sums_match_bincount(batch, n_mappers, n_reducers):
 
 
 @given(random_batches())
-@settings(max_examples=50)
+@settings(max_examples=examples(50))
 def test_group_by_key_invariants(batch):
     if len(batch) == 0:
         return
@@ -82,7 +83,7 @@ def test_group_by_key_invariants(batch):
 
 
 @given(random_batches())
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 def test_stats_account_for_every_record(batch):
     cluster = VectorCluster(ClusterConfig(n_mappers=3, n_reducers=4))
     result = cluster.run(_sum_job(), batch)
@@ -98,7 +99,7 @@ def test_stats_account_for_every_record(batch):
 
 
 @given(random_batches(), st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 def test_combiner_never_changes_results(batch, seed):
     job = _sum_job()
     without = VectorJob(name="sum", mapper=job.mapper,

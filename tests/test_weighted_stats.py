@@ -18,6 +18,7 @@ from repro.core.weighted_stats import (
     weighted_median,
     weighted_mode,
 )
+from tests.conftest import examples
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -87,7 +88,7 @@ def test_median_satisfies_eq16(pairs):
                        st.floats(min_value=0.01, max_value=10)),
              min_size=1, max_size=15),
 )
-@settings(max_examples=50)
+@settings(max_examples=examples(50))
 def test_median_minimizes_weighted_absolute_loss(pairs):
     """Eq. 3 with absolute loss: no claimed value beats the median."""
     values = np.array([p[0] for p in pairs])

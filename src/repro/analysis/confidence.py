@@ -22,7 +22,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..core.weighted_stats import column_std
+from ..core.kernels import column_std
 from ..data.encoding import MISSING_CODE
 from ..data.table import MultiSourceDataset, TruthTable
 

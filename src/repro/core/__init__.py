@@ -9,6 +9,7 @@ lives in :mod:`repro.core.kernels`.
 """
 
 from . import kernels
+from .kernels import column_std
 from .initialization import (
     initialize_random,
     initialize_vote_mean,
@@ -67,12 +68,6 @@ from .text_loss import (
     levenshtein,
     normalized_edit_distance,
 )
-from .weighted_stats import (
-    column_std,
-    weighted_mean,
-    weighted_median,
-    weighted_mode,
-)
 
 __all__ = [
     "CRHConfig",
@@ -123,8 +118,5 @@ __all__ = [
     "select_under_budget",
     "states_to_truth_table",
     "weight_scheme_by_name",
-    "weighted_mean",
-    "weighted_median",
     "huber_value",
-    "weighted_mode",
 ]

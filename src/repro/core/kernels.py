@@ -20,6 +20,8 @@ kernel                                  paper equation
 :func:`segment_weighted_medoid`         Eq. 3 restricted to claimed
                                         strings (text medoid)
 :func:`segment_std`                     std normalizer of Eqs. 13/15
+:func:`column_std`                      the same over a dense ``(K, N)``
+                                        matrix
 :func:`segment_sum`                     plain per-group sums (GTM
                                         posterior statistics, Eq. 2/5
                                         style reductions)
@@ -39,7 +41,7 @@ All kernels are deterministic and order-stable: groups with a tied vote
 pick the smallest code, weighted medians follow the half-mass rule
 (first sorted value whose cumulative weight reaches ``W/2 - 1e-12``),
 and zero-total-weight groups fall back to uniform weights — matching the
-scalar oracles in :mod:`repro.core.weighted_stats`.  Because both
+one-entry-at-a-time scalar oracles the kernel tests keep.  Because both
 execution backends feed kernels the identical canonically-ordered claim
 view, dense and sparse runs are bit-identical.
 """
@@ -207,6 +209,22 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     return result
 
 
+def _cell_scores(rows: np.ndarray, cols: np.ndarray, n_rows: int,
+                 n_cols: int, weights: np.ndarray) -> np.ndarray:
+    """``(n_rows, n_cols)`` matrix of claim weights summed per cell.
+
+    One flat ``np.bincount`` over the cell ids ``rows * n_cols + cols``
+    (the callers' codes are range-checked when their property is built,
+    so every id lands in the matrix).  ``bincount`` adds each cell's
+    weights in claim order starting from 0.0, so a cell's score is the
+    same left-to-right float sum an unbuffered scatter-add would give.
+    """
+    cells = np.asarray(rows, dtype=np.int64) * n_cols
+    cells += cols
+    return np.bincount(cells, weights=weights,
+                       minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
 #: Above this many ``n_categories * n_groups`` score cells the vote
 #: kernel switches from the dense score matrix to the sparse
 #: claimed-cells path (same winners; see the kernel docstring).
@@ -223,16 +241,18 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
     empty groups (every group, when the codec has no category yet);
     ties break toward the smallest code.
 
-    Past :data:`VOTE_DENSE_SCORE_CELLS` score cells the dense
-    ``(n_categories, n_groups)`` matrix is replaced by a sparse
-    reduction over the *claimed* ``(group, code)`` cells only, keeping
-    peak memory proportional to the number of claims instead of the
-    category vocabulary.  The winners are identical: per-cell scores
-    accumulate in claim order exactly like the dense ``np.add.at``,
-    effective weights are non-negative (the zero-total fallback makes
-    every occupied group's total positive), so an unclaimed category's
-    implicit 0.0 score can never beat the claimed maximum, and the
-    sorted-cell scan reproduces ``argmax``'s tie-to-smallest-code rule.
+    Scores are summed per ``(group, code)`` cell into a group-major
+    ``(n_groups, n_categories)`` matrix (:func:`_cell_scores`), whose
+    row-wise ``argmax`` takes the first maximum, i.e. the smallest code.
+    Past :data:`VOTE_DENSE_SCORE_CELLS` score cells that matrix is
+    replaced by a reduction over the *claimed* cells only, keeping peak
+    memory proportional to the number of claims instead of the category
+    vocabulary.  The winners are identical: both paths sum each cell in
+    claim order, effective weights are non-negative (the zero-total
+    fallback makes every occupied group's total positive), so an
+    unclaimed category's implicit 0.0 score can never beat the claimed
+    maximum, and the sorted-cell scan reproduces ``argmax``'s
+    tie-to-smallest-code rule.
     """
     codes = np.asarray(codes)
     if group_of_claim is None:
@@ -244,9 +264,9 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
     if n_categories * n_groups > VOTE_DENSE_SCORE_CELLS:
         return _sparse_weighted_vote(codes, weights, group_of_claim,
                                      n_groups, n_categories)
-    scores = np.zeros((n_categories, n_groups), dtype=np.float64)
-    np.add.at(scores, (codes, group_of_claim), weights)
-    winners = scores.argmax(axis=0).astype(np.int32)
+    scores = _cell_scores(group_of_claim, codes, n_groups, n_categories,
+                          weights)
+    winners = scores.argmax(axis=1).astype(np.int32)
     winners[np.diff(indptr) == 0] = MISSING_CODE
     return winners
 
@@ -258,10 +278,10 @@ def _sparse_weighted_vote(codes: np.ndarray, weights: np.ndarray,
 
     Memory is O(claims): flatten each claim to its cell id, sum weights
     per unique cell (``np.bincount`` over the inverse index accumulates
-    in claim order, matching the dense ``np.add.at`` bit for bit), then
-    take each occupied group's first maximal cell — cells sort
-    group-major and code-ascending, so the minimum maximal cell is
-    ``argmax``'s smallest-code tie-break.
+    in claim order, the same sums as :func:`_cell_scores`), then take
+    each occupied group's first maximal cell — cells sort group-major
+    and code-ascending, so the minimum maximal cell is ``argmax``'s
+    smallest-code tie-break.
     """
     winners = np.full(n_groups, MISSING_CODE, dtype=np.int32)
     if codes.shape[0] == 0:
@@ -291,7 +311,8 @@ def segment_label_distribution(
     Returns ``(distribution, column)`` where ``distribution`` is an
     ``(L, G)`` matrix of per-group category probabilities (all-zero for
     empty groups) and ``column`` the ``int32`` arg-max codes
-    (``MISSING_CODE`` for empty groups).
+    (``MISSING_CODE`` for empty groups).  The scores are the vote's
+    per-cell sums (:func:`_cell_scores`), laid out code-major.
     """
     codes = np.asarray(codes)
     if group_of_claim is None:
@@ -299,8 +320,8 @@ def segment_label_distribution(
     weights, totals = _effective_weights(claim_weights, indptr,
                                          group_of_claim)
     n_groups = indptr.shape[0] - 1
-    scores = np.zeros((n_categories, n_groups), dtype=np.float64)
-    np.add.at(scores, (codes, group_of_claim), weights)
+    scores = _cell_scores(codes, group_of_claim, n_categories, n_groups,
+                          weights)
     with np.errstate(invalid="ignore", divide="ignore"):
         distribution = scores / totals[None, :]
     empty = totals <= 0
@@ -317,10 +338,10 @@ def segment_std(values: np.ndarray, indptr: np.ndarray,
                 floor: float = 1e-12) -> np.ndarray:
     """Per-group standard deviation — the normalizer of Eqs. 13/15.
 
-    Two-pass (mean then centered squares) like
-    :func:`repro.core.weighted_stats.column_std`; groups with fewer than
-    two claims, or a std at/below ``floor``, fall back to 1.0 so the
-    losses degrade to unnormalized distances instead of dividing by zero.
+    Two-pass (mean then centered squares) like :func:`column_std`;
+    groups with fewer than two claims, or a std at/below ``floor``, fall
+    back to 1.0 so the losses degrade to unnormalized distances instead
+    of dividing by zero.
     """
     values = np.asarray(values, dtype=np.float64)
     if group_of_claim is None:
@@ -330,6 +351,27 @@ def segment_std(values: np.ndarray, indptr: np.ndarray,
     mean = _segment_sums(values, indptr) / safe_counts
     centered_sq = (values - mean[group_of_claim]) ** 2
     variance = _segment_sums(centered_sq, indptr) / safe_counts
+    std = np.sqrt(variance)
+    return np.where((std <= floor) | (counts < 2), 1.0, std)
+
+
+def column_std(values: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """Per-column std of a dense ``(K, N)`` matrix across observed
+    (non-``NaN``) sources — :func:`segment_std` for dense tables, with
+    the same two passes and the same fallback to 1.0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    observed = ~np.isnan(values)
+    counts = observed.sum(axis=0)
+    # Hand-rolled nan-std: np.nanstd warns on all-NaN columns, which are
+    # legitimate here (entries nobody observed fall back to std 1.0).
+    filled = np.where(observed, values, 0.0)
+    safe_counts = np.maximum(counts, 1)
+    mean = filled.sum(axis=0) / safe_counts
+    variance = (
+        np.where(observed, (values - mean[None, :]) ** 2, 0.0).sum(axis=0)
+        / safe_counts
+    )
     std = np.sqrt(variance)
     return np.where((std <= floor) | (counts < 2), 1.0, std)
 

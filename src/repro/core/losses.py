@@ -204,7 +204,11 @@ class ProbabilityVectorLoss(Loss):
 # ----------------------------------------------------------------------
 
 def _entry_std(state_aux: dict, prop) -> np.ndarray:
-    """Per-entry cross-source std, cached on the property's claim view."""
+    """Per-entry cross-source std, cached on the property's claim view.
+
+    Looked up on first use (the deviation pass), so a truth step whose
+    state is only read for its column never computes it.
+    """
     cached = state_aux.get("std")
     if cached is None:
         cached = prop.claim_view().entry_std()
@@ -221,18 +225,14 @@ class NormalizedSquaredLoss(Loss):
     uses_entry_std = True
 
     def initial_state(self, prop, init_column: np.ndarray) -> TruthState:
-        state = TruthState(column=np.asarray(init_column, dtype=np.float64))
-        _entry_std(state.aux, prop)
-        return state
+        return TruthState(column=np.asarray(init_column, dtype=np.float64))
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
         view = prop.claim_view()
-        state = TruthState(column=kernels.segment_weighted_mean(
+        return TruthState(column=kernels.segment_weighted_mean(
             view.values, view.claim_weights(weights), view.indptr,
             group_of_claim=view.object_idx,
         ))
-        _entry_std(state.aux, prop)
-        return state
 
     def claim_deviations(self, state: TruthState, prop) -> np.ndarray:
         view = prop.claim_view()
@@ -256,19 +256,15 @@ class NormalizedAbsoluteLoss(Loss):
     uses_entry_std = True
 
     def initial_state(self, prop, init_column: np.ndarray) -> TruthState:
-        state = TruthState(column=np.asarray(init_column, dtype=np.float64))
-        _entry_std(state.aux, prop)
-        return state
+        return TruthState(column=np.asarray(init_column, dtype=np.float64))
 
     def update_truth(self, prop, weights: np.ndarray) -> TruthState:
         view = prop.claim_view()
-        state = TruthState(column=kernels.segment_weighted_median(
+        return TruthState(column=kernels.segment_weighted_median(
             view.values, view.claim_weights(weights), view.indptr,
             group_of_claim=view.object_idx,
             order=view.median_order(),
         ))
-        _entry_std(state.aux, prop)
-        return state
 
     def claim_deviations(self, state: TruthState, prop) -> np.ndarray:
         view = prop.claim_view()

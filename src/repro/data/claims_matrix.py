@@ -121,6 +121,21 @@ def _indptr_for(object_idx: np.ndarray, n_objects: int) -> np.ndarray:
     return indptr
 
 
+def _check_codes(name: str, codes: np.ndarray, n_categories: int) -> None:
+    """Refuse codec-backed values outside ``[0, n_categories)``.
+
+    The categorical kernels index their score cells by code, so an
+    out-of-range code would score in another object's cells.  Checked
+    with ``min``/``max``, which read a memmap without copying it.
+    """
+    if codes.size and (codes.min() < 0 or codes.max() >= n_categories):
+        bad = codes[(codes < 0) | (codes >= n_categories)][0]
+        raise ValueError(
+            f"property {name!r}: code {int(bad)} is outside its codec's "
+            f"range [0, {n_categories})"
+        )
+
+
 class PropertyClaims:
     """One property's claims in sparse (CSR-by-object) form.
 
@@ -151,6 +166,7 @@ class PropertyClaims:
                     f"needs a codec"
                 )
             values = np.asarray(values, dtype=np.int32)
+            _check_codes(schema.name, values, len(codec))
         else:
             values = np.asarray(values, dtype=np.float64)
         if canonicalize and values.size:

@@ -19,7 +19,7 @@ import numpy as np
 from ..data.encoding import MISSING_CODE
 from ..data.schema import PropertyKind
 from ..data.table import MultiSourceDataset, TruthTable
-from ..core.weighted_stats import column_std
+from ..core.kernels import column_std
 
 
 def true_source_reliability(dataset: MultiSourceDataset,

@@ -9,6 +9,7 @@ representations.
 import numpy as np
 import pytest
 
+from repro import crh
 from repro.data import (
     ClaimsMatrix,
     DatasetBuilder,
@@ -19,6 +20,8 @@ from repro.data import (
     profile_dataset,
 )
 from repro.data.claims_matrix import PropertyClaims, claim_nbytes
+from repro.data.encoding import CategoricalCodec
+from repro.data.table import MultiSourceDataset, PropertyObservations
 
 
 def _mixed_dataset(seed=0, k=7, n=30, density=0.5):
@@ -177,6 +180,56 @@ class TestClaimsFromArrays:
         assert dense.properties[0].values[1, 0] == 2.0
         assert dense.properties[0].values[0, 2] == 3.0
         assert np.isnan(dense.properties[0].values[1, 2])
+
+
+class TestCodeRange:
+    """Codec-backed claims outside ``[0, len(codec))`` are refused when
+    the property is built, on sparse and dense input alike, so no vote
+    ever scores a code in another label's or another object's cell."""
+
+    SCHEMA = DatasetSchema.of(categorical("cond"))
+    CODEC = CategoricalCodec(["a", "b", "z"])
+
+    def sparse(self, codes):
+        return claims_from_arrays(
+            self.SCHEMA, source_ids=("s0", "s1", "s2"), object_ids=("o0",),
+            columns={"cond": (np.array(codes, dtype=np.int32),
+                              np.arange(3, dtype=np.int32),
+                              np.zeros(3, dtype=np.int32))},
+            codecs={"cond": self.CODEC},
+        )
+
+    def dense(self, codes):
+        return MultiSourceDataset(
+            self.SCHEMA, source_ids=("s0", "s1", "s2"), object_ids=("o0",),
+            properties=[PropertyObservations(
+                self.SCHEMA[0], np.array(codes, dtype=np.int32)[:, None],
+                codec=self.CODEC)],
+        )
+
+    @pytest.mark.parametrize("codes, bad", [([-1, -1, 0], -1),
+                                            ([0, 3, 1], 3)])
+    def test_sparse_input_rejects_out_of_range_codes(self, codes, bad):
+        with pytest.raises(ValueError,
+                           match=rf"'cond': code {bad} is outside"):
+            self.sparse(codes)
+
+    def test_dense_input_rejects_code_past_codec(self):
+        dataset = self.dense([0, 3, 1])
+        for backend in ("dense", "sparse"):
+            with pytest.raises(ValueError,
+                               match=r"'cond': code 3 is outside"):
+                crh(dataset, backend=backend)
+
+    def test_from_dense_drops_missing_code(self):
+        """In a dense matrix ``-1`` marks a missing claim, so it never
+        reaches the range check: only ``s2``'s claim is voted."""
+        dataset = self.dense([-1, -1, 0])
+        sparse = ClaimsMatrix.from_dense(dataset)
+        assert sparse.properties[0].n_claims == 1
+        for backend in ("dense", "sparse"):
+            truths = crh(dataset, backend=backend).truths
+            assert truths.columns[0].tolist() == [0]
 
 
 class TestProfileParity:

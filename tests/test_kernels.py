@@ -1,29 +1,36 @@
 """Unit tests for the shared execution kernels (repro.core.kernels).
 
 Every segment kernel is checked against the scalar oracles in
-``repro.core.weighted_stats`` on randomized segmented inputs, plus the
+``tests/kernel_oracles.py`` on randomized segmented inputs, plus the
 edge cases the engines rely on: empty segments, zero-total-weight
 segments, value ties, and single-claim segments.  Also pinned: the
 weighted median's cached sort order and precomputed effective weights
-being pure reuse, and the vote kernel's sparse-scores fallback (same
-winners, O(claims) peak memory instead of O(categories * objects)).
+being pure reuse, the vote kernel's sparse-scores fallback (same
+winners, O(claims) peak memory instead of O(categories * objects)), and
+the categorical kernels' flat ``bincount`` scores against an
+``np.add.at`` reference, bit for bit.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.weighted_stats import (
-    column_std,
+from repro.core.kernels import column_std
+from repro.data import ClaimsMatrix
+from repro.data.encoding import MISSING_CODE
+
+from .kernel_oracles import (
+    scatter_add_scores,
     weighted_mean,
     weighted_median,
     weighted_mode,
 )
-from repro.data import ClaimsMatrix
-from repro.data.encoding import MISSING_CODE
-
+from .conftest import examples
 from .test_engine_equivalence import _fuzz_dataset
 
 
@@ -343,3 +350,91 @@ class TestVoteSparseFallback:
                 scores[int(c)] = scores.get(int(c), 0.0) + w
             best = max(sorted(scores), key=lambda c: scores[c])
             assert winners[g] == best
+
+
+@st.composite
+def categorical_claims(draw):
+    """Segmented categorical claims: ties, duplicate ``(group, code)``
+    cells, empty and zero-total-weight groups, ``L`` from 0 to 5."""
+    n_categories = draw(st.integers(0, 5))
+    n_groups = draw(st.integers(0, 12))
+    weight = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    )
+    sizes, codes, weights = [], [], []
+    for _ in range(n_groups):
+        size = draw(st.integers(0, 8)) if n_categories else 0
+        sizes.append(size)
+        if size:
+            codes += draw(st.lists(st.integers(0, n_categories - 1),
+                                   min_size=size, max_size=size))
+            weights += draw(st.lists(weight, min_size=size,
+                                     max_size=size))
+    indptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    weights = np.array(weights, dtype=np.float64)
+    zero_group = draw(st.integers(-1, n_groups - 1))
+    if zero_group >= 0:
+        weights[indptr[zero_group]:indptr[zero_group + 1]] = 0.0
+    return (np.array(codes, dtype=np.int32), weights, indptr,
+            n_categories)
+
+
+def _reference_distribution(codes, weights, indptr, n_categories):
+    """``(scores, distribution)`` built from ``np.add.at`` scores."""
+    group = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    effective, totals = kernels.effective_claim_weights(weights, indptr,
+                                                        group)
+    scores = scatter_add_scores(codes, effective, group, n_categories,
+                                indptr.shape[0] - 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        distribution = scores / totals[None, :]
+    distribution[:, totals <= 0] = 0.0
+    return scores, distribution
+
+
+class TestBincountScoresMatchScatterAdd:
+    """The flat ``bincount`` score accumulation reproduces ``np.add.at``
+    scores bit for bit, so winners and distributions match the
+    reference on every input shape."""
+
+    @settings(max_examples=examples(300))
+    @given(categorical_claims())
+    def test_label_distribution_is_bit_identical(self, case):
+        codes, weights, indptr, n_categories = case
+        distribution, column = kernels.segment_label_distribution(
+            codes, weights, indptr, n_categories)
+        scores, expected = _reference_distribution(
+            codes, weights, indptr, n_categories)
+        assert distribution.shape == expected.shape
+        assert distribution.tobytes() == expected.tobytes()
+        empty = np.diff(indptr) == 0
+        if n_categories:
+            want = expected.argmax(axis=0).astype(np.int32)
+            want[empty] = MISSING_CODE
+        else:
+            want = np.full(empty.shape, MISSING_CODE, dtype=np.int32)
+        assert column.tolist() == want.tolist()
+
+    @settings(max_examples=examples(300))
+    @given(categorical_claims())
+    def test_vote_winners_match_on_both_paths(self, case):
+        codes, weights, indptr, n_categories = case
+        n_groups = indptr.shape[0] - 1
+        scores, _ = _reference_distribution(codes, weights, indptr,
+                                            n_categories)
+        want = np.full(n_groups, MISSING_CODE, dtype=np.int32)
+        if n_categories:
+            occupied = np.diff(indptr) > 0
+            want[occupied] = scores.argmax(axis=0)[occupied]
+        cells = n_categories * n_groups
+        # The dense score matrix runs up to the threshold, the
+        # claimed-cells path one cell past it.
+        for threshold in (cells, cells - 1):
+            with mock.patch.object(kernels, "VOTE_DENSE_SCORE_CELLS",
+                                   threshold):
+                winners = kernels.segment_weighted_vote(
+                    codes, weights, indptr, n_categories)
+            assert winners.dtype == np.int32
+            assert winners.tolist() == want.tolist()

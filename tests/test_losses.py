@@ -181,9 +181,14 @@ class TestContinuousLosses:
         assert abs(sq_state.column[j] - 95.0) < abs(ab_state.column[j] - 95.0)
 
     def test_std_cached_in_state(self, continuous_prop):
-        loss = NormalizedAbsoluteLoss()
-        state = loss.update_truth(continuous_prop, np.ones(3))
-        assert "std" in state.aux
+        """The entry std is computed by the deviation pass, not the
+        truth step, and then held as the claim view's cached array."""
+        for loss in (NormalizedAbsoluteLoss(), NormalizedSquaredLoss()):
+            state = loss.update_truth(continuous_prop, np.ones(3))
+            assert "std" not in state.aux
+            loss.claim_deviations(state, continuous_prop)
+            assert (state.aux["std"]
+                    is continuous_prop.claim_view().entry_std())
 
     def test_objective_contribution_matches_manual(self, continuous_prop):
         loss = NormalizedAbsoluteLoss()

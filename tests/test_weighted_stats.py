@@ -3,8 +3,9 @@
 The weighted median is the core of the paper's continuous truth update
 (Eq. 16), so it gets the heaviest property-based treatment: the Eq. 16
 mass conditions and the exact-minimizer property of Eq. 3 with absolute
-loss.  These scalar versions are the oracles ``tests/test_kernels.py``
-checks the solver's segment kernels against.
+loss.  These scalar versions (``tests/kernel_oracles.py``) are the oracles
+``tests/test_kernels.py`` checks the solver's segment kernels against;
+``column_std`` is the dense-table std of ``repro.core.kernels``.
 """
 
 import numpy as np
@@ -12,13 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.weighted_stats import (
-    column_std,
-    weighted_mean,
-    weighted_median,
-    weighted_mode,
-)
+from repro.core.kernels import column_std
 from tests.conftest import examples
+from tests.kernel_oracles import weighted_mean, weighted_median, weighted_mode
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)

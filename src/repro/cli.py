@@ -10,6 +10,7 @@ Usage::
     crh-repro table2 --backend sparse # CSR claims execution everywhere
     crh-repro profile                 # conflict/density/memory profile
     crh-repro trace summarize run.jsonl  # RunReport summary of a trace
+    crh-repro top --check serve.prom     # validate a metrics exposition
     python -m repro table6
 
 Each experiment prints the same rows/series the paper's table or figure
@@ -179,6 +180,37 @@ def trace_main(argv: list[str]) -> int:
     return 0
 
 
+def top_main(argv: list[str]) -> int:
+    """Entry point of ``repro top --check FILE``; returns exit code.
+
+    Syntax-checks a Prometheus exposition and asserts every serving
+    metric is present; exits 1 on any failure.
+    """
+    from .observability.export import (
+        check_exposition_file,
+        exposition_metric_names,
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro top",
+        description=("Validate a Prometheus exposition file: syntax "
+                     "plus the serving metric names"),
+    )
+    parser.add_argument("--check", type=Path, required=True,
+                        metavar="FILE",
+                        help="Prometheus exposition file to validate")
+    path = parser.parse_args(argv).check
+    errors = check_exposition_file(path)
+    if errors:
+        for error in errors:
+            print(f"metrics check: {error}", file=sys.stderr)
+        return 1
+    names = exposition_metric_names(path.read_text(encoding="utf-8"))
+    print(f"metrics check: {path} OK "
+          f"({len(names)} metric(s), all serving metrics present)")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -189,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         from .streaming.sim import serve_sim_main
         return serve_sim_main(argv[1:])
     if argv and argv[0] == "top":
-        from .observability.top import top_main
         return top_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
@@ -200,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         print("trace    trace tools (trace summarize run.jsonl)")
         print("serve-sim  stream the weather workload through the "
               "truth-serving layer")
-        print("top      live metrics dashboard over an exporter "
-              "snapshot file (also: top --check file.prom)")
+        print("top      validate a serving metrics exposition "
+              "(top --check file.prom)")
         return 0
     if args.experiment == "profile":
         _run_profile(args.seed, args.output)

@@ -49,6 +49,15 @@ class PropertyObservations:
                     f"must store "
                     f"integer codes, got dtype {self.values.dtype}"
                 )
+            codes, n_codes = self.values, len(self.codec)
+            if codes.size and (codes.min() < MISSING_CODE
+                               or codes.max() >= n_codes):
+                bad = codes[(codes < MISSING_CODE) | (codes >= n_codes)][0]
+                raise ValueError(
+                    f"property {self.schema.name!r}: code {int(bad)} is "
+                    f"outside its codec's range [0, {n_codes}) "
+                    f"({MISSING_CODE} marks a missing value)"
+                )
         else:
             if not np.issubdtype(self.values.dtype, np.floating):
                 raise TypeError(

@@ -32,31 +32,17 @@ glossary :data:`METRIC_FIELDS` maps every emitted field to its meaning
 and paper equation; ``docs/OBSERVABILITY.md`` renders it.
 
 The service's :class:`MetricsRegistry` holds *live* counters, gauges
-and fixed-bucket histograms.  On top sit
-:class:`HealthCheck` SLO rules (:func:`parse_rule`,
-:data:`DEFAULT_SERVING_RULES`), the
-:class:`MetricsExporter` (Prometheus text exposition via
-:func:`write_prometheus`, JSONL snapshot streams read back by
-:func:`read_latest_snapshot`), and the exposition tooling
-(:func:`validate_exposition`, :func:`exposition_metric_names`,
-:func:`flatten_snapshot`) behind the ``repro top`` dashboard and the
-CI metrics smoke job.
+and fixed-bucket histograms; its Prometheus text exposition is the one
+serving export, written atomically by :func:`write_prometheus` and
+checked by :func:`validate_exposition` and
+:func:`exposition_metric_names` (``repro top --check``, the CI metrics
+smoke job).
 """
 
 from .export import (
-    MetricsExporter,
     exposition_metric_names,
-    flatten_snapshot,
-    read_latest_snapshot,
     validate_exposition,
     write_prometheus,
-)
-from .health import (
-    DEFAULT_SERVING_RULES,
-    HealthCheck,
-    HealthReport,
-    SLORule,
-    parse_rule,
 )
 from .metrics import (
     Counter,
@@ -87,31 +73,23 @@ from .tracer import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_SERVING_RULES",
     "Gauge",
-    "HealthCheck",
-    "HealthReport",
     "Histogram",
     "JsonlTracer",
     "METRIC_FIELDS",
     "MemoryTracer",
-    "MetricsExporter",
     "MetricsRegistry",
     "RunReport",
     "SCHEMA_VERSION",
-    "SLORule",
     "Tracer",
     "append_record",
     "benchmark_record",
     "default_seconds_buckets",
     "experiment_record",
     "exposition_metric_names",
-    "flatten_snapshot",
     "iteration_record",
     "mapreduce_job_record",
     "method_run_record",
-    "parse_rule",
-    "read_latest_snapshot",
     "run_finished",
     "run_started",
     "stream_chunk_record",

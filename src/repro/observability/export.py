@@ -1,38 +1,35 @@
-"""Periodic metrics export: Prometheus text files and JSONL snapshots.
+"""Prometheus text exposition: the atomic file writer and its checks.
 
-The :class:`MetricsExporter` turns a live
-:class:`~repro.observability.metrics.MetricsRegistry` into files other
-processes can scrape:
-
-* **Prometheus text exposition** — the whole registry rendered by
-  :meth:`~repro.observability.metrics.MetricsRegistry.to_prometheus`
-  and written atomically (temp file + ``os.replace``), so a scraper
-  never reads a half-written exposition;
-* **JSONL snapshot stream** — one JSON line per export, appended with
-  the same ``O_APPEND`` single-write discipline as ``$REPRO_TRACE``
-  (:func:`~repro.observability.tracer.append_record`), so overlapping
-  exporters from several processes interleave whole lines only.  Each
-  line carries a unix timestamp, the registry snapshot, and (when a
-  :class:`~repro.observability.health.HealthCheck` is attached) the
-  health verdict — the live feed ``repro top`` tails.
-
-The module also hosts the exposition-format tooling the CI metrics
-smoke job uses: :func:`validate_exposition` syntax-checks a
-Prometheus text file and :func:`exposition_metric_names` extracts the
-metric names it declares.
+The serving registry's one export format is the Prometheus text that
+:meth:`~repro.observability.metrics.MetricsRegistry.to_prometheus`
+renders.  :func:`write_prometheus` writes it atomically (temp file +
+``os.replace``), so a scraper never reads a half-written exposition.
+:func:`validate_exposition` syntax-checks such text,
+:func:`exposition_metric_names` extracts the metric names it declares,
+and :func:`check_exposition_file` combines both into the
+``repro top --check`` validation the CI metrics smoke job runs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import time
 from pathlib import Path
 
-from .health import HealthCheck
 from .metrics import MetricsRegistry
-from .tracer import append_record
+
+#: metric names a serving exposition must carry (the CI smoke contract)
+REQUIRED_SERVING_METRICS = (
+    "ingested_claims",
+    "windows_sealed",
+    "read_objects",
+    "pending_timestamps",
+    "truth_version",
+    "weight_entropy",
+    "weight_drift",
+    "ingest_seconds",
+    "read_seconds",
+)
 
 #: one exposition sample line: name, optional label block, value
 _SAMPLE_RE = re.compile(
@@ -147,129 +144,33 @@ def exposition_metric_names(text: str) -> set[str]:
     return names
 
 
-def flatten_snapshot(snapshot: dict) -> dict[str, float]:
-    """A registry snapshot as a flat ``{name: value}`` dict.
-
-    Unlabeled counters and gauges map directly; labeled series are
-    summed per name (counters) or skipped (gauges — a per-worker gauge
-    has no meaningful global sum); histograms contribute
-    ``<name>_count`` and ``<name>_sum``.  This is the value surface
-    :class:`~repro.observability.health.HealthCheck` rules evaluate.
-    """
-    values: dict[str, float] = {}
-    for entry in snapshot.get("counters", ()):
-        values[entry["name"]] = (values.get(entry["name"], 0.0)
-                                 + float(entry["value"]))
-    for entry in snapshot.get("gauges", ()):
-        if not entry.get("labels"):
-            values[entry["name"]] = float(entry["value"])
-    for entry in snapshot.get("histograms", ()):
-        name = entry["name"]
-        values[f"{name}_count"] = (values.get(f"{name}_count", 0.0)
-                                   + float(entry["count"]))
-        values[f"{name}_sum"] = (values.get(f"{name}_sum", 0.0)
-                                 + float(entry["sum"]))
-    return values
-
-
-def write_prometheus(registry: MetricsRegistry, path,
-                     extra_lines: tuple[str, ...] = ()) -> Path:
+def write_prometheus(registry: MetricsRegistry, path) -> Path:
     """Atomically write the registry's Prometheus exposition to ``path``.
 
     The text is written to a sibling temp file and moved into place
     with ``os.replace`` — a scraper reading ``path`` sees either the
     previous complete exposition or the new one, never a torn mix.
-    ``extra_lines`` are appended verbatim (the exporter adds the
-    ``health_status`` gauge this way).
     """
     path = Path(path)
-    text = registry.to_prometheus()
-    if extra_lines:
-        text += "\n".join(extra_lines) + "\n"
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(registry.to_prometheus(), encoding="utf-8")
     os.replace(tmp, path)
     return path
 
 
-class MetricsExporter:
-    """Emits periodic registry snapshots to files.
+def check_exposition_file(path) -> list[str]:
+    """Validate one Prometheus exposition file; returns error strings.
 
-    Parameters
-    ----------
-    registry:
-        The live registry to snapshot.
-    prom_path:
-        When given, every :meth:`export` atomically rewrites this file
-        with the current Prometheus exposition.
-    jsonl_path:
-        When given, every :meth:`export` appends one JSON snapshot line
-        (atomic ``O_APPEND`` single write).
-    health:
-        Optional :class:`~repro.observability.health.HealthCheck`; its
-        verdict over the flattened snapshot (plus ``extra_values``)
-        rides along in the JSONL line and as a ``health_status`` gauge
-        sample (0 healthy / 1 degraded / 2 unhealthy) in the
-        exposition.
+    Checks syntax via :func:`validate_exposition` and the presence of
+    every :data:`REQUIRED_SERVING_METRICS` name.
     """
-
-    def __init__(self, registry: MetricsRegistry, *,
-                 prom_path=None, jsonl_path=None,
-                 health: HealthCheck | None = None) -> None:
-        self.registry = registry
-        self.prom_path = None if prom_path is None else Path(prom_path)
-        self.jsonl_path = (None if jsonl_path is None
-                           else Path(jsonl_path))
-        self.health = health
-        self.exports = 0
-
-    def export(self, extra_values: dict | None = None) -> dict:
-        """Take one snapshot and write every configured sink.
-
-        ``extra_values`` extend the flattened value dict the health
-        rules see (e.g. gauges the caller computes out-of-registry).
-        Returns the JSONL-shaped record (also when no sink is
-        configured, so callers can render it directly).
-        """
-        snapshot = self.registry.snapshot()
-        record: dict = {"unix_time": time.time(), "snapshot": snapshot}
-        extra_lines: tuple[str, ...] = ()
-        if self.health is not None:
-            values = flatten_snapshot(snapshot)
-            if extra_values:
-                values.update(extra_values)
-            report = self.health.evaluate(values)
-            record["health"] = report.to_dict()
-            extra_lines = (
-                "# HELP health_status SLO verdict: 0 healthy, "
-                "1 degraded, 2 unhealthy",
-                "# TYPE health_status gauge",
-                f"health_status {report.status_code}",
-            )
-        if self.prom_path is not None:
-            write_prometheus(self.registry, self.prom_path,
-                             extra_lines=extra_lines)
-        if self.jsonl_path is not None:
-            append_record(self.jsonl_path, record)
-        self.exports += 1
-        return record
-
-
-def read_latest_snapshot(path) -> dict | None:
-    """The last complete JSON line of an exporter JSONL file, or
-    ``None`` for a missing/empty file.  Skips a torn final line (a
-    concurrent exporter mid-write) by falling back to the previous
-    one."""
     path = Path(path)
     if not path.exists():
-        return None
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in reversed(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError:
-            continue
-    return None
+        return [f"no such file: {path}"]
+    text = path.read_text(encoding="utf-8")
+    errors = validate_exposition(text)
+    present = exposition_metric_names(text)
+    missing = sorted(set(REQUIRED_SERVING_METRICS) - present)
+    if missing:
+        errors.append(f"missing serving metrics: {', '.join(missing)}")
+    return errors

@@ -321,9 +321,6 @@ class MetricsRegistry:
              "gauges":     [{"name", "labels", "value"}, ...],
              "histograms": [{"name", "labels", "bounds",
                              "counts", "sum", "count"}, ...]}
-
-        Snapshots are what the exporter writes and ``repro top``
-        renders.
         """
         out: dict = {"counters": [], "gauges": [], "histograms": []}
         for instrument in self.instruments():

@@ -144,9 +144,6 @@ METRIC_FIELDS: dict[str, str] = {
                     "calls, in wall seconds",
     "seal_seconds": "latency histogram of window seals (one "
                     "Algorithm-2 chunk step each), in wall seconds",
-    "health_status": "SLO verdict of the health evaluator: 0 healthy, "
-                     "1 degraded, 2 unhealthy (exported alongside the "
-                     "registry by the metrics exporter)",
     "snapshot_seq": "monotone publication number of the latest "
                     "copy-on-write truth snapshot (0 is the empty "
                     "initial snapshot; the rate of change is the "

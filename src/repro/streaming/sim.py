@@ -4,26 +4,23 @@ Replays the weather workload claim by claim through the serving stack —
 batched ingests, interleaved random truth reads — and prints the
 serving counters the run produced.  This is the CLI surface of the
 serving layer: the same loop a long-lived deployment would run, but
-against a generated stream, so the dirty-set planner, live metrics
-export and snapshotting can all be exercised from a terminal::
+against a generated stream, so the dirty-set planner, the Prometheus
+exposition and snapshotting can all be exercised from a terminal::
 
     python -m repro serve-sim --cities 8 --days 30 --reads 5
     python -m repro serve-sim --snapshot state/
-    python -m repro serve-sim --prom serve.prom --metrics-jsonl live.jsonl
-    python -m repro serve-sim --http 9095     # /metrics + /healthz
+    python -m repro serve-sim --prom serve.prom
+    python -m repro serve-sim --http 9095     # /metrics
 
-With ``--prom`` / ``--metrics-jsonl`` a
-:class:`~repro.observability.export.MetricsExporter` snapshots the
-service registry every ``--export-every`` ingest batches (plus once at
-the end); ``--http PORT`` additionally serves the live exposition on
-``/metrics`` and the SLO verdict on ``/healthz``.  ``--slo`` rules
-(``metric{<|>}warn[:fail]``) replace the default serving SLOs.
+With ``--prom`` the service registry's exposition is rewritten
+atomically (:func:`~repro.observability.export.write_prometheus`) every
+``--export-every`` ingest batches and once at the end; ``--http PORT``
+serves the live exposition on ``/metrics``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
@@ -31,12 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..observability import (
-    HealthCheck,
-    MetricsExporter,
-    parse_rule,
-)
-from ..observability.export import flatten_snapshot
+from ..observability import write_prometheus
 from .icrh import ICRHConfig
 from .service import TruthService, iter_dataset_claims
 
@@ -70,33 +62,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prom", type=Path, default=None,
                         help="write the Prometheus text exposition to "
                              "this file on every export")
-    parser.add_argument("--metrics-jsonl", type=Path, default=None,
-                        help="append one JSON metrics snapshot line "
-                             "per export to this file (repro top "
-                             "tails it)")
     parser.add_argument("--export-every", type=int, default=5,
                         help="ingest batches between metric exports "
                              "(default 5; a final export always runs)")
     parser.add_argument("--http", type=int, default=None, metavar="PORT",
-                        help="serve /metrics and /healthz on "
-                             "127.0.0.1:PORT for the duration of "
-                             "the run")
-    parser.add_argument("--slo", action="append", default=None,
-                        metavar="RULE",
-                        help="health rule metric{<|>}warn[:fail] "
-                             "(repeatable; replaces the default "
-                             "serving SLOs)")
+                        help="serve /metrics on 127.0.0.1:PORT for the "
+                             "duration of the run")
     return parser
 
 
-def _start_http_server(port: int, registry, health: HealthCheck):
-    """Serve ``/metrics`` and ``/healthz`` on a daemon thread.
+def _start_http_server(port: int, registry):
+    """Serve ``/metrics`` on a daemon thread.
 
     Returns the ``ThreadingHTTPServer`` (caller shuts it down).
-    ``/metrics`` renders the live registry as Prometheus text;
-    ``/healthz`` evaluates the SLO rules against the flattened
-    snapshot and answers 200 (healthy/degraded) or 503 (unhealthy)
-    with the JSON report as body.
+    ``/metrics`` renders the live registry as Prometheus text; every
+    other path answers 404.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -113,12 +93,6 @@ def _start_http_server(port: int, registry, health: HealthCheck):
             if self.path == "/metrics":
                 self._reply(200, "text/plain; version=0.0.4",
                             registry.to_prometheus().encode("utf-8"))
-            elif self.path == "/healthz":
-                report = health.evaluate(
-                    flatten_snapshot(registry.snapshot()))
-                body = json.dumps(report.to_dict()).encode("utf-8")
-                code = 200 if report.status != "unhealthy" else 503
-                self._reply(code, "application/json", body)
             else:
                 self._reply(404, "text/plain", b"not found\n")
 
@@ -150,23 +124,11 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
         codecs=dataset.codecs(),
     )
     registry = service.registry
-    try:
-        rules = ([parse_rule(text) for text in args.slo]
-                 if args.slo else None)
-    except ValueError as error:
-        print(f"serve-sim: {error}", file=sys.stderr)
-        return 2
-    health = HealthCheck(rules)
-    exporter = None
-    if args.prom is not None or args.metrics_jsonl is not None:
-        exporter = MetricsExporter(registry, prom_path=args.prom,
-                                   jsonl_path=args.metrics_jsonl,
-                                   health=health)
+    exports = 0
     server = None
     if args.http is not None:
-        server = _start_http_server(args.http, registry, health)
-        print(f"serving /metrics and /healthz on "
-              f"http://127.0.0.1:{args.http}")
+        server = _start_http_server(args.http, registry)
+        print(f"serving /metrics on http://127.0.0.1:{args.http}")
     print(f"serve-sim: {len(claims):,} claims over {args.days} days, "
           f"{dataset.n_objects} objects, window={args.window}, "
           f"batch={args.batch}")
@@ -184,12 +146,14 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
                                         min(args.reads, len(known)),
                                         replace=False):
                 service.get_truth([known[int(object_id)]])
-            if (exporter is not None
+            if (args.prom is not None
                     and batch_index % args.export_every == 0):
-                exporter.export()
+                write_prometheus(registry, args.prom)
+                exports += 1
         service.flush()
-        if exporter is not None:
-            exporter.export()
+        if args.prom is not None:
+            write_prometheus(registry, args.prom)
+            exports += 1
     finally:
         if server is not None:
             server.shutdown()
@@ -199,8 +163,7 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     print(f"ingested {metrics['ingested_claims']:,} claims in "
           f"{elapsed:.2f} s ({rate:,.0f} claims/sec), sealed "
           f"{metrics['windows_sealed']} windows")
-    print(f"reads: {metrics['read_objects']:,} objects, cache hit rate "
-          f"{metrics['cache_hit_rate']:.1%}")
+    print(f"reads: {metrics['read_objects']:,} objects")
     print(f"state: {metrics['n_sources']} sources, "
           f"{metrics['n_objects']:,} objects, "
           f"{metrics['pending_timestamps']} pending timestamps")
@@ -208,16 +171,12 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     top = sorted(weights, key=weights.get, reverse=True)[:3]
     print("top sources: "
           + ", ".join(f"{s}={weights[s]:.3f}" for s in top))
-    report = health.evaluate(flatten_snapshot(registry.snapshot()))
-    print(report.render())
     if args.snapshot is not None:
         service.snapshot(args.snapshot)
         print(f"snapshot written to {args.snapshot}/")
     if args.prom is not None:
         print(f"prometheus exposition written to {args.prom} "
-              f"({exporter.exports} export(s))")
-    if args.metrics_jsonl is not None:
-        print(f"metrics snapshots appended to {args.metrics_jsonl}")
+              f"({exports} export(s))")
     return 0
 
 

@@ -215,11 +215,13 @@ class TestCodeRange:
             self.sparse(codes)
 
     def test_dense_input_rejects_code_past_codec(self):
-        dataset = self.dense([0, 3, 1])
-        for backend in ("dense", "sparse"):
+        """A dense matrix is checked when the property is built, not
+        later when a solver or ``dataset_to_records`` reads it; only
+        ``-1`` (missing) may lie outside the codec's range."""
+        for codes, bad in (([0, 3, 1], 3), ([0, -2, 1], -2)):
             with pytest.raises(ValueError,
-                               match=r"'cond': code 3 is outside"):
-                crh(dataset, backend=backend)
+                               match=rf"'cond': code {bad} is outside"):
+                self.dense(codes)
 
     def test_from_dense_drops_missing_code(self):
         """In a dense matrix ``-1`` marks a missing claim, so it never

@@ -65,7 +65,7 @@ class TestServeSim:
         out = capsys.readouterr().out
         assert "serve-sim:" in out
         assert "claims/sec" in out
-        assert "cache hit rate" in out
+        assert "reads:" in out
 
     def test_serve_sim_snapshot(self, capsys, tmp_path):
         snap = tmp_path / "state"

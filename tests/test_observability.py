@@ -24,14 +24,13 @@ from repro.experiments.harness import run_method_table
 from repro.observability import (
     METRIC_FIELDS,
     JsonlTracer,
-    HealthCheck,
     MemoryTracer,
-    MetricsExporter,
     RunReport,
     Tracer,
     benchmark_record,
     exposition_metric_names,
     run_finished,
+    write_prometheus,
 )
 from repro.parallel import parallel_crh
 from repro.streaming import icrh
@@ -232,9 +231,7 @@ class TestJsonlRoundTrip:
         service.ingest(iter_dataset_claims(weather))
         service.flush()
         service.get_truth(list(weather.object_ids[:5]))
-        prom = tmp_path / "serve.prom"
-        MetricsExporter(service.registry, prom_path=prom,
-                        health=HealthCheck()).export()
+        prom = write_prometheus(service.registry, tmp_path / "serve.prom")
         emitted |= set(service.metrics())
         emitted |= {entry["name"]
                     for kind in service.registry.snapshot().values()

@@ -1,10 +1,10 @@
-"""The live-metrics layer: registry, health, export, dashboard, engine.
+"""The live-metrics layer: registry, exposition, export, engine.
 
-Covers the acceptance properties of the metrics tentpole: instrument
+Covers the acceptance properties of the serving metrics: instrument
 semantics (counters only go up, one kind per name, disabled registries
 are empty no-ops), histogram quantiles within one bucket width of
-exact, Prometheus exposition validity, SLO health verdicts, exporter
-file discipline, and the ``repro top`` check mode.
+exact, Prometheus exposition validity, atomic exposition files, the
+``/metrics`` endpoint, and the ``repro top --check`` validation.
 """
 
 from __future__ import annotations
@@ -17,16 +17,9 @@ import pytest
 
 from repro.data import DatasetSchema, continuous
 from repro.observability import (
-    DEFAULT_SERVING_RULES,
-    HealthCheck,
-    MetricsExporter,
     MetricsRegistry,
-    SLORule,
     default_seconds_buckets,
     exposition_metric_names,
-    flatten_snapshot,
-    parse_rule,
-    read_latest_snapshot,
     validate_exposition,
     write_prometheus,
 )
@@ -212,84 +205,6 @@ class TestPrometheusExposition:
         assert any("label block" in e for e in errors)
         assert any("unknown TYPE" in e for e in errors)
 
-    def test_flatten_snapshot_sums_counters_and_expands_histograms(self):
-        values = flatten_snapshot(self._populated().snapshot())
-        assert values["ingested_claims"] == 10.0
-        assert values["read_objects"] == 2.0  # labeled counters sum
-        assert values["pending_timestamps"] == 3.0
-        assert values["read_seconds_count"] == 3.0
-        assert values["read_seconds_sum"] == pytest.approx(2.00055)
-
-
-class TestHealth:
-    def test_rule_verdicts_above(self):
-        rule = SLORule(name="staleness", metric="pending_timestamps",
-                       warn=10, fail=100)
-        assert rule.verdict(5) == "healthy"
-        assert rule.verdict(50) == "degraded"
-        assert rule.verdict(500) == "unhealthy"
-        assert rule.verdict(None) == "healthy"
-
-    def test_rule_verdicts_below(self):
-        rule = SLORule(name="entropy", metric="weight_entropy",
-                       warn=0.5, fail=0.1, direction="below")
-        assert rule.verdict(0.9) == "healthy"
-        assert rule.verdict(0.3) == "degraded"
-        assert rule.verdict(0.05) == "unhealthy"
-
-    def test_warn_only_rule_caps_at_degraded(self):
-        rule = SLORule(name="x", metric="m", warn=1.0)
-        assert rule.verdict(1e9) == "degraded"
-
-    def test_misordered_thresholds_rejected(self):
-        with pytest.raises(ValueError, match="beyond"):
-            SLORule(name="x", metric="m", warn=100, fail=10)
-        with pytest.raises(ValueError, match="direction"):
-            SLORule(name="x", metric="m", warn=1, direction="sideways")
-
-    def test_parse_rule_round_trips(self):
-        for text in ("pending_timestamps>64:4096", "weight_entropy<0.5:0.1",
-                     "pending_timestamps>8"):
-            rule = parse_rule(text)
-            assert rule.render() == text
-            assert parse_rule(rule.render()) == rule
-
-    def test_parse_rule_rejects_garbage(self):
-        for text in ("nonsense", ">5", "m>abc", "m>1:0.5"):
-            with pytest.raises(ValueError, match="bad SLO rule|expected"):
-                parse_rule(text)
-
-    def test_worst_verdict_wins(self):
-        check = HealthCheck((
-            SLORule(name="a", metric="a", warn=1, fail=10),
-            SLORule(name="b", metric="b", warn=1, fail=10),
-        ))
-        report = check.evaluate({"a": 0, "b": 5})
-        assert report.status == "degraded"
-        assert report.status_code == 1
-        report = check.evaluate({"a": 50, "b": 5})
-        assert report.status == "unhealthy"
-        assert report.status_code == 2
-        assert [r.status for r in report.results] == [
-            "unhealthy", "degraded"]
-
-    def test_default_rules_pass_on_quiet_service(self):
-        service = _stream(_service())
-        report = HealthCheck().evaluate(service.metrics())
-        assert report.status == "healthy"
-        assert {r.rule.metric for r in report.results} == {
-            rule.metric for rule in DEFAULT_SERVING_RULES}
-
-    def test_report_dict_and_render(self):
-        report = HealthCheck((
-            SLORule(name="staleness", metric="pending_timestamps",
-                    warn=1, fail=10),
-        )).evaluate({"pending_timestamps": 5})
-        data = report.to_dict()
-        assert data["status"] == "degraded"
-        assert data["rules"][0]["rule"] == "pending_timestamps>1:10"
-        assert "staleness: degraded" in report.render()
-
 
 class TestExporter:
     def test_prometheus_file_is_atomic_and_valid(self, tmp_path):
@@ -299,68 +214,25 @@ class TestExporter:
         assert validate_exposition(path.read_text()) == []
         assert not (tmp_path / "out.prom.tmp").exists()
 
-    def test_export_appends_jsonl_and_reports_health(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.gauge("pending_timestamps").set(100)  # past warn=64
-        exporter = MetricsExporter(
-            registry,
-            prom_path=tmp_path / "m.prom",
-            jsonl_path=tmp_path / "m.jsonl",
-            health=HealthCheck(),
-        )
-        first = exporter.export()
-        registry.gauge("pending_timestamps").set(0)
-        second = exporter.export()
-        assert exporter.exports == 2
-        assert first["health"]["status"] == "degraded"
-        assert second["health"]["status"] == "healthy"
-        lines = (tmp_path / "m.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        latest = read_latest_snapshot(tmp_path / "m.jsonl")
-        assert latest["health"]["status"] == "healthy"
-        prom = (tmp_path / "m.prom").read_text()
-        assert "health_status 0" in prom
-        assert validate_exposition(prom) == []
-
-    def test_read_latest_skips_torn_final_line(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text('{"unix_time": 1, "snapshot": {}}\n'
-                        '{"unix_time": 2, "snap')
-        assert read_latest_snapshot(path)["unix_time"] == 1
-        assert read_latest_snapshot(tmp_path / "absent.jsonl") is None
-
-    def test_extra_values_reach_health_rules(self, tmp_path):
-        exporter = MetricsExporter(
-            MetricsRegistry(),
-            health=HealthCheck((SLORule(name="lag", metric="lag",
-                                        warn=1.0),)),
-        )
-        record = exporter.export(extra_values={"lag": 2.0})
-        assert record["health"]["status"] == "degraded"
-
 
 class TestTopDashboard:
+    """``repro top --check``, the exposition validation CI runs."""
+
     def _export(self, tmp_path):
         service = _stream(_service())
         service.get_truth(service.object_ids)
-        exporter = MetricsExporter(
-            service.registry,
-            prom_path=tmp_path / "serve.prom",
-            jsonl_path=tmp_path / "serve.jsonl",
-            health=HealthCheck(),
-        )
-        return exporter.export()
+        write_prometheus(service.registry, tmp_path / "serve.prom")
 
     def test_check_passes_on_real_serving_exposition(self, tmp_path,
                                                      capsys):
-        from repro.observability.top import top_main
+        from repro.cli import top_main
 
         self._export(tmp_path)
         assert top_main(["--check", str(tmp_path / "serve.prom")]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_fails_on_missing_metrics(self, tmp_path, capsys):
-        from repro.observability.top import top_main
+        from repro.cli import top_main
 
         path = tmp_path / "thin.prom"
         path.write_text("ingested_claims 5\n")
@@ -368,25 +240,6 @@ class TestTopDashboard:
         err = capsys.readouterr().err
         assert "missing serving metrics" in err
         assert top_main(["--check", str(tmp_path / "nope.prom")]) == 1
-
-    def test_render_frame_covers_every_section(self, tmp_path):
-        from repro.observability.top import render_snapshot
-
-        frame = render_snapshot(self._export(tmp_path))
-        # the overall verdict depends on live gauges (a short stream
-        # can legitimately trip the stall rule); the section must render
-        assert "health: " in frame and "staleness:" in frame
-        assert "ingested_claims" in frame
-        assert "pending_timestamps" in frame
-        assert "ingest_seconds" in frame and "us" in frame
-
-    def test_once_renders_single_frame(self, tmp_path, capsys):
-        from repro.observability.top import top_main
-
-        self._export(tmp_path)
-        assert top_main([str(tmp_path / "serve.jsonl"), "--once"]) == 0
-        assert "repro top" in capsys.readouterr().out
-        assert top_main([str(tmp_path / "empty.jsonl"), "--once"]) == 1
 
     def test_cli_dispatches_top(self, tmp_path, capsys):
         from repro.cli import main
@@ -398,9 +251,9 @@ class TestTopDashboard:
 
 
 class TestHttpEndpoints:
-    def test_metrics_and_healthz_endpoints(self):
+    def test_metrics_endpoint(self):
         """``serve-sim --http``'s server: /metrics serves a valid
-        exposition, /healthz answers 200 until unhealthy, then 503."""
+        exposition, every other path answers 404."""
         from urllib.error import HTTPError
         from urllib.request import urlopen
 
@@ -408,8 +261,7 @@ class TestHttpEndpoints:
 
         registry = MetricsRegistry()
         registry.counter("ingested_claims").inc(5)
-        pending = registry.gauge("pending_timestamps")
-        server = _start_http_server(0, registry, HealthCheck())
+        server = _start_http_server(0, registry)
         port = server.server_address[1]
         try:
             with urlopen(f"http://127.0.0.1:{port}/metrics") as reply:
@@ -418,18 +270,6 @@ class TestHttpEndpoints:
                 text = reply.read().decode("utf-8")
             assert validate_exposition(text) == []
             assert "ingested_claims 5.0" in text
-
-            with urlopen(f"http://127.0.0.1:{port}/healthz") as reply:
-                assert reply.status == 200
-                report = json.loads(reply.read())
-            assert report["status"] == "healthy"
-
-            pending.set(1e9)  # past the default fail threshold
-            with pytest.raises(HTTPError) as excinfo:
-                urlopen(f"http://127.0.0.1:{port}/healthz")
-            assert excinfo.value.code == 503
-            assert json.loads(excinfo.value.read())["status"] == \
-                "unhealthy"
 
             with pytest.raises(HTTPError) as excinfo:
                 urlopen(f"http://127.0.0.1:{port}/nope")
@@ -443,26 +283,15 @@ class TestServeSimCli:
         from repro.cli import main
 
         prom = tmp_path / "serve.prom"
-        jsonl = tmp_path / "serve.jsonl"
         code = main(["serve-sim", "--cities", "2", "--days", "6",
-                     "--prom", str(prom), "--metrics-jsonl",
-                     str(jsonl), "--export-every", "2",
-                     "--slo", "pending_timestamps>64:4096"])
+                     "--prom", str(prom), "--export-every", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "health:" in out
         assert "prometheus exposition written" in out
-        from repro.observability.top import check_exposition_file
+        from repro.observability.export import check_exposition_file
 
         assert check_exposition_file(prom) == []
-        assert read_latest_snapshot(jsonl) is not None
-
-    def test_serve_sim_rejects_bad_slo(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve-sim", "--cities", "2", "--days", "4",
-                     "--slo", "nonsense"]) == 2
-        assert "bad SLO rule" in capsys.readouterr().err
+        assert not (tmp_path / "serve.prom.tmp").exists()
 
     def test_serve_sim_rejects_bad_export_every(self, capsys):
         from repro.cli import main

@@ -7,9 +7,10 @@ history.  The runs cover
 * ``crh`` on every backend (dense, sparse, process with 2 workers, and
   mmap over a saved, memory-mapped copy of the data) with both
   categorical losses, each paired with a continuous one: ``zero_one`` +
-  ``absolute`` (the paper's recommended pair) and ``probability`` +
-  ``squared`` (the Bregman pair); a run that degrades to another
-  backend stops the script with an error;
+  ``absolute`` (the paper's recommended pair), ``probability`` +
+  ``squared`` (the Bregman pair) and ``zero_one`` + ``huber`` (the
+  robust extension, whose truth step also reads the median order); a
+  run that degrades to another backend stops the script with an error;
 * ``icrh`` on a timestamped weather stream at windows 1 and 3;
 * a ``TruthService`` replay of that stream in uneven ingest batches,
   then ``flush``.
@@ -44,7 +45,8 @@ from repro.datasets import (
 )
 from repro.streaming import TruthService, icrh, iter_dataset_claims
 
-LOSS_PAIRS = (("zero_one", "absolute"), ("probability", "squared"))
+LOSS_PAIRS = (("zero_one", "absolute"), ("probability", "squared"),
+              ("zero_one", "huber"))
 BACKENDS = ("dense", "sparse", "process", "mmap")
 #: claims per mmap chunk, small enough that the input streams in several
 #: chunks (the other backends ignore it)

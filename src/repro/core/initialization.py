@@ -32,6 +32,7 @@ def initialize_vote_median(dataset) -> list[np.ndarray]:
             columns.append(segment_weighted_median(
                 view.values, uniform, view.indptr,
                 group_of_claim=view.object_idx,
+                order=view.median_order(),
             ))
         else:
             columns.append(segment_weighted_vote(

@@ -87,6 +87,11 @@ class Loss(abc.ABC):
     #: (Eqs. 13/15); the parallel backends pre-compute and ship that std
     #: alongside the claim arrays for losses that declare it
     uses_entry_std: bool = False
+    #: True when the truth step reads the view's cached weighted-median
+    #: order (:meth:`~repro.data.claims_matrix.ClaimView.median_order`);
+    #: the parallel backends hand each shard or chunk its slice of that
+    #: one order for losses that declare it, so none sorts again
+    uses_median_order: bool = False
 
     @abc.abstractmethod
     def initial_state(self, prop, init_column: np.ndarray) -> TruthState:
@@ -254,6 +259,7 @@ class NormalizedAbsoluteLoss(Loss):
     name = "absolute"
     kind = PropertyKind.CONTINUOUS
     uses_entry_std = True
+    uses_median_order = True
 
     def initial_state(self, prop, init_column: np.ndarray) -> TruthState:
         return TruthState(column=np.asarray(init_column, dtype=np.float64))

@@ -48,6 +48,7 @@ class HuberLoss(Loss):
     name = "huber"
     kind = PropertyKind.CONTINUOUS
     uses_entry_std = True
+    uses_median_order = True
 
     #: residual size (in entry-std units) where quadratic turns linear
     delta: float = 1.0

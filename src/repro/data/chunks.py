@@ -118,6 +118,7 @@ def chunk_bounds(indptr: np.ndarray, chunk_claims: int) -> np.ndarray:
 
 def iter_claim_chunks(prop, chunk_claims: int = DEFAULT_CHUNK_CLAIMS, *,
                       std: np.ndarray | None = None,
+                      order: np.ndarray | None = None,
                       bounds: np.ndarray | None = None,
                       ) -> Iterator[ClaimChunk]:
     """Yield a property's claims as localized per-object chunks.
@@ -128,8 +129,13 @@ def iter_claim_chunks(prop, chunk_claims: int = DEFAULT_CHUNK_CLAIMS, *,
     copies — for memmap-backed properties this is the moment the pages
     are read from disk.  ``std`` optionally provides the property's
     full per-object entry std; its slice is installed in the chunk
-    view's cache so continuous losses never recompute it.  Object
-    ranges with no objects (duplicate bounds) are skipped; together the
+    view's cache so continuous losses never recompute it.  ``order``
+    likewise provides the property's full weighted-median order
+    (:meth:`~repro.data.claims_matrix.ClaimView.median_order`, possibly
+    a disk spill); each chunk view gets ``order[c0:c1] - c0``, which is
+    the chunk's own lexsort (claims are object-major and the sort is
+    stable), so median truth steps never sort a chunk.  Object ranges
+    with no objects (duplicate bounds) are skipped; together the
     yielded chunks cover every object exactly once.
     """
     view = prop.claim_view()
@@ -150,6 +156,8 @@ def iter_claim_chunks(prop, chunk_claims: int = DEFAULT_CHUNK_CLAIMS, *,
             n_objects=hi - lo,
             n_sources=view.n_sources,
             _std=None if std is None else std[lo:hi],
+            _median_order=(None if order is None
+                           else np.asarray(order[c0:c1]) - c0),
         )
         yield ClaimChunk(
             index=index,

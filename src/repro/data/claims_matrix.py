@@ -63,6 +63,13 @@ class ClaimView:
     median's ``(object, value)`` sort order (:meth:`median_order`) is
     cached the same way — both are pure functions of the view's
     immutable arrays, and they are the only derived arrays a view holds.
+    The vote/median initializer, every median truth step and
+    :func:`~repro.data.profile.profile_dataset` read that one order.
+    Views localized to a contiguous object range (process shards, mmap
+    chunks) arrive with ``_median_order`` already set to the full
+    order's slice minus the range's first claim row, which equals the
+    range's own lexsort because claims are object-major and the sort is
+    stable.
     """
 
     values: np.ndarray
@@ -97,14 +104,22 @@ class ClaimView:
         """The weighted median's ``(object, value)`` lexsort permutation.
 
         The order depends only on the view's values and grouping, never
-        on iteration weights, so one sort serves every iteration of a
-        solve; cached on first use like :meth:`entry_std`.
+        on iteration weights, so one sort serves the initializer and
+        every iteration of every solve on this view; cached on first
+        use like :meth:`entry_std`, in :func:`order_dtype` (``int32``
+        below 2**31 claims, halving the cache).
         """
         if self._median_order is None:
             self._median_order = np.lexsort(
                 (np.asarray(self.values, dtype=np.float64), self.object_idx)
-            )
+            ).astype(order_dtype(self.n_claims), copy=False)
         return self._median_order
+
+
+def order_dtype(n_claims: int) -> np.dtype:
+    """Index dtype of a claim permutation: ``int32`` when every row
+    index fits (``n_claims < 2**31``), else ``int64``."""
+    return np.dtype(np.int32 if n_claims < 2**31 else np.int64)
 
 
 def _canonical_order(object_idx: np.ndarray,

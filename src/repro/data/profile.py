@@ -220,8 +220,9 @@ def profile_dataset(dataset) -> DatasetProfile:
         multi = sizes >= 2
 
         # Distinct claimed values per entry: sort claims by (object,
-        # value) and count value runs inside each object segment.
-        order = np.lexsort((view.values, view.object_idx))
+        # value) and count value runs inside each object segment.  The
+        # view caches that sort, so a later solve reuses it.
+        order = view.median_order()
         objects = view.object_idx[order]
         values = view.values[order]
         run_start = np.ones(order.size, dtype=bool)

@@ -14,6 +14,11 @@ streams the claims instead of holding them:
   :func:`~repro.mapreduce.partitioner.range_partition` split the
   process backend shards by — materializing one chunk of claim arrays
   at a time.
+* The weighted-median order of each continuous property is sorted
+  once per claim set, one chunk at a time, into a disk-backed spill
+  that the full view caches (:func:`chunked_median_order`); the
+  chunked initializer and every chunked truth step read their chunk's
+  slice of it instead of sorting the chunk again.
 * Truth steps run the unmodified :mod:`repro.core` losses on each
   localized chunk and write the per-object results into O(N) columns;
   per-claim deviations are spilled to a *disk-backed* scratch
@@ -67,7 +72,7 @@ from ..data.chunks import (
     chunked_entry_std,
     iter_claim_chunks,
 )
-from ..data.claims_matrix import ClaimsMatrix
+from ..data.claims_matrix import ClaimsMatrix, order_dtype
 from ..data.table import MultiSourceDataset
 from .backend import BackendExecutionError, _BackendBase
 
@@ -165,6 +170,55 @@ def _release_scratch(path: str | None) -> None:
         pass
 
 
+def _spill_file(prefix: str, dtype, total: int, owner):
+    """An anonymous disk-backed array: mapped, then unlinked.
+
+    Returns ``(memmap, path)`` where ``path`` is ``None`` once the
+    eager unlink succeeded (the mapping alone keeps the file alive), or
+    the still-linked path, removed by a finalizer on ``owner``.
+    """
+    fd, path = tempfile.mkstemp(prefix=prefix, suffix=".bin")
+    os.close(fd)
+    mapped = np.memmap(path, dtype=dtype, mode="w+", shape=(total,))
+    try:
+        os.unlink(path)
+    except OSError:  # pragma: no cover - e.g. Windows
+        weakref.finalize(owner, _release_scratch, path)
+        return mapped, path
+    return mapped, None
+
+
+def chunked_median_order(prop, chunk_claims: int) -> np.ndarray | None:
+    """The property's weighted-median order, sorted one chunk at a time.
+
+    Equal to ``prop.claim_view().median_order()`` — a chunk's own
+    lexsort shifted by its first claim row is the full lexsort's slice,
+    because claims are object-major and the sort is stable — but only
+    one chunk's claims are resident while sorting, and the result is a
+    disk-backed spill rather than an O(claims) heap array.  The spill is
+    installed in the full view's cache, as
+    :func:`~repro.data.chunks.chunked_entry_std` installs the std, so
+    the chunked initializer, every chunked truth step, later runs and
+    an inline fallback all read it; a view that already holds an order
+    returns that.  ``None`` when no spill file can be created: chunks
+    then sort themselves, with the same results.
+    """
+    view = prop.claim_view()
+    if view._median_order is None and view.n_claims:
+        try:
+            spill, _ = _spill_file("repro-mmap-order-",
+                                   order_dtype(view.n_claims),
+                                   view.n_claims, view)
+        except OSError:
+            return None
+        for chunk in iter_claim_chunks(prop, chunk_claims):
+            np.add(chunk.prop.claim_view().median_order(),
+                   chunk.claim_start, dtype=spill.dtype,
+                   out=spill[chunk.claim_start:chunk.claim_stop])
+        view._median_order = spill
+    return view.median_order()
+
+
 class _ReductionView:
     """The one field the weight-step reduction reads from a claim view."""
 
@@ -231,14 +285,20 @@ class _MmapRunner:
         #: entry stds (Eqs. 13/15) for continuous-loss properties,
         #: chunk-computed and installed in the full views' caches so
         #: neither losses nor the inline fallback recompute them from
-        #: the full (possibly memory-mapped) value arrays.
+        #: the full (possibly memory-mapped) value arrays; median
+        #: orders of the properties whose loss reads one, likewise.
         self._stds: list[np.ndarray | None] = []
+        self._orders: list[np.ndarray | None] = []
         offsets: list[int] = []
         total = 0
         for prop, loss in zip(data.properties, losses):
             self._stds.append(
                 chunked_entry_std(prop, self.chunk_claims)
                 if loss.uses_entry_std else None
+            )
+            self._orders.append(
+                chunked_median_order(prop, self.chunk_claims)
+                if loss.uses_median_order else None
             )
             offsets.append(total)
             total += prop.n_claims
@@ -259,10 +319,10 @@ class _MmapRunner:
         # finalizer covers platforms where the eager unlink fails.
         if total:
             try:
-                self._scratch, self._scratch_path = self._spill_file(
-                    "repro-mmap-dev-", np.float64, total)
-                self._idx_spill, self._idx_spill_path = self._spill_file(
-                    "repro-mmap-idx-", np.intp, total)
+                self._scratch, self._scratch_path = _spill_file(
+                    "repro-mmap-dev-", np.float64, total, self)
+                self._idx_spill, self._idx_spill_path = _spill_file(
+                    "repro-mmap-idx-", np.intp, total, self)
             except OSError as error:
                 raise MmapBackendError(
                     f"deviation scratch allocation failed: {error}"
@@ -288,30 +348,14 @@ class _MmapRunner:
                  for off, prop in zip(offsets, data.properties)),
             )
 
-    def _spill_file(self, prefix: str, dtype, total: int):
-        """An anonymous disk-backed array: mapped, then unlinked.
-
-        Returns ``(memmap, path)`` where ``path`` is ``None`` once the
-        eager unlink succeeded (the mapping alone keeps the file
-        alive), or the still-linked path backed by a finalizer.
-        """
-        fd, path = tempfile.mkstemp(prefix=prefix, suffix=".bin")
-        os.close(fd)
-        mapped = np.memmap(path, dtype=dtype, mode="w+", shape=(total,))
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - e.g. Windows
-            weakref.finalize(self, _release_scratch, path)
-            return mapped, path
-        return mapped, None
-
     # ------------------------------------------------------------------
     def _iter_chunks(self, index: int):
         """Localized chunks of property ``index``, with crash injection
         and read-error mapping."""
         prop = self._data.properties[index]
         iterator = iter_claim_chunks(prop, self.chunk_claims,
-                                     std=self._stds[index])
+                                     std=self._stds[index],
+                                     order=self._orders[index])
         while True:
             if (self._fail_after is not None
                     and self._chunks_read >= self._fail_after):
@@ -494,16 +538,20 @@ class MmapBackend(_BackendBase):
         chunk at a time (segment kernels are segment-local, and the
         random initializer consumes its generator in canonical claim
         order, so chunked columns equal full-dataset columns bitwise),
-        and pre-populates the entry-std caches of continuous properties
-        chunk-wise so no later ``entry_std()`` call streams the full
-        value arrays through kernel temporaries.
+        and pre-populates the entry-std and median-order caches of
+        continuous properties chunk-wise, so no later ``entry_std()``
+        call streams the full value arrays through kernel temporaries
+        and neither the median initializer nor the runner sorts a chunk.
         """
         columns: list[np.ndarray] = []
         for prop in self.data.properties:
+            order = None
             if prop.schema.is_continuous:
                 chunked_entry_std(prop, self.chunk_claims)
+                order = chunked_median_order(prop, self.chunk_claims)
             pieces: list[np.ndarray] = []
-            for chunk in iter_claim_chunks(prop, self.chunk_claims):
+            for chunk in iter_claim_chunks(prop, self.chunk_claims,
+                                           order=order):
                 bundle = _SinglePropertyDataset(chunk.prop)
                 piece = (initializer(bundle, rng=rng) if rng is not None
                          else initializer(bundle))

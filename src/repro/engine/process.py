@@ -8,11 +8,19 @@ processes:
 
 * The canonical claim arrays (``values``, ``source_idx``,
   ``object_idx``, ``indptr``), the per-entry stds of Eqs. 13/15, the
-  truth/distribution state buffers, the per-claim deviation scratch and
-  the source weight vector all live in **one**
-  :mod:`multiprocessing.shared_memory` segment.  Workers attach once at
-  pool start; per iteration only ``(mode, shard_id)`` descriptors cross
-  the process boundary — claim data is never pickled.
+  weighted-median sort order localized per shard (for losses that
+  declare ``uses_median_order``), the truth/distribution state
+  buffers, the per-claim deviation scratch and the source weight
+  vector all live in **one** :mod:`multiprocessing.shared_memory`
+  segment.  Workers attach once at pool start; per iteration only
+  ``(mode, shard_id)`` descriptors cross the process boundary — claim
+  data is never pickled.
+* The parent sorts each property at most once per claim set
+  (:meth:`~repro.data.claims_matrix.ClaimView.median_order`, cached
+  on its view and shared with the initializer) and writes shard
+  ``[c0, c1)``'s slice as ``order[c0:c1] - c0``: claims are
+  object-major and the sort is stable, so that is exactly the shard's
+  own lexsort, and no worker sorts.
 * Objects are split into contiguous, claim-balanced CSR ranges
   (:func:`repro.mapreduce.partitioner.range_partition`).  Each worker
   task runs the ordinary :mod:`repro.core` losses over a *localized*
@@ -52,7 +60,7 @@ from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
-from ..data.claims_matrix import ClaimsMatrix, ClaimView
+from ..data.claims_matrix import ClaimsMatrix, ClaimView, order_dtype
 from ..data.table import MultiSourceDataset
 from ..mapreduce.partitioner import range_partition
 from .backend import BackendExecutionError, _BackendBase
@@ -236,6 +244,8 @@ class _WorkerState:
         c0, c1 = int(indptr[lo]), int(indptr[hi])
         std = (self.arrays[keys["std"]][lo:hi]
                if keys["std"] is not None else None)
+        order = (self.arrays[keys["order"]][c0:c1]
+                 if keys["order"] is not None else None)
         view = ClaimView(
             values=self.arrays[keys["values"]][c0:c1],
             source_idx=self.arrays[keys["source_idx"]][c0:c1],
@@ -245,6 +255,7 @@ class _WorkerState:
             n_objects=hi - lo,
             n_sources=self.plan["n_sources"],
             _std=std,
+            _median_order=order,
         )
         codec = (_SizedCodec(spec["n_categories"])
                  if spec["n_categories"] else None)
@@ -379,6 +390,7 @@ class _ProcessRunner:
                 "indptr": builder.add(f"p{index}/indptr",
                                       np.int64, (n + 1,)),
                 "std": None,
+                "order": None,
                 "distribution": None,
                 "truth": builder.add(
                     f"p{index}/truth",
@@ -395,6 +407,9 @@ class _ProcessRunner:
                 keys["std"] = builder.add(f"p{index}/std",
                                           np.float64, (n,))
                 copies.append((keys["std"], view.entry_std()))
+            if loss.uses_median_order:
+                keys["order"] = builder.add(f"p{index}/order",
+                                            order_dtype(c), (c,))
             n_categories = len(prop.codec) if prop.codec is not None else 0
             if loss.name == "probability":
                 keys["distribution"] = builder.add(
@@ -420,6 +435,9 @@ class _ProcessRunner:
         self._arrays = _carve_views(self._segment.buf, descriptors)
         for key, source in copies:
             self._arrays[key][...] = source
+        for spec, prop in zip(plan["properties"], data.properties):
+            if spec["keys"]["order"] is not None:
+                self._localize_order(spec, prop.claim_view())
         self._plan = plan
         try:
             import multiprocessing
@@ -440,6 +458,16 @@ class _ProcessRunner:
             raise ProcessBackendError(
                 f"worker pool startup failed: {error}"
             ) from error
+
+    def _localize_order(self, spec: dict, view: ClaimView) -> None:
+        """Write each shard's slice of the view's cached median order,
+        rebased to the shard's first claim row, into the segment."""
+        order = view.median_order()
+        target = self._arrays[spec["keys"]["order"]]
+        bounds = spec["bounds"]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            c0, c1 = int(view.indptr[lo]), int(view.indptr[hi])
+            np.subtract(order[c0:c1], c0, out=target[c0:c1])
 
     # ------------------------------------------------------------------
     @property

@@ -42,6 +42,9 @@ LOSS_CONFIGS = [
     ("probability", "absolute"),
     ("probability", "squared"),
 ]
+#: the runner backends also check Huber, the other loss whose truth
+#: step reads the shipped median order
+RUNNER_LOSS_CONFIGS = LOSS_CONFIGS + [("zero_one", "huber")]
 
 
 def _fuzz_dataset(seed, k=8, n=40, density=0.45, timestamps=True):
@@ -266,7 +269,7 @@ def _text_dataset(seed, k=4, n=12):
 
 class TestProcessEquivalence:
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("cat_loss,cont_loss", LOSS_CONFIGS)
+    @pytest.mark.parametrize("cat_loss,cont_loss", RUNNER_LOSS_CONFIGS)
     def test_three_way_bit_identical(self, seed, cat_loss, cont_loss):
         dataset = _fuzz_dataset(seed + 60)
         backend = ProcessBackend(dataset, n_workers=2)
@@ -409,7 +412,7 @@ class TestMmapEquivalence:
     """The out-of-core chunker is a layout choice, never a numerical one."""
 
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("cat_loss,cont_loss", LOSS_CONFIGS)
+    @pytest.mark.parametrize("cat_loss,cont_loss", RUNNER_LOSS_CONFIGS)
     def test_three_way_bit_identical(self, seed, cat_loss, cont_loss):
         dataset = _fuzz_dataset(seed + 80)
         results = {
@@ -453,6 +456,71 @@ class TestMmapEquivalence:
         chunked = crh(dataset, backend="mmap", chunk_claims=5,
                       initializer="random", seed=7, max_iterations=8)
         _assert_results_identical(reference, chunked)
+
+
+class _CountingNumpy:
+    """The ``numpy`` module as a patched module sees it, with
+    ``lexsort`` counted."""
+
+    def __init__(self) -> None:
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def lexsort(self, keys, axis=-1):
+        self.sorts += 1
+        return np.lexsort(keys, axis=axis)
+
+
+class TestSortOnce:
+    """The weighted median's ``(object, value)`` sort runs once per
+    continuous property per claim set: the initializer, every
+    iteration and every later solve read the view's cached order, and
+    mmap chunks read their slice of it instead of sorting again."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        from repro.core import kernels
+        from repro.data import claims_matrix
+
+        counting = _CountingNumpy()
+        monkeypatch.setattr(claims_matrix, "np", counting)
+        monkeypatch.setattr(kernels, "np", counting)
+        return counting
+
+    @staticmethod
+    def _claims(seed):
+        claims = ClaimsMatrix.from_dense(_fuzz_dataset(seed))
+        n_continuous = sum(p.schema.is_continuous for p in claims.properties)
+        assert n_continuous == 2
+        return claims, n_continuous
+
+    def test_sparse_solve_sorts_each_continuous_property_once(self,
+                                                              counter):
+        claims, n_continuous = self._claims(90)
+        first = crh(claims, backend="sparse", continuous_loss="absolute",
+                    max_iterations=10)
+        assert first.iterations > 1
+        assert counter.sorts == n_continuous
+        again = crh(claims, backend="sparse", continuous_loss="absolute",
+                    max_iterations=10)
+        assert counter.sorts == n_continuous
+        _assert_results_identical(first, again)
+
+    def test_mmap_sorts_do_not_grow_with_iterations(self, counter):
+        counts = {}
+        for iterations in (3, 10):
+            claims, _ = self._claims(91)
+            before = counter.sorts
+            result = crh(claims, backend="mmap", chunk_claims=7,
+                         continuous_loss="absolute",
+                         max_iterations=iterations, tol=0.0,
+                         patience=iterations)
+            assert result.backend == "mmap"
+            assert result.iterations == iterations
+            counts[iterations] = counter.sorts - before
+        assert counts[3] == counts[10] > 0
 
 
 class TestBackendFuzz:

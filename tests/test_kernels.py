@@ -5,10 +5,11 @@ Every segment kernel is checked against the scalar oracles in
 edge cases the engines rely on: empty segments, zero-total-weight
 segments, value ties, and single-claim segments.  Also pinned: the
 weighted median's cached sort order and precomputed effective weights
-being pure reuse, the vote kernel's sparse-scores fallback (same
-winners, O(claims) peak memory instead of O(categories * objects)), and
-the categorical kernels' flat ``bincount`` scores against an
-``np.add.at`` reference, bit for bit.
+being pure reuse, that order's dtype rule and its localization to
+contiguous object ranges (what shards and chunks read), the vote
+kernel's sparse-scores fallback (same winners, O(claims) peak memory
+instead of O(categories * objects)), and the categorical kernels' flat
+``bincount`` scores against an ``np.add.at`` reference, bit for bit.
 """
 
 import tracemalloc
@@ -292,9 +293,81 @@ class TestMedianOrderReuse:
         view = sparse.properties[0].claim_view()
         order = view.median_order()
         assert view.median_order() is order
+        assert order.dtype == np.int32
+        assert np.array_equal(
+            order, np.lexsort((view.values, view.object_idx)))
+
+    def test_order_dtype_widens_at_two_to_the_31(self, monkeypatch):
+        """int32 while every row index fits, int64 from 2**31 claims.
+
+        The rule is checked at its boundary on the helper, and routed
+        through ``median_order`` by widening the helper's answer, so no
+        2**31-claim view is ever built."""
+        from repro.data import claims_matrix
+
+        assert claims_matrix.order_dtype(0) == np.int32
+        assert claims_matrix.order_dtype(2**31 - 1) == np.int32
+        assert claims_matrix.order_dtype(2**31) == np.int64
+        assert claims_matrix.order_dtype(2**40) == np.int64
+        seen = []
+
+        def wide(n_claims):
+            seen.append(n_claims)
+            return np.dtype(np.int64)
+
+        monkeypatch.setattr(claims_matrix, "order_dtype", wide)
+        view = ClaimsMatrix.from_dense(
+            _fuzz_dataset(4)).properties[0].claim_view()
+        order = view.median_order()
+        assert seen == [view.n_claims]
         assert order.dtype == np.int64
         assert np.array_equal(
             order, np.lexsort((view.values, view.object_idx)))
+
+
+@st.composite
+def claims_and_range(draw):
+    """Continuous CSR claims with value ties and empty objects, plus a
+    random contiguous object range ``[lo, hi)``."""
+    n_objects = draw(st.integers(0, 12))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n_objects,
+                          max_size=n_objects))
+    n_claims = sum(sizes)
+    values = draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 2.5]),
+                  st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=n_claims, max_size=n_claims))
+    lo = draw(st.integers(0, n_objects))
+    hi = draw(st.integers(lo, n_objects))
+    return (np.array(values, dtype=np.float64),
+            np.array(sizes, dtype=np.int64), lo, hi)
+
+
+class TestMedianOrderLocalization:
+    """Why process shards and mmap chunks can share one sort: the full
+    order restricted to a contiguous object range, rebased by the
+    range's first claim row, is that range's own lexsort."""
+
+    @settings(max_examples=examples(60))
+    @given(case=claims_and_range())
+    def test_full_order_slice_is_local_lexsort(self, case):
+        from repro.data import PropertyClaims, continuous
+
+        values, sizes, lo, hi = case
+        object_idx = np.repeat(np.arange(sizes.size), sizes)
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        prop = PropertyClaims(
+            continuous("x"), values,
+            source_idx=np.arange(values.size) - starts,
+            object_idx=object_idx, n_objects=sizes.size,
+            n_sources=max(int(sizes.max(initial=0)), 1),
+        )
+        view = prop.claim_view()
+        c0, c1 = int(view.indptr[lo]), int(view.indptr[hi])
+        localized = view.median_order()[c0:c1] - c0
+        expected = np.lexsort((values[c0:c1], object_idx[c0:c1] - lo))
+        assert localized.dtype == np.int32
+        assert np.array_equal(localized, expected)
 
 
 class TestVoteSparseFallback:

@@ -11,6 +11,10 @@ history.  The runs cover
   ``squared`` (the Bregman pair) and ``zero_one`` + ``huber`` (the
   robust extension, whose truth step also reads the median order); a
   run that degrades to another backend stops the script with an error;
+* ``crh`` with ``backend="auto"`` on the same claims as a
+  ``ClaimsMatrix`` and as its dense ``MultiSourceDataset`` twin, for
+  each loss pair; a digest that differs from the pair's ``crh sparse``
+  line stops the script with an error;
 * ``icrh`` on a timestamped weather stream at windows 1 and 3;
 * a ``TruthService`` replay of that stream in uneven ingest batches,
   then ``flush``.
@@ -84,22 +88,34 @@ def weather_dataset():
     ).dataset
 
 
-def crh_lines(dataset, mapped) -> list[str]:
+def crh_lines(dataset, claims, mapped) -> list[str]:
     lines = []
     for categorical, continuous in LOSS_PAIRS:
+        losses = dict(categorical_loss=categorical,
+                      continuous_loss=continuous)
+        pair = f"{categorical}+{continuous}"
         for backend in BACKENDS:
             result = crh(mapped if backend == "mmap" else dataset,
                          backend=backend, n_workers=2,
-                         chunk_claims=MMAP_CHUNK_CLAIMS,
-                         categorical_loss=categorical,
-                         continuous_loss=continuous)
+                         chunk_claims=MMAP_CHUNK_CLAIMS, **losses)
             if result.backend != backend:
                 raise SystemExit(f"crh backend={backend!r} finished on "
                                  f"{result.backend!r}: "
                                  f"{result.backend_reason}")
-            name = f"crh {backend} {categorical}+{continuous}"
-            lines.append(line(name, digest(result.truths, result.weights,
-                                           result.objective_history)))
+            hashed = digest(result.truths, result.weights,
+                            result.objective_history)
+            if backend == "sparse":
+                sparse = hashed
+            lines.append(line(f"crh {backend} {pair}", hashed))
+        for label, data in (("claims", claims), ("dense", dataset)):
+            result = crh(data, **losses)
+            hashed = digest(result.truths, result.weights,
+                            result.objective_history)
+            if hashed != sparse:
+                raise SystemExit(f"crh auto on {label} input "
+                                 f"({result.backend_reason}) differs "
+                                 f"from crh sparse {pair}")
+            lines.append(line(f"crh auto({label}) {pair}", hashed))
     return lines
 
 
@@ -128,9 +144,10 @@ def stream_lines(dataset) -> list[str]:
 def main() -> int:
     dataset = adult_dataset()
     with tempfile.TemporaryDirectory() as directory:
-        save_dataset(ClaimsMatrix.from_dense(dataset), Path(directory))
+        claims = ClaimsMatrix.from_dense(dataset)
+        save_dataset(claims, Path(directory))
         mapped = load_dataset(directory, mmap=True)
-        lines = crh_lines(dataset, mapped)
+        lines = crh_lines(dataset, claims, mapped)
         del mapped
     lines += stream_lines(weather_dataset())
     print("\n".join(lines))

@@ -29,7 +29,10 @@ class ConflictResolver(abc.ABC):
     backend:
         Execution backend name (``"auto"``, ``"dense"``, ``"sparse"``,
         ``"process"``, ``"mmap"``) resolved through
-        :func:`repro.engine.make_backend`.  Methods whose math has no
+        :func:`repro.engine.make_backend`; ``"auto"`` runs sparse in
+        RAM (process for large median-heavy claim sets on multi-CPU
+        hosts, mmap past the memory cap) and ``"dense"`` only runs when
+        requested.  Methods whose math has no
         worker/chunk formulation run inline on a parallel backend's
         sparse claims, recording why in the result's
         ``backend_reason`` (see ``docs/RESOLVERS.md``).

@@ -99,10 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default="auto",
         help=("execution backend every solver resolves 'auto' to: dense "
-              "(K, N) matrices, sparse CSR claims, process "
-              "(shared-memory worker pool), or mmap (out-of-core "
+              "(K, N) matrices (explicit only), sparse CSR claims, "
+              "process (shared-memory worker pool), or mmap (out-of-core "
               "chunked execution); results are bit-identical (default: "
-              "footprint recommendation, mmap above the memory cap)"),
+              "sparse in RAM, process for large median-heavy claim sets "
+              "on multi-CPU hosts, mmap past the memory cap)"),
     )
     parser.add_argument(
         "--workers", type=int, default=None,

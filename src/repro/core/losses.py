@@ -109,12 +109,17 @@ class Loss(abc.ABC):
         """Per-claim deviations aligned with ``prop.claim_view()``.
 
         The default gathers from the dense :meth:`deviations` matrix, so
-        dense-only custom losses keep working; built-in losses override
-        it with a direct kernel evaluation (and derive :meth:`deviations`
-        from it instead).
+        dense-only custom losses keep working: a sparse property is
+        handed to :meth:`deviations` materialized as its ``(K, N)``
+        matrix (``to_dense()``), because ``backend="auto"`` solves dense
+        datasets on sparse claims.  Built-in losses override it with a
+        direct kernel evaluation (and derive :meth:`deviations` from it
+        instead).
         """
         view = prop.claim_view()
-        dense = self.deviations(state, prop)
+        to_dense = getattr(prop, "to_dense", None)
+        dense = self.deviations(state, prop if to_dense is None
+                                else to_dense())
         return dense[view.source_idx, view.object_idx]
 
     def objective_contribution(self, state: TruthState, prop,

@@ -59,9 +59,11 @@ class CRHConfig:
         Execution backend: ``"dense"`` ((K, N) matrices), ``"sparse"``
         (CSR claims), ``"process"`` (sparse claims sharded across worker
         processes over shared memory), ``"mmap"`` (out-of-core chunked
-        execution over memory-mapped claims), or ``"auto"`` (footprint
-        recommendation, escalated to mmap above the memory cap; see
-        :func:`repro.engine.make_backend`).  All backends produce
+        execution over memory-mapped claims), or ``"auto"`` (sparse in
+        RAM, process for large median-heavy claim sets on multi-CPU
+        hosts, mmap past the memory cap; see
+        :func:`repro.engine.make_backend`).  ``"dense"`` is never
+        picked by ``"auto"``, only requested.  All backends produce
         bit-identical results — this is a memory/layout/parallelism
         choice.
     n_workers:
@@ -141,8 +143,8 @@ class CRHSolver:
         :class:`~repro.data.table.MultiSourceDataset` or a sparse
         :class:`~repro.data.claims_matrix.ClaimsMatrix`; the config's
         ``backend`` decides the execution representation (``"auto"``
-        resolves through :func:`repro.engine.make_backend`'s footprint
-        recommendation).
+        resolves through :func:`repro.engine.make_backend`, which never
+        builds dense storage).
 
         Pass a :class:`~repro.observability.Tracer` to receive one
         ``iteration`` record per loop pass (objective, weights, weight

@@ -251,21 +251,18 @@ class PropertyClaims:
     # ------------------------------------------------------------------
     @classmethod
     def from_dense(cls, prop) -> "PropertyClaims":
-        """Extract the claims of a dense
-        :class:`~repro.data.table.PropertyObservations` matrix."""
-        observed = prop.observed_mask()
-        object_idx, source_idx = np.nonzero(observed.T)
-        values = prop.values.T[observed.T]
-        return cls(
-            schema=prop.schema,
-            values=values,
-            source_idx=source_idx.astype(np.int32),
-            object_idx=object_idx.astype(np.int32),
-            n_objects=prop.n_objects,
-            n_sources=prop.n_sources,
-            codec=prop.codec,
-            canonicalize=False,  # nonzero of the transpose is object-major
-        )
+        """The claims of a dense
+        :class:`~repro.data.table.PropertyObservations` matrix.
+
+        Wraps the matrix's cached :meth:`claim_view` itself, not a copy,
+        so the view's ``entry_std``/``median_order`` caches are shared:
+        converting the same dense dataset again sorts nothing again.
+        """
+        claims = cls.__new__(cls)
+        claims.schema = prop.schema
+        claims.codec = prop.codec
+        claims._view = prop.claim_view()
+        return claims
 
     def to_dense(self):
         """Materialize the claims into a dense

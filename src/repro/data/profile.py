@@ -12,9 +12,10 @@ zero, voting will do and CRH's weighting has nothing to add; the paper's
 workloads sit between 0.3 and 0.9.
 
 The profile also reports each property's *claim density* and the
-projected dense-vs-sparse memory footprint, and recommends an execution
-backend (see :mod:`repro.engine`): below the break-even density the
-CSR claims form is the smaller representation.
+projected dense-vs-sparse memory footprint.  The projections are
+information only: ``backend="auto"`` (see :mod:`repro.engine`) always
+solves on the CSR claims form in RAM, and only the sparse projection
+decides when it moves out of core to ``mmap``.
 
 All statistics are computed on the canonical claim view, so dense
 :class:`~repro.data.table.MultiSourceDataset` and sparse
@@ -103,10 +104,12 @@ class DatasetProfile:
 
     @property
     def recommended_backend(self) -> str:
-        """Which execution backend the footprint favors (see
-        :mod:`repro.engine`): ``"sparse"`` when the claims form is
-        strictly smaller than the dense matrices, else ``"dense"``."""
-        return "sparse" if self.sparse_bytes < self.dense_bytes else "dense"
+        """The in-RAM storage ``backend="auto"`` solves on: always
+        ``"sparse"``, whichever projection is smaller.  The ``mmap``
+        escalation past the memory cap and the ``process`` upgrade
+        depend on the host, so :func:`repro.engine.make_backend` decides
+        them at solve time."""
+        return "sparse"
 
     def render(self) -> str:
         """Render all three panels as aligned text."""
@@ -119,8 +122,7 @@ class DatasetProfile:
         ]
         memory_rows = [
             [p.name, p.density, format_bytes(p.dense_bytes),
-             format_bytes(p.sparse_bytes),
-             "sparse" if p.sparse_bytes < p.dense_bytes else "dense"]
+             format_bytes(p.sparse_bytes)]
             for p in self.properties
         ]
         source_rows = [
@@ -136,8 +138,9 @@ class DatasetProfile:
         footprint = (
             f"Claim density {self.density:.3f}; dense "
             f"{format_bytes(self.dense_bytes)} vs sparse "
-            f"{format_bytes(self.sparse_bytes)} -> recommended backend: "
-            f"{self.recommended_backend}"
+            f"{format_bytes(self.sparse_bytes)} (information only) -> "
+            f"recommended backend: {self.recommended_backend} in RAM, "
+            f"mmap past the memory cap"
         )
         return "\n\n".join([
             header,
@@ -147,7 +150,7 @@ class DatasetProfile:
                 property_rows, title="Per property",
             ),
             render_table(
-                ["property", "density", "dense", "sparse", "backend"],
+                ["property", "density", "dense", "sparse"],
                 memory_rows, title="Memory footprint",
             ),
             render_table(
@@ -171,35 +174,32 @@ def format_bytes(n: int) -> str:
 def recommended_backend(dataset,
                         memory_cap_bytes: int | None = None,
                         ) -> tuple[str, str]:
-    """Pick the execution backend a dataset's footprint favors.
+    """The storage backend ``backend="auto"`` starts from.
 
-    The ``backend="auto"`` resolution policy of
-    :func:`repro.engine.make_backend`: compares the projected dense
-    ``(K, N)`` footprint against the CSR claims footprint — the same
-    projection :func:`profile_dataset` reports — without computing the
-    full conflict profile, so it is cheap enough to run on every solver
-    call.  Returns ``(name, reason)`` where ``reason`` is a
-    human-readable justification recorded in ``run_start`` traces.
-
-    ``memory_cap_bytes`` optionally bounds how much claim storage an
-    in-RAM backend may project: when even the *smaller* of the two
-    projections exceeds the cap, the recommendation escalates to the
-    out-of-core ``"mmap"`` backend (see :mod:`repro.engine.mmap`),
-    which keeps only one claim chunk resident.
+    The footprint half of :func:`repro.engine.make_backend`'s ``"auto"``
+    policy: in-RAM claims are always ``"sparse"``.  When the projected
+    CSR claims footprint exceeds ``memory_cap_bytes``, the
+    recommendation escalates to the out-of-core ``"mmap"`` backend (see
+    :mod:`repro.engine.mmap`), which keeps only one claim chunk
+    resident.  The dense ``(K, N)`` projection is reported in the
+    reason for information only; it decides nothing.  On a claims
+    matrix both projections are O(properties), cheap enough to run on
+    every solver call.
+    Returns ``(name, reason)`` where ``reason`` is a human-readable
+    justification recorded in ``run_start`` traces.
     """
     dense = sum(p.dense_nbytes() for p in dataset.properties)
     sparse = sum(p.sparse_nbytes() for p in dataset.properties)
-    name = "sparse" if sparse < dense else "dense"
     reason = (
-        f"footprint recommendation: dense {format_bytes(dense)} vs "
-        f"sparse {format_bytes(sparse)}"
+        f"footprint recommendation: sparse {format_bytes(sparse)} "
+        f"(dense projection {format_bytes(dense)})"
     )
-    if memory_cap_bytes is not None and min(dense, sparse) > memory_cap_bytes:
+    if memory_cap_bytes is not None and sparse > memory_cap_bytes:
         return "mmap", (
-            f"{reason}; both exceed the "
+            f"{reason}; sparse exceeds the "
             f"{format_bytes(memory_cap_bytes)} memory cap -> mmap"
         )
-    return name, reason
+    return "sparse", reason
 
 
 def profile_dataset(dataset) -> DatasetProfile:

@@ -133,7 +133,19 @@ class PropertyObservations:
         cached = getattr(self, "_claim_view_cache", None)
         if cached is None:
             from .claims_matrix import PropertyClaims
-            cached = PropertyClaims.from_dense(self).claim_view()
+            observed = self.observed_mask().T
+            object_idx, source_idx = np.nonzero(observed)
+            cached = PropertyClaims(
+                schema=self.schema,
+                values=self.values.T[observed],
+                source_idx=source_idx.astype(np.int32),
+                object_idx=object_idx.astype(np.int32),
+                n_objects=self.n_objects,
+                n_sources=self.n_sources,
+                codec=self.codec,
+                # nonzero of the transpose is object-major
+                canonicalize=False,
+            ).claim_view()
             object.__setattr__(self, "_claim_view_cache", cached)
         return cached
 

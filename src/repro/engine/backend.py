@@ -6,12 +6,11 @@ are stored as:
 
 * :class:`DenseBackend` — a :class:`~repro.data.table.MultiSourceDataset`
   of ``(K, N)`` matrices with NaN/-1 sentinels; claim views are extracted
-  (and cached) per property.  Right for dense panels where most sources
-  claim most objects.
+  (and cached) per property.  Explicit-only: ``"auto"`` never builds it.
 * :class:`SparseBackend` — a
   :class:`~repro.data.claims_matrix.ClaimsMatrix` storing exactly the
   claims in CSR-by-object form.  Memory is proportional to the number of
-  claims, not ``K x N``; right below ~40% claim density.
+  claims, not ``K x N``; the in-RAM engine ``"auto"`` solves on.
 * :class:`~repro.engine.process.ProcessBackend` — sparse claim storage
   sharded across worker processes over shared memory, for true parallel
   CRH on multi-core machines (see :mod:`repro.engine.process`).
@@ -26,13 +25,13 @@ dataset plus a ``backend`` name (``"auto"``, ``"dense"``, ``"sparse"``,
 ``"process"``, ``"mmap"``) into a backend, converting the
 representation when the request disagrees with the input (and saying so
 in the backend's ``resolution`` string).  ``"auto"`` follows the
-session default when one was set, and otherwise the footprint
-recommendation of :func:`repro.data.profile.recommended_backend` —
-whichever representation is projected smaller, escalated to the
-out-of-core mmap backend when even that projection exceeds the memory
-cap (:func:`repro.engine.mmap.resolved_memory_cap`), and upgraded to
-the process backend for large sparse workloads when more than one CPU
-is usable; the module-level default (:func:`set_default_backend` /
+session default when one was set, and otherwise solves on sparse claims
+in RAM (:func:`repro.data.profile.recommended_backend`): upgraded to the
+process backend when the claim set is large, more than one CPU is
+usable and at least half the claims are continuous (median-heavy), and
+escalated to the out-of-core mmap backend when the sparse projection
+exceeds the memory cap (:func:`repro.engine.mmap.resolved_memory_cap`);
+the module-level default (:func:`set_default_backend` /
 :func:`use_default_backend`) lets harnesses and the CLI steer every
 ``"auto"`` resolution without threading a parameter through each call.
 """
@@ -79,7 +78,7 @@ class ExecutionBackend(Protocol):
     properties whose items expose ``claim_view()``) can back an engine.
     """
 
-    #: backend tag carried into trace records ("dense" or "sparse")
+    #: backend tag carried into trace records (a ``BACKEND_NAMES`` entry)
     name: str
 
     @property
@@ -96,7 +95,7 @@ class _BackendBase:
     name = "base"
 
     #: how this backend was chosen — an explicit request, the session
-    #: default, or the footprint recommendation; stamped by
+    #: default, or the ``"auto"`` policy; stamped by
     #: :func:`make_backend` and recorded in ``run_start`` trace records.
     resolution = "constructed directly"
 
@@ -188,8 +187,8 @@ def get_default_backend() -> str:
 def set_default_backend(name: str) -> None:
     """Set what ``backend="auto"`` resolves to process-wide.
 
-    ``"auto"`` restores the built-in behavior (follow the input's
-    representation).  Harnesses and the CLI use this to steer every
+    ``"auto"`` restores the built-in policy (sparse claims in RAM; see
+    :func:`make_backend`).  Harnesses and the CLI use this to steer every
     solver in a run without threading a parameter through each call.
     """
     global _default_backend
@@ -211,25 +210,66 @@ def use_default_backend(name: str) -> Iterator[None]:
         set_default_backend(previous)
 
 
+def _process_upgrade(data, reason: str) -> tuple[str, str]:
+    """Upgrade an ``"auto"`` sparse resolution to ``process`` when the
+    claim set is large, more than one CPU is usable and continuous
+    (median-kernel) claims are at least half of all claims; the reason
+    names the condition that decided."""
+    from .process import (
+        PROCESS_AUTO_CLAIM_THRESHOLD,
+        PROCESS_AUTO_CONTINUOUS_SHARE,
+        available_workers,
+    )
+
+    claims = continuous = 0
+    for prop in data.properties:
+        n = int(prop.n_observations())
+        claims += n
+        if prop.schema.is_continuous:
+            continuous += n
+    if claims < PROCESS_AUTO_CLAIM_THRESHOLD:
+        return "sparse", (f"{reason}; {claims} claims < "
+                          f"{PROCESS_AUTO_CLAIM_THRESHOLD} -> sparse")
+    cpus = available_workers()
+    if cpus <= 1:
+        return "sparse", f"{reason}; {cpus} CPU usable -> sparse"
+    share = continuous / claims
+    if share < PROCESS_AUTO_CONTINUOUS_SHARE:
+        return "sparse", (
+            f"{reason}; continuous share {share:.2f} < "
+            f"{PROCESS_AUTO_CONTINUOUS_SHARE:.2f} -> sparse"
+        )
+    return "process", (
+        f"{reason}; {claims} claims >= {PROCESS_AUTO_CLAIM_THRESHOLD} "
+        f"with {cpus} CPUs usable and continuous share {share:.2f} >= "
+        f"{PROCESS_AUTO_CONTINUOUS_SHARE:.2f} -> process"
+    )
+
+
 def make_backend(data, backend: str = "auto", *,
                  n_workers: int | None = None,
                  chunk_claims: int | None = None) -> _BackendBase:
     """Resolve a dataset (or backend) plus a selector into a backend.
 
     ``backend="auto"`` follows the session default when one was set
-    (:func:`set_default_backend`), and otherwise the *footprint
-    recommendation* of :func:`repro.data.profile.recommended_backend`:
-    whichever representation is projected smaller wins, regardless of
-    how the input happens to be stored — a dense panel at low claim
-    density runs sparse, a near-dense claims matrix runs dense.  When
-    even the smaller projection exceeds the memory cap
-    (:func:`repro.engine.mmap.resolved_memory_cap`), the
-    recommendation escalates to the out-of-core ``mmap`` backend
-    instead.  A sparse recommendation is upgraded to the process
-    backend when the claim count clears
-    :data:`repro.engine.process.PROCESS_AUTO_CLAIM_THRESHOLD` and more
-    than one CPU is usable.  Explicit ``"dense"``/``"sparse"``/
-    ``"process"``/``"mmap"`` convert the representation when needed.
+    (:func:`set_default_backend`), and otherwise never builds dense
+    storage: a :class:`~repro.data.claims_matrix.ClaimsMatrix` runs on
+    as it is, and a :class:`~repro.data.table.MultiSourceDataset` is
+    converted once with ``ClaimsMatrix.from_dense``, which wraps the
+    matrices' cached claim views.  The footprint recommendation of
+    :func:`repro.data.profile.recommended_backend` then keeps the claims
+    in RAM on ``sparse``, or escalates to the out-of-core ``mmap``
+    backend when the sparse projection exceeds the memory cap
+    (:func:`repro.engine.mmap.resolved_memory_cap`).  A sparse
+    recommendation is upgraded to the process backend when the claim
+    count clears
+    :data:`repro.engine.process.PROCESS_AUTO_CLAIM_THRESHOLD`, more than
+    one CPU is usable, and continuous (median-kernel) claims are at
+    least :data:`repro.engine.process.PROCESS_AUTO_CONTINUOUS_SHARE` of
+    all claims; the resolution names the condition that decided.
+    ``"dense"`` is reached only by an explicit request (or session
+    default).  Explicit ``"dense"``/``"sparse"``/``"process"``/
+    ``"mmap"`` convert the representation when needed.
     An already-built backend passes through (or converts, when the
     explicit selector disagrees with it).
 
@@ -245,11 +285,7 @@ def make_backend(data, backend: str = "auto", *,
     the resolution lands there (ignored otherwise).
     """
     from .mmap import MmapBackend, resolved_memory_cap
-    from .process import (
-        PROCESS_AUTO_CLAIM_THRESHOLD,
-        ProcessBackend,
-        available_workers,
-    )
+    from .process import ProcessBackend
 
     if backend not in BACKEND_NAMES:
         raise ValueError(
@@ -272,31 +308,22 @@ def make_backend(data, backend: str = "auto", *,
     elif isinstance(data, MultiSourceDataset):
         source_storage = "dense"
     if backend == "auto":
+        if isinstance(data, MultiSourceDataset):
+            # Wraps the dense matrices' cached claim views: no copy, and
+            # the sort/std caches survive from one solve to the next.
+            data = ClaimsMatrix.from_dense(data)
         try:
             backend, reason = recommended_backend(
                 data, memory_cap_bytes=resolved_memory_cap()
             )
         except (AttributeError, TypeError):
-            # Dataset-shaped objects without footprint projections fall
-            # back to the input's own representation.
-            backend = ("sparse" if isinstance(data, ClaimsMatrix)
-                       else "dense")
-            reason = "followed input representation (no footprint info)"
+            # Dataset-shaped objects without footprint projections run
+            # inline on their own claim views.
+            backend = "sparse"
+            reason = "sparse claim views (no footprint info)"
         else:
             if backend == "sparse":
-                try:
-                    claims = int(data.n_observations())
-                except (AttributeError, TypeError):
-                    claims = 0
-                cpus = available_workers()
-                if (claims >= PROCESS_AUTO_CLAIM_THRESHOLD
-                        and cpus > 1):
-                    backend = "process"
-                    reason = (
-                        f"{reason}; {claims} claims >= "
-                        f"{PROCESS_AUTO_CLAIM_THRESHOLD} with {cpus} "
-                        f"CPUs usable -> process"
-                    )
+                backend, reason = _process_upgrade(data, reason)
     if backend == "process":
         built: _BackendBase = ProcessBackend(data, n_workers=n_workers)
     elif backend == "mmap":

@@ -78,11 +78,23 @@ WORKER_LOSSES = frozenset({"zero_one", "probability", "squared",
 
 #: claim count above which ``backend="auto"`` upgrades a sparse
 #: footprint recommendation to the process backend (when >1 CPU is
-#: usable).  Measured on the pinned bench workload: one worker round
-#: costs ~1-2 ms of dispatch overhead per iteration while the sparse
-#: kernels cost ~10 ms per 100k claims per iteration, so below ~200k
-#: claims the pool overhead eats the speedup even at 4 workers.
+#: usable and the claims are median-heavy, see below).  Measured on a
+#: 2-vCPU host, all-continuous claims, absolute loss, 10 iterations,
+#: 2 workers (median of 5 solves, process vs sparse): 0.096 vs 0.051 s
+#: at 60k claims, 0.121 vs 0.118 s at 120k, 0.148 vs 0.154 s at 210k,
+#: 0.447 vs 0.588 s at 600k.  The sparse kernels cost ~10 ms per 100k
+#: claims per iteration, and below ~200k claims the pool's per-round
+#: dispatch overhead eats the speedup.
 PROCESS_AUTO_CLAIM_THRESHOLD = 200_000
+
+#: least share of continuous claims at which ``backend="auto"`` makes
+#: that upgrade.  The weighted median is where the pool pays most.
+#: Measured on a 2-vCPU host (10 iterations, 2 workers, median of 5
+#: solves, process vs sparse): 0.37-0.40 vs 0.43-0.52 s on 600k
+#: all-continuous claims, but 0.52 vs 0.55-0.58 s on the 1.6M-claim
+#: Adult mix (43% continuous), where the pool also more than doubles
+#: the peak memory (267 vs 105 MiB).
+PROCESS_AUTO_CONTINUOUS_SHARE = 0.5
 
 
 class ProcessBackendError(BackendExecutionError):

@@ -47,9 +47,11 @@ METRIC_FIELDS: dict[str, str] = {
                "runner failure degraded the run, naming the backend "
                "that finished it",
     "backend_reason": "why the run resolved to its backend: an explicit "
-                      "request, the session default, or the footprint "
-                      "recommendation of repro.data.profile (escalated "
-                      "to mmap above the memory cap) — with "
+                      "request, the session default, or the auto "
+                      "policy (sparse in RAM, process for large "
+                      "median-heavy claim sets on multi-CPU hosts, mmap "
+                      "past the memory cap; naming the deciding "
+                      "condition) — with "
                       "' (converted from dense|sparse)' appended when "
                       "the input representation was converted, or the "
                       "degradation cause when a process/mmap run fell "
@@ -197,10 +199,10 @@ def run_started(method: str, *, n_sources: int | None = None,
     (dense/sparse/process/mmap) and ``n_claims`` how many claims it
     holds — the pair that explains a run's memory footprint;
     ``backend_reason`` records *why* the resolution landed there
-    (explicit request, session default, or the footprint
-    recommendation).  ``n_workers`` is the process backend's pool size
-    and ``n_chunks`` the mmap backend's chunks-per-sweep (each absent
-    for the other backends).
+    (explicit request, session default, or the ``"auto"`` policy).
+    ``n_workers`` is the process backend's pool size and ``n_chunks``
+    the mmap backend's chunks-per-sweep (each absent for the other
+    backends).
     """
     return _record("run_start", method=method, n_sources=n_sources,
                    n_objects=n_objects, n_properties=n_properties,

@@ -6,13 +6,23 @@ the exact strings across all three resolution branches (explicit
 request, session default, footprint recommendation), for dataset inputs
 and already-built backend inputs alike.  The rule: whenever the built
 backend stores claims differently than the input did, the reason ends
-with ``" (converted from {dense|sparse})"``.
+with ``" (converted from {dense|sparse})"``.  ``"auto"`` never builds
+dense storage: it solves on sparse claims in RAM, upgrades large
+median-heavy claim sets to ``process`` and escalates past the memory
+cap to ``mmap``.
 """
 
 import numpy as np
 import pytest
 
-from repro.data import ClaimsMatrix, DatasetSchema, claims_from_arrays, continuous
+from repro.data import (
+    ClaimsMatrix,
+    DatasetBuilder,
+    DatasetSchema,
+    categorical,
+    claims_from_arrays,
+    continuous,
+)
 from repro.engine import (
     DenseBackend,
     ProcessBackend,
@@ -129,6 +139,46 @@ def _large_sparse_claims(n_claims=400):
     )
 
 
+def _mixed_claims(n_continuous, n_categorical, n_objects=40):
+    # Every source claims every object of every property.
+    schema = DatasetSchema.of(
+        *(continuous(f"x{i}") for i in range(n_continuous)),
+        *(categorical(f"c{i}", ["a", "b"]) for i in range(n_categorical)),
+    )
+    builder = DatasetBuilder(schema)
+    rng = np.random.default_rng(1)
+    for obj in range(n_objects):
+        for source in ("s0", "s1", "s2"):
+            row = {f"x{i}": float(rng.normal())
+                   for i in range(n_continuous)}
+            row.update({f"c{i}": str(rng.choice(["a", "b"]))
+                        for i in range(n_categorical)})
+            builder.add_row(obj, source, row)
+    return ClaimsMatrix.from_dense(builder.build())
+
+
+class TestAutoPolicy:
+    def test_near_dense_claims_stay_sparse(self, sparse_dataset):
+        # The dense projection is smaller, yet auto keeps the claims
+        # matrix as it is: no dense storage, no conversion note.
+        assert sparse_dataset.dense_nbytes() < sparse_dataset.nbytes()
+        built = make_backend(sparse_dataset, "auto")
+        assert built.name == "sparse"
+        assert built.data is sparse_dataset
+        assert "converted" not in built.resolution
+
+    def test_dense_input_converts_to_sparse(self, dense_dataset):
+        built = make_backend(dense_dataset, "auto")
+        assert built.name == "sparse"
+        assert isinstance(built.data, ClaimsMatrix)
+        assert built.resolution.startswith("footprint recommendation:")
+        assert built.resolution.endswith("(converted from dense)")
+
+    def test_reason_reports_both_projections(self, sparse_dataset):
+        reason = make_backend(sparse_dataset, "auto").resolution
+        assert "sparse 804 B (dense projection 300 B)" in reason
+
+
 class TestAutoUpgrade:
     def test_footprint_reason_survives(self, sparse_dataset):
         built = make_backend(sparse_dataset, "auto")
@@ -154,6 +204,7 @@ class TestAutoUpgrade:
         monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD", 1)
         built = make_backend(claims, "auto")
         assert built.name == "sparse"
+        assert built.resolution.endswith("; 1 CPU usable -> sparse")
 
     def test_no_upgrade_below_threshold(self, monkeypatch):
         claims = _large_sparse_claims()
@@ -162,6 +213,36 @@ class TestAutoUpgrade:
                             claims.n_observations() + 1)
         built = make_backend(claims, "auto")
         assert built.name == "sparse"
+        assert built.resolution.endswith(
+            f"; {claims.n_observations()} claims < "
+            f"{claims.n_observations() + 1} -> sparse")
+
+    def test_no_upgrade_for_categorical_majority(self, monkeypatch):
+        # One continuous property of three: share 1/3 < 0.5, so the
+        # claim set stays sparse even with the count and CPUs to spare.
+        claims = _mixed_claims(n_continuous=1, n_categorical=2)
+        monkeypatch.setattr(process_mod, "available_workers", lambda: 4)
+        monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD",
+                            claims.n_observations())
+        built = make_backend(claims, "auto")
+        assert built.name == "sparse"
+        assert built.resolution.endswith(
+            "; continuous share 0.33 < 0.50 -> sparse")
+
+    def test_upgrades_continuous_majority(self, monkeypatch):
+        claims = _mixed_claims(n_continuous=2, n_categorical=1)
+        monkeypatch.setattr(process_mod, "available_workers", lambda: 4)
+        monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD",
+                            claims.n_observations())
+        built = make_backend(claims, "auto", n_workers=2)
+        try:
+            assert built.name == "process"
+            assert built.resolution.endswith(
+                f"; {claims.n_observations()} claims >= "
+                f"{claims.n_observations()} with 4 CPUs usable and "
+                f"continuous share 0.67 >= 0.50 -> process")
+        finally:
+            built.close()
 
 
 class TestMemoryCapEscalation:
@@ -172,10 +253,19 @@ class TestMemoryCapEscalation:
         assert built.resolution.startswith("footprint recommendation:")
         assert "memory cap -> mmap" in built.resolution
 
+    def test_sparse_projection_alone_decides(self, sparse_dataset):
+        # A cap between the two projections (dense 300 B < cap < sparse
+        # 804 B) escalates: the smaller dense projection does not count.
+        with use_memory_cap(500):
+            built = make_backend(sparse_dataset, "auto")
+        assert built.name == "mmap"
+        assert built.resolution.endswith(
+            "; sparse exceeds the 500 B memory cap -> mmap")
+
     def test_huge_cap_never_escalates(self, sparse_dataset):
         with use_memory_cap(2**40):
             built = make_backend(sparse_dataset, "auto")
-        assert built.name in ("dense", "sparse")
+        assert built.name == "sparse"
         assert "mmap" not in built.resolution
 
     def test_cap_escalation_beats_process_upgrade(self, monkeypatch):

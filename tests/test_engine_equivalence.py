@@ -508,6 +508,22 @@ class TestSortOnce:
         assert counter.sorts == n_continuous
         _assert_results_identical(first, again)
 
+    def test_from_dense_shares_cached_views(self):
+        dataset = _fuzz_dataset(92)
+        claims = ClaimsMatrix.from_dense(dataset)
+        for dense, sparse in zip(dataset.properties, claims.properties):
+            assert sparse.claim_view() is dense.claim_view()
+
+    def test_repeat_auto_solve_on_dense_input_sorts_nothing(self,
+                                                            counter):
+        dataset = _fuzz_dataset(93)
+        first = crh(dataset, continuous_loss="absolute", max_iterations=10)
+        assert first.backend == "sparse"
+        before = counter.sorts
+        again = crh(dataset, continuous_loss="absolute", max_iterations=10)
+        assert counter.sorts == before
+        _assert_results_identical(first, again)
+
     def test_mmap_sorts_do_not_grow_with_iterations(self, counter):
         counts = {}
         for iterations in (3, 10):

@@ -15,6 +15,7 @@ from repro.core.losses import (
     ZeroOneLoss,
     available_losses,
     loss_by_name,
+    TruthState,
     register_loss,
 )
 from repro.data.schema import PropertyKind
@@ -55,6 +56,39 @@ class TestRegistry:
         assert isinstance(loss_by_name("custom_abs_test"), Custom)
         with pytest.raises(ValueError, match="already registered"):
             register_loss(Custom)
+
+
+class _DenseOnlyAbsolute(Loss):
+    """A custom loss whose deviations read the ``(K, N)`` matrix."""
+
+    name = "dense_only_absolute_test"
+    kind = PropertyKind.CONTINUOUS
+
+    def initial_state(self, prop, init_column):
+        return TruthState(column=np.asarray(init_column, dtype=float))
+
+    def update_truth(self, prop, weights):
+        return NormalizedAbsoluteLoss().update_truth(prop, weights)
+
+    def deviations(self, state, prop):
+        return np.abs(prop.values - state.column[None, :])
+
+
+class TestDenseOnlyCustomLoss:
+    def test_runs_on_every_in_ram_backend(self, tiny_dataset, monkeypatch):
+        # "auto" solves a dense dataset on sparse claims, so the default
+        # claim_deviations materializes the matrix the loss reads.
+        from repro.core import losses
+        monkeypatch.setitem(losses._LOSSES, _DenseOnlyAbsolute.name,
+                            _DenseOnlyAbsolute)
+        dense = crh(tiny_dataset, backend="dense",
+                    continuous_loss=_DenseOnlyAbsolute.name)
+        for backend in ("auto", "sparse"):
+            result = crh(tiny_dataset, backend=backend,
+                         continuous_loss=_DenseOnlyAbsolute.name)
+            assert result.backend == "sparse"
+            np.testing.assert_array_equal(result.weights, dense.weights)
+            assert result.objective_history == dense.objective_history
 
 
 class TestZeroOneLoss:

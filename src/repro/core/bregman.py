@@ -106,8 +106,8 @@ class BregmanLoss(Loss):
     :func:`~repro.core.kernels.segment_weighted_mean` and the deviations
     are :func:`~repro.core.kernels.bregman_claim_deviations`, so every
     member is supported natively on the dense, sparse, process, and mmap
-    backends (all three names are in ``WORKER_LOSSES`` and
-    ``CHUNK_LOSSES``).  The domain check runs once, in
+    backends (all three names are in
+    :data:`repro.engine.sharded.RUNNER_LOSSES`).  The domain check runs once, in
     :meth:`initial_state`, over the claim values in bounded-size blocks
     so memory-mapped claim arrays are never materialized whole.
     """

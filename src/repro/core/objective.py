@@ -53,40 +53,44 @@ def per_source_deviations(
     losses: list[Loss],
     states: list[TruthState],
     options: DeviationOptions = DeviationOptions(),
-    claim_deviations=None,
 ) -> np.ndarray:
     """Aggregate ``(K,)`` deviations of every source from the truths.
 
     ``dataset`` may be a dense
     :class:`~repro.data.table.MultiSourceDataset` or a sparse
     :class:`~repro.data.claims_matrix.ClaimsMatrix`: the reduction runs
-    over each property's claim view either way.
-
-    ``claim_deviations`` optionally overrides where the per-claim
-    deviations come from: a callable ``(index, prop, loss, state) ->
-    (n_claims,) array`` in canonical claim order.  The process backend
-    points this at its worker-filled shared scratch so the reduction —
-    and therefore the bit pattern of the result — is exactly the inline
-    one, just with the element-wise deviation pass already done (the
-    mmap backend does the same with its spilled chunk scratch).
+    over each property's claim view either way, one property at a time,
+    through :func:`reduce_source_deviations`.
     """
-    k = dataset.n_sources
-    totals = np.zeros(k, dtype=np.float64)
-    counts = np.zeros(k, dtype=np.float64)
-    for index, (prop, loss, state) in enumerate(
-        zip(dataset.properties, losses, states)
-    ):
-        if claim_deviations is None:
-            dev = loss.claim_deviations(state, prop)
-        else:
-            dev = claim_deviations(index, prop, loss, state)
+    return reduce_source_deviations(
+        ((loss.claim_deviations(state, prop), prop.claim_view().source_idx)
+         for prop, loss, state in zip(dataset.properties, losses, states)),
+        dataset.n_sources, options,
+    )
+
+
+def reduce_source_deviations(pairs, n_sources: int,
+                             options: DeviationOptions = DeviationOptions(),
+                             ) -> np.ndarray:
+    """The weight step's ``(K,)`` reduction of per-claim deviations.
+
+    ``pairs`` yields one ``(deviations, source_idx)`` pair of
+    ``(n_claims,)`` arrays per property, in canonical claim order.  The
+    inline path computes each property's deviations as it goes; the
+    process and mmap runners pass the full-length scratch their ranges
+    filled, so the summation order, and therefore every bit of the
+    result, is the inline one.
+    """
+    totals = np.zeros(n_sources, dtype=np.float64)
+    counts = np.zeros(n_sources, dtype=np.float64)
+    for dev, source_idx in pairs:
         if options.property_scale == "mean":
             with np.errstate(invalid="ignore"):
                 scale = np.nanmean(dev) if dev.size else np.nan
             if np.isfinite(scale) and scale > 0:
                 dev = dev / scale
         prop_totals, prop_counts = accumulate_source_deviations(
-            dev, prop.claim_view().source_idx, k
+            dev, source_idx, n_sources
         )
         totals += prop_totals
         counts += prop_counts

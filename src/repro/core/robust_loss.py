@@ -22,7 +22,7 @@ convergence is checked *per entry* — each entry freezes once its own
 update settles — so the iteration count of one entry never depends on
 another entry's claims, and sharded (``process``) and chunked (``mmap``)
 execution reproduce the single-array backends bit for bit.  The loss is
-listed in ``WORKER_LOSSES`` and ``CHUNK_LOSSES`` and runs natively on
+listed in :data:`repro.engine.sharded.RUNNER_LOSSES` and runs natively on
 all four execution backends.
 """
 

@@ -14,7 +14,7 @@ Degradation has three entry points, each leaving ``backend_name ==
 "sparse"`` and a human-readable ``backend_reason``:
 
 * setup — :meth:`ExecutionSession.start` cannot arm the runner (a loss
-  outside ``WORKER_LOSSES``/``CHUNK_LOSSES``, a pool that will not
+  outside :data:`repro.engine.sharded.RUNNER_LOSSES`, a pool that will not
   start): ``"<name> backend degraded to inline sparse execution: …"``;
 * mid-run — the runner raises during a step; the session finishes on the
   inline path: ``"process worker failed mid-run; finishing inline on

@@ -72,7 +72,7 @@ class CRHConfig:
         usable CPU count).  Ignored by the other backends.
     chunk_claims:
         Claims per chunk for the mmap backend (``None`` —
-        :data:`repro.data.chunks.DEFAULT_CHUNK_CLAIMS`).  Ignored by
+        :data:`repro.engine.mmap.DEFAULT_CHUNK_CLAIMS`).  Ignored by
         the other backends.
     seed:
         Used only by the random initializer.

@@ -8,22 +8,11 @@ Public surface:
 * :mod:`repro.data.claims_matrix` — sparse CSR-by-object claim storage
   (:class:`ClaimsMatrix`) and the canonical :class:`ClaimView` the
   execution kernels consume;
-* :mod:`repro.data.chunks` — aligned per-object CSR chunk iteration
-  (the out-of-core backend's traversal primitive);
 * :mod:`repro.data.records` — the flat ``(eID, v, sID)`` record view;
 * :mod:`repro.data.io` — CSV/JSON persistence;
 * :mod:`repro.data.validation` — structural integrity checks.
 """
 
-from .chunks import (
-    DEFAULT_CHUNK_CLAIMS,
-    ChunkProperty,
-    ClaimChunk,
-    chunk_bounds,
-    chunk_count,
-    chunked_entry_std,
-    iter_claim_chunks,
-)
 from .claims_matrix import (
     ClaimsMatrix,
     ClaimView,
@@ -68,11 +57,8 @@ from .validation import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_CLAIMS",
     "MISSING_CODE",
     "CategoricalCodec",
-    "ChunkProperty",
-    "ClaimChunk",
     "ClaimView",
     "ClaimsMatrix",
     "DatasetBuilder",
@@ -91,13 +77,9 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "categorical",
-    "chunk_bounds",
-    "chunk_count",
-    "chunked_entry_std",
     "continuous",
     "text",
     "claims_from_arrays",
-    "iter_claim_chunks",
     "count_observations_per_source",
     "dataset_to_records",
     "encoded_record_arrays",

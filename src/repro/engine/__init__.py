@@ -2,10 +2,11 @@
 claim storage.
 
 See :mod:`repro.engine.backend` for the protocol and the dense/sparse
-backends, :mod:`repro.engine.process` for the shared-memory
-multiprocessing backend, and :mod:`repro.engine.mmap` for the
-out-of-core chunked backend; all three CRH engines (solver, MapReduce,
-streaming) resolve their input through :func:`make_backend`.
+backends, :mod:`repro.engine.sharded` for the range-partitioned runner
+core, and its two executors: :mod:`repro.engine.process`, the
+shared-memory multiprocessing backend, and :mod:`repro.engine.mmap`,
+the out-of-core chunked backend; all three CRH engines (solver,
+MapReduce, streaming) resolve their input through :func:`make_backend`.
 """
 
 from .backend import (
@@ -37,6 +38,7 @@ from .process import (
     get_default_workers,
     set_default_workers,
 )
+from .sharded import RUNNER_LOSSES
 
 __all__ = [
     "BACKEND_NAMES",
@@ -49,6 +51,7 @@ __all__ = [
     "PROCESS_AUTO_CLAIM_THRESHOLD",
     "ProcessBackend",
     "ProcessBackendError",
+    "RUNNER_LOSSES",
     "SparseBackend",
     "available_memory_bytes",
     "available_workers",

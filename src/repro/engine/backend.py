@@ -28,7 +28,8 @@ in the backend's ``resolution`` string).  ``"auto"`` follows the
 session default when one was set, and otherwise solves on sparse claims
 in RAM (:func:`repro.data.profile.recommended_backend`): upgraded to the
 process backend when the claim set is large, more than one CPU is
-usable and at least half the claims are continuous (median-heavy), and
+usable, the pool would run more than one worker and at least half the
+claims are continuous (median-heavy), and
 escalated to the out-of-core mmap backend when the sparse projection
 exceeds the memory cap (:func:`repro.engine.mmap.resolved_memory_cap`);
 the module-level default (:func:`set_default_backend` /
@@ -210,15 +211,18 @@ def use_default_backend(name: str) -> Iterator[None]:
         set_default_backend(previous)
 
 
-def _process_upgrade(data, reason: str) -> tuple[str, str]:
+def _process_upgrade(data, reason: str,
+                     n_workers: int | None = None) -> tuple[str, str]:
     """Upgrade an ``"auto"`` sparse resolution to ``process`` when the
-    claim set is large, more than one CPU is usable and continuous
-    (median-kernel) claims are at least half of all claims; the reason
-    names the condition that decided."""
+    claim set is large, more than one CPU is usable, the pool would get
+    more than one worker (``n_workers``, else the session default, else
+    the CPU count) and continuous (median-kernel) claims are at least
+    half of all claims; the reason names the condition that decided."""
     from .process import (
         PROCESS_AUTO_CLAIM_THRESHOLD,
         PROCESS_AUTO_CONTINUOUS_SHARE,
         available_workers,
+        get_default_workers,
     )
 
     claims = continuous = 0
@@ -233,6 +237,12 @@ def _process_upgrade(data, reason: str) -> tuple[str, str]:
     cpus = available_workers()
     if cpus <= 1:
         return "sparse", f"{reason}; {cpus} CPU usable -> sparse"
+    if n_workers is None:
+        n_workers = get_default_workers() or cpus
+    if n_workers <= 1:
+        # A one-worker pool only adds dispatch and copies to the
+        # inline sparse solve.
+        return "sparse", f"{reason}; {n_workers} worker requested -> sparse"
     share = continuous / claims
     if share < PROCESS_AUTO_CONTINUOUS_SHARE:
         return "sparse", (
@@ -264,7 +274,9 @@ def make_backend(data, backend: str = "auto", *,
     recommendation is upgraded to the process backend when the claim
     count clears
     :data:`repro.engine.process.PROCESS_AUTO_CLAIM_THRESHOLD`, more than
-    one CPU is usable, and continuous (median-kernel) claims are at
+    one CPU is usable, the pool would run more than one worker
+    (``n_workers``, else :func:`~repro.engine.process.get_default_workers`,
+    else the CPU count), and continuous (median-kernel) claims are at
     least :data:`repro.engine.process.PROCESS_AUTO_CONTINUOUS_SHARE` of
     all claims; the resolution names the condition that decided.
     ``"dense"`` is reached only by an explicit request (or session
@@ -323,7 +335,8 @@ def make_backend(data, backend: str = "auto", *,
             reason = "sparse claim views (no footprint info)"
         else:
             if backend == "sparse":
-                backend, reason = _process_upgrade(data, reason)
+                backend, reason = _process_upgrade(data, reason,
+                                                   n_workers)
     if backend == "process":
         built: _BackendBase = ProcessBackend(data, n_workers=n_workers)
     elif backend == "mmap":

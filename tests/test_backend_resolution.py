@@ -245,6 +245,46 @@ class TestAutoUpgrade:
             built.close()
 
 
+    @pytest.mark.parametrize("how", ["argument", "session default"])
+    def test_one_worker_pool_stays_sparse(self, monkeypatch, how):
+        # A one-worker pool is slower than the inline sparse solve, so
+        # the upgrade counts the workers the pool would actually run.
+        claims = _large_sparse_claims()
+        monkeypatch.setattr(process_mod, "available_workers", lambda: 4)
+        monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD", 1)
+        if how == "argument":
+            built = make_backend(claims, "auto", n_workers=1)
+        else:
+            monkeypatch.setattr(process_mod, "_default_workers", 1)
+            built = make_backend(claims, "auto")
+        assert built.name == "sparse"
+        assert built.resolution.endswith("; 1 worker requested -> sparse")
+
+    def test_session_default_workers_size_the_upgrade(self, monkeypatch):
+        claims = _large_sparse_claims()
+        monkeypatch.setattr(process_mod, "available_workers", lambda: 4)
+        monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD", 1)
+        monkeypatch.setattr(process_mod, "_default_workers", 2)
+        built = make_backend(claims, "auto")
+        try:
+            assert built.name == "process"
+            assert built.n_workers == 2
+        finally:
+            built.close()
+
+    def test_argument_beats_one_worker_session_default(self, monkeypatch):
+        claims = _large_sparse_claims()
+        monkeypatch.setattr(process_mod, "available_workers", lambda: 4)
+        monkeypatch.setattr(process_mod, "PROCESS_AUTO_CLAIM_THRESHOLD", 1)
+        monkeypatch.setattr(process_mod, "_default_workers", 1)
+        built = make_backend(claims, "auto", n_workers=2)
+        try:
+            assert built.name == "process"
+            assert built.n_workers == 2
+        finally:
+            built.close()
+
+
 class TestMemoryCapEscalation:
     def test_tiny_cap_escalates_auto_to_mmap(self, sparse_dataset):
         with use_memory_cap(1):

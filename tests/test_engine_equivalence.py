@@ -31,6 +31,7 @@ from repro.data import (
     continuous,
 )
 from repro.engine import ProcessBackend
+from repro.engine.process import _run_task as _REAL_RUN_TASK
 from repro.observability import MemoryTracer
 from repro.parallel import ParallelCRHConfig, parallel_crh
 from repro.streaming import icrh
@@ -47,8 +48,13 @@ LOSS_CONFIGS = [
 RUNNER_LOSS_CONFIGS = LOSS_CONFIGS + [("zero_one", "huber")]
 
 
-def _fuzz_dataset(seed, k=8, n=40, density=0.45, timestamps=True):
-    """Random mixed dataset with ties, empty sources and empty objects."""
+def _fuzz_dataset(seed, k=8, n=40, density=0.45, timestamps=True,
+                  empty=None):
+    """Random mixed dataset with ties, empty sources and empty objects.
+
+    ``empty`` names a property (``"cond"`` or ``"wind"``) that gets no
+    claims at all; ``temp`` always has at least one.
+    """
     rng = np.random.default_rng(seed)
     schema = DatasetSchema.of(
         continuous("temp"), categorical("cond"), continuous("wind")
@@ -57,6 +63,12 @@ def _fuzz_dataset(seed, k=8, n=40, density=0.45, timestamps=True):
     dead_source = int(rng.integers(0, k))      # claims nothing
     dead_object = int(rng.integers(0, n))      # nothing claimed about it
     labels = ["a", "b", "c", "d"]
+
+    def add(obj, src, name, value, stamp):
+        if name != empty:
+            builder.add(f"o{obj}", f"s{src}", name, value,
+                        timestamp=stamp)
+
     added = False
     for src in range(k):
         for obj in range(n):
@@ -69,17 +81,17 @@ def _fuzz_dataset(seed, k=8, n=40, density=0.45, timestamps=True):
                 value = float(rng.normal(10, 4))
                 if rng.random() < 0.5:
                     value = round(value)
-                builder.add(f"o{obj}", f"s{src}", "temp", value,
-                            timestamp=stamp)
+                add(obj, src, "temp", value, stamp)
                 added = True
             if rng.random() < density:
-                builder.add(f"o{obj}", f"s{src}", "cond",
-                            labels[int(rng.integers(0, 4))],
-                            timestamp=stamp)
+                add(obj, src, "cond", labels[int(rng.integers(0, 4))],
+                    stamp)
             if rng.random() < density * 0.5:
-                builder.add(f"o{obj}", f"s{src}", "wind",
-                            float(rng.exponential(5)), timestamp=stamp)
-    assert added
+                add(obj, src, "wind", float(rng.exponential(5)), stamp)
+    if not added:
+        # Tiny inputs can draw no temp claim; give the live corner one.
+        add((dead_object + 1) % n, (dead_source + 1) % k, "temp", 10.0,
+            0)
     return builder.build()
 
 
@@ -267,6 +279,16 @@ def _text_dataset(seed, k=4, n=12):
     return builder.build()
 
 
+def _die_in_step_range_1(mode, r, failure):
+    """A pool task that kills its worker outright in range 1 of a truth
+    round (no exception, no cleanup), else runs the real task."""
+    import os
+
+    if mode == "step" and r == 1:
+        os._exit(1)
+    return _REAL_RUN_TASK(mode, r, failure)
+
+
 class TestProcessEquivalence:
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("cat_loss,cont_loss", RUNNER_LOSS_CONFIGS)
@@ -333,6 +355,38 @@ class TestProcessEquivalence:
         assert end["backend"] == "sparse"
         assert "worker failed mid-run" in end["backend_reason"]
         assert "injected worker failure" in end["backend_reason"]
+
+    def test_abrupt_worker_death_degrades_to_sparse(self, monkeypatch):
+        """A worker that dies without raising (``os._exit`` in range 1
+        of a truth round) breaks the pool; the run finishes inline,
+        bit-identically, and no worker process outlives ``close()``."""
+        import multiprocessing
+        import time
+
+        from repro.engine import process as process_mod
+
+        monkeypatch.setattr(process_mod, "_run_task", _die_in_step_range_1)
+        dataset = _fuzz_dataset(70, k=6, n=30)
+        backend = ProcessBackend(dataset, n_workers=2)
+        tracer = MemoryTracer()
+        try:
+            crashed = crh(backend, backend="process", max_iterations=10,
+                          tracer=tracer)
+        finally:
+            backend.close()
+        sparse = crh(dataset, backend="sparse", max_iterations=10)
+        _assert_results_identical(sparse, crashed)
+        assert crashed.backend == "sparse"
+        (end,) = [r for r in tracer.records if r["event"] == "run_end"]
+        assert end["backend"] == "sparse"
+        assert "worker failed mid-run" in end["backend_reason"]
+        # The broken pool's workers are terminated and reaped
+        # asynchronously; give them a bounded moment.
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
     def test_unsupported_loss_degrades_at_setup(self):
         """Losses without a worker implementation fall back before the
@@ -540,7 +594,9 @@ class TestSortOnce:
 
 
 class TestBackendFuzz:
-    """Hypothesis property: all four backends agree bitwise, always."""
+    """Hypothesis property: all four backends agree bitwise, always,
+    including pools with more workers than objects (empty ranges) and
+    properties without claims."""
 
     @settings(max_examples=examples(10))
     @given(
@@ -548,11 +604,15 @@ class TestBackendFuzz:
         density=st.floats(0.15, 0.7),
         chunk_claims=st.sampled_from([1, 2, 3, 7, 10_000]),
         losses=st.sampled_from(LOSS_CONFIGS),
+        n_workers=st.sampled_from([1, 2, 3]),
+        n_objects=st.sampled_from([2, 3, 18]),
+        empty=st.sampled_from([None, "cond", "wind"]),
     )
     def test_four_way_bit_identity(self, seed, density, chunk_claims,
-                                   losses):
+                                   losses, n_workers, n_objects, empty):
         cat_loss, cont_loss = losses
-        dataset = _fuzz_dataset(seed, k=5, n=18, density=density)
+        dataset = _fuzz_dataset(seed, k=5, n=n_objects, density=density,
+                                empty=empty)
         kwargs = dict(categorical_loss=cat_loss,
                       continuous_loss=cont_loss, max_iterations=8)
         reference = crh(dataset, backend="dense", **kwargs)
@@ -560,10 +620,25 @@ class TestBackendFuzz:
             "sparse": crh(dataset, backend="sparse", **kwargs),
             "mmap": crh(dataset, backend="mmap",
                         chunk_claims=chunk_claims, **kwargs),
-            "process": crh(dataset, backend="process", n_workers=2,
-                           **kwargs),
+            "process": crh(dataset, backend="process",
+                           n_workers=n_workers, **kwargs),
         }
-        for result in others.values():
+        for name, result in others.items():
+            assert result.backend == name
+            _assert_results_identical(reference, result)
+
+    @pytest.mark.parametrize("empty", ["cond", "wind"])
+    def test_empty_ranges_and_claimless_property(self, empty):
+        """The fuzz's corners pinned (its derandomized draws never put
+        more workers than objects): 4 workers on 2 objects leave most
+        ranges empty, and one property has no claims at all."""
+        dataset = _fuzz_dataset(5, k=5, n=2, empty=empty)
+        reference = crh(dataset, backend="sparse", max_iterations=8)
+        for backend, kwargs in (("process", {"n_workers": 4}),
+                                ("mmap", {"chunk_claims": 1})):
+            result = crh(dataset, backend=backend, max_iterations=8,
+                         **kwargs)
+            assert result.backend == backend
             _assert_results_identical(reference, result)
 
 
@@ -632,7 +707,7 @@ class TestResolverDegradation:
 
     @pytest.mark.parametrize("backend,kwargs", PARALLEL_BACKENDS)
     def test_catd_text_loss_degrades(self, backend, kwargs):
-        """edit_distance is outside WORKER_LOSSES/CHUNK_LOSSES, so a
+        """edit_distance is outside RUNNER_LOSSES, so a
         text property forces CATD's session to refuse the runner."""
         from repro.baselines import resolver_by_name
 

@@ -2,10 +2,11 @@
 
 Four groups of guarantees from the out-of-core ISSUE:
 
-* **Chunk iterator properties** — claim-balanced chunks cover every
-  object and every claim exactly once, never split an object's claim
-  segment, localize exactly like process-backend shards, and the
-  chunked entry-std equals the full-view entry-std bitwise.
+* **Chunk properties** — claim-balanced chunks (the shared range
+  localization of :mod:`repro.engine.sharded`) cover every object and
+  every claim exactly once, never split an object's claim segment,
+  localize exactly like process-backend shards, and the chunked
+  entry-std equals the full-view entry-std bitwise.
 * **Memmapped loading** — ``load_dataset(mmap=True)`` opens the
   ``claims.npz`` members as read-only memmaps without materializing
   them; unmappable archives (compressed members) fall back to eager
@@ -31,13 +32,6 @@ import pytest
 
 from repro.core.solver import CRHConfig, CRHSolver, crh
 from repro.data import ClaimsMatrix, DatasetSchema, claims_from_arrays, continuous
-from repro.data.chunks import (
-    ChunkProperty,
-    chunk_bounds,
-    chunk_count,
-    chunked_entry_std,
-    iter_claim_chunks,
-)
 from repro.data.io import load_dataset, npz_member_memmaps, save_dataset
 from repro.engine import (
     MmapBackend,
@@ -45,6 +39,8 @@ from repro.engine import (
     make_backend,
     use_memory_cap,
 )
+from repro.engine.mmap import chunk_count, chunk_lane, chunked_entry_std
+from repro.engine.sharded import RangeProperty
 from repro.observability import MemoryTracer
 
 
@@ -84,6 +80,9 @@ def _assert_results_identical(a, b):
 # ----------------------------------------------------------------------
 
 class TestChunkIterator:
+    """Chunks are :class:`~repro.engine.sharded.Lane` ranges: each is
+    ``(object_start, object_stop, claim_start, claim_stop, prop)``."""
+
     def test_chunk_count_ceils_and_validates(self):
         assert chunk_count(0, 10) == 1
         assert chunk_count(1, 10) == 1
@@ -96,62 +95,59 @@ class TestChunkIterator:
     def test_chunks_cover_everything_exactly_once(self, chunk_claims):
         prop = _claims(seed=2).properties[0]
         view = prop.claim_view()
-        chunks = list(iter_claim_chunks(prop, chunk_claims))
+        chunks = list(chunk_lane(prop, chunk_claims).ranges())
         # Objects: contiguous, disjoint, complete.
-        assert chunks[0].object_start == 0
-        assert chunks[-1].object_stop == view.n_objects
+        assert chunks[0][0] == 0
+        assert chunks[-1][1] == view.n_objects
         for before, after in zip(chunks, chunks[1:]):
-            assert after.object_start == before.object_stop
+            assert after[0] == before[1]
         # Claims: the concatenated chunk arrays equal the full arrays.
         assert np.array_equal(
-            np.concatenate([c.prop.claim_view().values for c in chunks]),
+            np.concatenate([c[4].claim_view().values for c in chunks]),
             view.values,
         )
         assert np.array_equal(
-            np.concatenate([c.prop.claim_view().source_idx for c in chunks]),
+            np.concatenate([c[4].claim_view().source_idx for c in chunks]),
             view.source_idx,
         )
-        total = sum(c.claim_stop - c.claim_start for c in chunks)
+        total = sum(c1 - c0 for _, _, c0, c1, _ in chunks)
         assert total == prop.n_claims
 
     def test_chunks_are_claim_balanced(self):
         prop = _claims(seed=3).properties[0]
         chunk_claims = 11
-        for chunk in iter_claim_chunks(prop, chunk_claims):
-            size = chunk.claim_stop - chunk.claim_start
-            if chunk.object_stop - chunk.object_start > 1:
+        for lo, hi, c0, c1, _ in chunk_lane(prop, chunk_claims).ranges():
+            if hi - lo > 1:
                 # Multi-object chunks stay near the target; only a
                 # single giant object may exceed it (never split).
-                assert size <= 2 * chunk_claims
+                assert c1 - c0 <= 2 * chunk_claims
 
     def test_localization_matches_shard_semantics(self):
         prop = _claims(seed=4).properties[0]
         view = prop.claim_view()
-        for chunk in iter_claim_chunks(prop, 13):
-            local = chunk.prop.claim_view()
-            lo, c0 = chunk.object_start, chunk.claim_start
-            assert local.n_objects == chunk.object_stop - lo
-            assert np.array_equal(
-                local.object_idx,
-                view.object_idx[c0:chunk.claim_stop] - lo,
-            )
+        for lo, hi, c0, c1, chunk in chunk_lane(prop, 13).ranges():
+            local = chunk.claim_view()
+            assert local.n_objects == hi - lo
+            assert np.array_equal(local.object_idx,
+                                  view.object_idx[c0:c1] - lo)
             assert local.indptr[0] == 0
-            assert local.indptr[-1] == chunk.claim_stop - c0
-            assert isinstance(chunk.prop, ChunkProperty)
-            assert chunk.prop.schema is prop.schema
+            assert local.indptr[-1] == c1 - c0
+            assert isinstance(chunk, RangeProperty)
+            assert chunk.schema is prop.schema
 
     def test_chunk_of_everything_is_one_chunk(self):
         prop = _claims(seed=5).properties[0]
-        chunks = list(iter_claim_chunks(prop, prop.n_claims + 100))
+        lane = chunk_lane(prop, prop.n_claims + 100)
+        chunks = list(lane.ranges())
         assert len(chunks) == 1
-        assert chunks[0].n_chunks == 1
-        local = chunks[0].prop.claim_view()
+        assert len(lane.bounds) - 1 == 1
+        local = chunks[0][4].claim_view()
         assert np.array_equal(local.values, prop.claim_view().values)
 
     def test_bounds_never_split_objects(self):
         prop = _claims(seed=6).properties[0]
         view = prop.claim_view()
-        bounds = chunk_bounds(view.indptr, 7)
+        bounds = chunk_lane(prop, 7).bounds
         # Every boundary is an object index -> every cut aligns with
         # an indptr entry by construction; spot-check monotonicity.
         assert bounds[0] == 0 and bounds[-1] == view.n_objects

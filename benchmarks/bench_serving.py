@@ -18,11 +18,11 @@ on the weather stream and enforces the serving acceptance bars:
   sources must register them in amortized O(1) — buffer reallocations
   stay logarithmic in the source count (the regression guard for the
   old O(K^2) ``np.append`` registration);
-* **metrics overhead** (this PR): ingest throughput with the live
-  :class:`~repro.observability.MetricsRegistry` enabled must stay
-  within 5% of a metrics-disabled replay — asserted only at full
-  scale, where the per-batch instrument updates are amortized over
-  real sealing/recompute work.
+* **metrics overhead** (this PR): ingest throughput with a live
+  :class:`~repro.observability.MetricsRegistry` as the service's
+  ``tracer`` must stay within 5% of an untraced replay — asserted only
+  at full scale, where the per-call records are amortized over real
+  sealing/recompute work.
 
 Runs two ways:
 
@@ -53,7 +53,7 @@ from repro.streaming import Claim, TruthService, icrh, iter_dataset_claims
 WINDOW = 2
 BATCH = 1_000
 UPDATE_SPEEDUP_BAR = 10.0
-#: metrics-on ingest may cost at most 5% over metrics-off
+#: registry-traced ingest may cost at most 5% over untraced ingest
 METRICS_OVERHEAD_BAR = 1.05
 READ_SAMPLES = 200
 #: distinct sources the churn case drips into the stream
@@ -130,7 +130,7 @@ def measure_single_update(service, replay_seconds) -> tuple:
 
 
 def measure_metrics_overhead(dataset, claims) -> dict:
-    """Full-stream ingest with the registry enabled vs disabled.
+    """Full-stream ingest traced by a registry vs untraced.
 
     Best-of-2 wall seconds per mode (fresh service each round), so one
     scheduler hiccup cannot fake a regression.  Returns both timings
@@ -139,12 +139,12 @@ def measure_metrics_overhead(dataset, claims) -> dict:
     """
     from repro.observability import MetricsRegistry
 
-    def replay_with(enabled: bool) -> float:
+    def replay_with(traced: bool) -> float:
         best = math.inf
         for _ in range(2):
             service = TruthService(
                 dataset.schema, window=WINDOW, codecs=dataset.codecs(),
-                metrics=MetricsRegistry(enabled=enabled),
+                tracer=MetricsRegistry() if traced else None,
             )
             started = time.perf_counter()
             for start in range(0, len(claims), BATCH):
@@ -237,8 +237,8 @@ def run_comparison() -> dict:
             f"replay; acceptance bar is {UPDATE_SPEEDUP_BAR}x"
         )
         assert overhead["ratio"] <= METRICS_OVERHEAD_BAR, (
-            f"metrics-enabled ingest is {(overhead['ratio'] - 1) * 100:.1f}% "
-            f"slower than metrics-off; acceptance bar is "
+            f"registry-traced ingest is {(overhead['ratio'] - 1) * 100:.1f}% "
+            f"slower than untraced; acceptance bar is "
             f"{(METRICS_OVERHEAD_BAR - 1) * 100:.0f}%"
         )
     return {

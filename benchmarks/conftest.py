@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.observability import append_record, benchmark_record
+from repro.observability import append_record, record
 
 
 def run_experiment(benchmark, runner, **kwargs):
@@ -31,8 +31,9 @@ def run_experiment(benchmark, runner, **kwargs):
     seconds = time.perf_counter() - started
     trace_path = os.environ.get("REPRO_TRACE", "").strip()
     if trace_path:
-        append_record(trace_path, benchmark_record(
-            getattr(runner, "__name__", str(runner)), seconds=seconds,
+        append_record(trace_path, record(
+            "benchmark", name=getattr(runner, "__name__", str(runner)),
+            seconds=seconds,
         ))
     print()
     print(result.render())

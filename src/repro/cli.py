@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import experiments as exp
 from .engine import BACKEND_NAMES, set_default_workers, use_default_backend
-from .observability import JsonlTracer, RunReport, experiment_record
+from .observability import JsonlTracer, RunReport, record
 from .observability.tracer import Tracer
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[..., object]]] = {
@@ -154,8 +154,9 @@ def _run_one(name: str, seed: int, scale: float,
     elapsed = time.perf_counter() - started
     print(f"[{name} finished in {elapsed:.1f}s]\n")
     if tracer is not None:
-        tracer.emit(experiment_record(
-            name, seed=seed, elapsed_seconds=elapsed,
+        tracer.emit(record(
+            "experiment", experiment=name, seed=seed,
+            elapsed_seconds=elapsed,
         ))
     if output is not None:
         with output.open("a") as handle:

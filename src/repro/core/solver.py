@@ -23,7 +23,7 @@ import numpy as np
 
 from ..data.table import TruthTable
 from ..engine import BACKEND_NAMES, make_backend
-from ..observability import iteration_record, run_finished, run_started
+from ..observability import record
 from ..observability.tracer import Tracer
 from .initialization import initializer_by_name
 from .losses import Loss, TruthState, losses_for_schema
@@ -192,8 +192,9 @@ class CRHSolver:
             # it in run_end.
             started_on = session.backend_name
             if tracing:
-                tracer.emit(run_started(
-                    "CRH",
+                tracer.emit(record(
+                    "run_start",
+                    method="CRH",
                     n_sources=dataset.n_sources,
                     n_objects=dataset.n_objects,
                     n_properties=len(dataset.schema),
@@ -228,8 +229,9 @@ class CRHSolver:
                 objective = float(np.dot(weights, aggregated))
                 history.append(objective)
                 if tracing:
-                    tracer.emit(iteration_record(
-                        iterations,
+                    tracer.emit(record(
+                        "iteration",
+                        iteration=iterations,
                         objective=objective,
                         weights=weights,
                         weight_delta=float(
@@ -255,7 +257,8 @@ class CRHSolver:
                 elif session.backend_name != started_on:
                     extras["backend"] = session.backend_name
                     extras["backend_reason"] = session.backend_reason
-                tracer.emit(run_finished(
+                tracer.emit(record(
+                    "run_end",
                     iterations=iterations,
                     converged=converged,
                     elapsed_seconds=time.perf_counter() - started,

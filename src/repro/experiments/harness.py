@@ -17,7 +17,7 @@ from ..baselines import PAPER_METHOD_ORDER, resolver_by_name
 from ..data.schema import PropertyKind
 from ..datasets.base import GeneratedData
 from ..metrics import error_rate, mnad
-from ..observability import method_run_record
+from ..observability import record
 from ..observability.tracer import Tracer
 from .render import render_table
 
@@ -102,8 +102,11 @@ def run_method_table(
                     if distance is not None:
                         acc["mnad"].append(distance)
                 if tracing:
-                    tracer.emit(method_run_record(
-                        dataset_name, method, seed,
+                    tracer.emit(record(
+                        "method_run",
+                        dataset=dataset_name,
+                        method=method,
+                        seed=seed,
                         elapsed_seconds=result.elapsed_seconds,
                         error_rate=rate,
                         mnad=distance,

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..observability import mapreduce_job_record
+from ..observability import record
 from ..observability.tracer import Tracer
 from .cost import ClusterCostModel, JobStats, SimulatedClock
 from .partitioner import array_partition
@@ -88,8 +88,9 @@ def emit_job_record(tracer: Tracer | None, stats: JobStats,
     """Emit one ``mapreduce_job`` trace record when traced."""
     if tracer is None:
         return
-    tracer.emit(mapreduce_job_record(
-        stats.job_name,
+    tracer.emit(record(
+        "mapreduce_job",
+        job=stats.job_name,
         map_tasks=n_mappers,
         reduce_tasks=n_reducers,
         map_input_records=stats.map_input_records,

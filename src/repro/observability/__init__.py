@@ -1,42 +1,42 @@
-"""Observability for CRH runs: structured tracing and live metrics.
+"""Observability for CRH runs: one record stream, many sinks.
 
-Each path has one telemetry channel: batch runs (``crh``,
-``parallel_crh``, ``icrh``, the experiment harness, the CLI) log only
-through ``tracer=``, and the long-lived
-:class:`~repro.streaming.service.TruthService` reports only to its
-:class:`MetricsRegistry`.  Per-layer wall time is measured by the
-repository benchmark (``perfbench/``), not by in-process hooks.
+There is one telemetry model: a code path reports by calling
+``tracer.emit(record)`` with records built by :func:`record`, the one
+glossary-checked constructor.  Batch runs (``crh``, ``parallel_crh``,
+``icrh``, the experiment harness, the CLI) and the long-lived
+:class:`~repro.streaming.service.TruthService` all take ``tracer=``.
+Per-layer wall time is measured by the repository benchmark
+(``perfbench/``), not by in-process hooks.
 
-Every iterative code path in the repository — the in-memory
+Every iterative code path — the in-memory
 :class:`~repro.core.solver.CRHSolver`, the MapReduce wrapper
 :func:`~repro.parallel.crh_mapreduce.parallel_crh`, and streaming
-:class:`~repro.streaming.icrh.IncrementalCRH` — accepts an optional
-``tracer`` and emits one structured record per unit of progress:
-per-iteration objective values (Eq. 1), per-source weights (Eq. 5),
-weight deltas, truth-change counts, and per-phase wall time, plus
-engine-level counters (map/reduce invocations, shuffled records,
-side-file reads, window advances, decay applications).
+:class:`~repro.streaming.icrh.IncrementalCRH` — emits one record per
+unit of progress: per-iteration objective values (Eq. 1), per-source
+weights (Eq. 5), weight deltas, truth-change counts, and per-phase wall
+time, plus engine-level counters (map/reduce invocations, shuffled
+records, side-file reads, window advances, decay applications).  The
+service emits one record per ingest, seal, read and publication,
+carrying that call's deltas.
 
 ``tracer=None`` (the default) is the off switch: traced code paths
-skip record construction entirely.  Two tracer implementations cover
-the rest:
+skip record construction entirely.  Three sinks cover the rest:
 
 * :class:`MemoryTracer` — records collected in a Python list, for tests
   and interactive inspection;
 * :class:`JsonlTracer` — one JSON object per line to a file, the
-  interchange format.
+  interchange format;
+* :class:`MetricsRegistry` — folds the serving fields into live
+  counters, gauges and fixed-bucket histograms; its Prometheus text
+  exposition is written atomically by :func:`write_prometheus` and
+  checked by :func:`validate_exposition` and
+  :func:`exposition_metric_names` (``repro top --check``, the CI
+  metrics smoke job).
 
 :class:`RunReport` aggregates a record stream back into convergence
 series, counter totals, and a human-readable ``summary()``.  The field
 glossary :data:`METRIC_FIELDS` maps every emitted field to its meaning
 and paper equation; ``docs/OBSERVABILITY.md`` renders it.
-
-The service's :class:`MetricsRegistry` holds *live* counters, gauges
-and fixed-bucket histograms; its Prometheus text exposition is the one
-serving export, written atomically by :func:`write_prometheus` and
-checked by :func:`validate_exposition` and
-:func:`exposition_metric_names` (``repro top --check``, the CI metrics
-smoke job).
 """
 
 from .export import (
@@ -51,18 +51,7 @@ from .metrics import (
     MetricsRegistry,
     default_seconds_buckets,
 )
-from .records import (
-    METRIC_FIELDS,
-    SCHEMA_VERSION,
-    benchmark_record,
-    experiment_record,
-    iteration_record,
-    mapreduce_job_record,
-    method_run_record,
-    run_finished,
-    run_started,
-    stream_chunk_record,
-)
+from .records import METRIC_FIELDS, SCHEMA_VERSION, record
 from .report import RunReport
 from .tracer import (
     JsonlTracer,
@@ -83,16 +72,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "Tracer",
     "append_record",
-    "benchmark_record",
     "default_seconds_buckets",
-    "experiment_record",
     "exposition_metric_names",
-    "iteration_record",
-    "mapreduce_job_record",
-    "method_run_record",
-    "run_finished",
-    "run_started",
-    "stream_chunk_record",
+    "record",
     "validate_exposition",
     "write_prometheus",
 ]

@@ -31,46 +31,24 @@ REQUIRED_SERVING_METRICS = (
     "read_seconds",
 )
 
+#: one quoted label value: any character but ``"`` and ``\``, or an
+#: escape pair
+_VALUE = r'"(?:[^"\\]|\\.)*"'
+
 #: one exposition sample line: name, optional label block, value
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
+    rf"(?P<labels>\{{(?:[^{{}}\"]|{_VALUE})*\}})?"
     r"\s+(?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?"
     r"|Inf|NaN))"
     r"(?:\s+[-+]?[0-9]+)?$"
 )
 
-#: one label pair inside a label block: key="escaped value"
-_LABEL_RE = re.compile(
-    r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
+#: a well-formed label block: ``key="value"`` pairs separated by commas
+_LABEL_PAIR = rf'\s*[a-zA-Z_][a-zA-Z0-9_]*={_VALUE}\s*'
+_LABEL_BLOCK_RE = re.compile(
+    rf"\{{(?:{_LABEL_PAIR}(?:,{_LABEL_PAIR})*,?)?\s*\}}"
 )
-
-
-def _check_labels(block: str) -> bool:
-    """Whether a ``{...}`` label block is well-formed."""
-    inner = block[1:-1].strip()
-    if not inner:
-        return True
-    for pair in _split_label_pairs(inner):
-        if not _LABEL_RE.fullmatch(pair.strip()):
-            return False
-    return True
-
-
-def _split_label_pairs(inner: str) -> list[str]:
-    """Split label pairs on commas outside quoted values."""
-    pairs, depth, current = [], False, []
-    for char in inner:
-        if char == '"' and (not current or current[-1] != "\\"):
-            depth = not depth
-        if char == "," and not depth:
-            pairs.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        pairs.append("".join(current))
-    return pairs
 
 
 def validate_exposition(text: str) -> list[str]:
@@ -108,7 +86,7 @@ def validate_exposition(text: str) -> list[str]:
             errors.append(f"line {number}: unparseable sample {line!r}")
             continue
         block = match.group("labels")
-        if block and not _check_labels(block):
+        if block and not _LABEL_BLOCK_RE.fullmatch(block):
             errors.append(
                 f"line {number}: malformed label block {block!r}"
             )

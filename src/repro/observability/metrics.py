@@ -1,24 +1,22 @@
 """Live metrics: counters, gauges, and streaming-quantile histograms.
 
-The serving path's telemetry channel.  Where a
-:class:`~repro.observability.tracer.Tracer` records *what a batch run
-computed*, the :class:`MetricsRegistry` of a
-:class:`~repro.streaming.service.TruthService` answers *what the
-service is doing now*: monotone counters (claims ingested, windows
-sealed), point-in-time gauges (pending timestamps, per-source weight
-entropy), and fixed-bucket histograms whose quantiles approximate
-latency distributions without retaining samples.
+A :class:`MetricsRegistry` is a tracer: passed as a
+:class:`~repro.streaming.service.TruthService`'s ``tracer=``, it folds
+the service's per-call records into *what the service is doing now*:
+monotone counters (claims ingested, windows sealed), point-in-time
+gauges (pending timestamps, per-source weight entropy), and
+fixed-bucket histograms whose quantiles approximate latency
+distributions without retaining samples.  :data:`INSTRUMENT_KINDS`
+names the fields it folds.
 
 Design notes:
 
 * **No third-party deps.**  Histograms use fixed log-spaced buckets
   (:func:`default_seconds_buckets`) rather than a P² estimator, so a
   quantile estimate's error stays bounded by one bucket width.
-* **Disabled is free.**  ``MetricsRegistry(enabled=False)`` hands out
-  shared null instruments whose methods are no-ops; instrumented code
-  needs no ``if registry`` pyramids.
-* **Names are glossary names.**  Every metric name the service
-  registers appears in
+* **Off is no tracer.**  An untraced service builds no records and
+  touches no instrument.
+* **Names are glossary names.**  Every folded field appears in
   :data:`~repro.observability.records.METRIC_FIELDS`, the same
   vocabulary the trace records use — one glossary, enforced by
   ``tests/test_doc_coverage.py``.
@@ -196,45 +194,27 @@ class Histogram:
         return low + (high - low) * min(max(fraction, 0.0), 1.0)
 
 
-class _NullInstrument:
-    """Shared no-op instrument of a disabled registry.
-
-    Satisfies the Counter/Gauge/Histogram write surface with constant
-    attributes and no-op methods, so instrumented code pays one method
-    call and nothing else when metrics are off (the disabled-registry
-    overhead guard in ``benchmarks/bench_core_primitives.py`` bounds
-    this).
-    """
-
-    __slots__ = ()
-
-    name = ""
-    labels: dict = {}
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Discard the increment."""
-
-    def set(self, value: float) -> None:
-        """Discard the value."""
-
-    def observe(self, value: float) -> None:
-        """Discard the observation."""
-
-    def quantile(self, q: float) -> float:
-        """Nothing observed; returns 0.0."""
-        return 0.0
-
-    def quantile_bounds(self, q: float) -> tuple[float, float]:
-        """Nothing observed; returns (0.0, 0.0)."""
-        return (0.0, 0.0)
-
-
-_NULL = _NullInstrument()
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+#: the serving record fields a registry folds, and the instrument kind
+#: each becomes; every other record field is ignored
+INSTRUMENT_KINDS = {
+    "ingested_claims": "counter",
+    "windows_sealed": "counter",
+    "recomputed_objects": "counter",
+    "read_objects": "counter",
+    "ingest_seconds": "histogram",
+    "read_seconds": "histogram",
+    "seal_seconds": "histogram",
+    "pending_timestamps": "gauge",
+    "truth_version": "gauge",
+    "weight_drift": "gauge",
+    "weight_entropy": "gauge",
+    "snapshot_seq": "gauge",
+}
+
+#: how a folded field updates its instrument
+_FOLD = {"counter": "inc", "gauge": "set", "histogram": "observe"}
 
 
 class MetricsRegistry:
@@ -246,15 +226,12 @@ class MetricsRegistry:
     instrument or re-ask each time.  A name is pinned to one kind — the
     registry raises if ``counter("x")`` and ``gauge("x")`` collide.
 
-    ``enabled=False`` builds a null registry: every accessor returns a
-    shared no-op instrument and ``snapshot()`` is empty.  Thread-safe
-    for instrument creation and snapshots (a single lock; the
-    instruments' own updates are simple float/int mutations under the
-    GIL).
+    Thread-safe for instrument creation and snapshots (a single lock;
+    the instruments' own updates are simple float/int mutations under
+    the GIL, so concurrent emitters can undercount).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._instruments: dict[tuple[str, _LabelKey], object] = {}
         self._kinds: dict[str, str] = {}
         self._lock = threading.Lock()
@@ -262,8 +239,6 @@ class MetricsRegistry:
     # -- instrument access ---------------------------------------------
     def _get(self, kind: str, name: str, labels: dict,
              **kwargs):
-        if not self.enabled:
-            return _NULL
         key = (name, _label_key(labels))
         with self._lock:
             existing = self._instruments.get(key)
@@ -299,6 +274,24 @@ class MetricsRegistry:
         existing instrument regardless.
         """
         return self._get("histogram", name, labels, bounds=bounds)
+
+    def emit(self, record: dict) -> None:
+        """Fold one trace record into the registry's instruments.
+
+        Each field named in :data:`INSTRUMENT_KINDS` updates the
+        unlabelled instrument of that name: a counter adds the field
+        (a per-call delta), a gauge is set to it, a histogram observes
+        it.  Every other field is ignored.
+        """
+        for name, value in record.items():
+            kind = INSTRUMENT_KINDS.get(name)
+            if kind is not None:
+                instrument = (self._instruments.get((name, ()))
+                              or self._get(kind, name, {}))
+                getattr(instrument, _FOLD[kind])(value)
+
+    def close(self) -> None:
+        """Nothing to release; the instruments stay readable."""
 
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge (0.0 when absent)."""

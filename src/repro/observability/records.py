@@ -1,21 +1,17 @@
-"""Trace record schema: constructors and the metric glossary.
+"""Trace record schema: the one record constructor and the glossary.
 
 A trace is a stream of flat JSON-compatible dicts.  Every record carries
 an ``event`` discriminator and a schema ``v``; the remaining fields
-depend on the event type.  The constructors below are the only places
-records are built, so the schema lives here — and
-:data:`METRIC_FIELDS` documents every field they can emit, which
-``docs/OBSERVABILITY.md`` renders as the metric glossary and
-``tests/test_doc_coverage.py`` enforces.
+depend on the event type.  :func:`record` is the only place records are
+built, and it refuses any field :data:`METRIC_FIELDS` does not document;
+``docs/OBSERVABILITY.md`` renders that glossary and
+``tests/test_doc_coverage.py`` enforces it.
 
-Record constructors drop ``None``-valued optional fields rather than
-emitting JSON nulls, so each record names exactly the measurements that
-were taken.
+``None``-valued fields are dropped rather than emitted as JSON nulls,
+so each record names exactly the measurements that were taken.
 """
 
 from __future__ import annotations
-
-from typing import Hashable
 
 import numpy as np
 
@@ -25,16 +21,21 @@ import numpy as np
 #: carry that this module no longer emits.
 SCHEMA_VERSION = 4
 
-#: Glossary of every field a trace record can carry — and of every
-#: metric name a TruthService's
-#: :class:`~repro.observability.metrics.MetricsRegistry` registers or
-#: its ``metrics()`` returns (one shared vocabulary) -> description,
-#: including the paper equation the measurement comes from.  ``docs/OBSERVABILITY.md`` must
-#: name every key (enforced by ``tests/test_doc_coverage.py``).
+#: Glossary of every field a trace record can carry -> description,
+#: including the paper equation the measurement comes from.  It is
+#: also the vocabulary of ``TruthService.metrics()`` and of the
+#: instruments a :class:`~repro.observability.metrics.MetricsRegistry`
+#: folds serving records into.  Serving records (``ingest``, ``seal``,
+#: ``read``, ``publish``) carry per-call deltas; ``restore`` carries
+#: the restored lifetime totals; the registry and ``metrics()`` expose
+#: lifetime totals.  ``docs/OBSERVABILITY.md`` must name every key
+#: (enforced by ``tests/test_doc_coverage.py``).
 METRIC_FIELDS: dict[str, str] = {
     "v": "trace schema version (SCHEMA_VERSION)",
     "event": "record type discriminator: run_start, iteration, chunk, "
-             "mapreduce_job, method_run, experiment, benchmark, run_end",
+             "mapreduce_job, method_run, experiment, benchmark, run_end "
+             "(batch runs); ingest, seal, read, publish, restore "
+             "(TruthService)",
     "method": "human-readable method name (CRH, I-CRH, Parallel-CRH)",
     "n_sources": "number of sources K in the traced dataset",
     "n_objects": "number of objects N in the traced dataset",
@@ -109,15 +110,20 @@ METRIC_FIELDS: dict[str, str] = {
     "decay_applications": "times the decay factor alpha was applied to "
                           "the accumulated distances (Algorithm 2 "
                           "line 4)",
-    "ingested_claims": "claims TruthService.ingest has absorbed over "
-                       "the service's lifetime",
-    "windows_sealed": "stream windows sealed (Algorithm-2 chunk steps "
-                      "run) over the service's lifetime",
+    "ingested_claims": "claims TruthService.ingest absorbed (per call "
+                       "on an ingest record; lifetime total in "
+                       "metrics() and the registry)",
+    "windows_sealed": "stream windows sealed, i.e. Algorithm-2 chunk "
+                      "steps run (1 per seal record; lifetime total in "
+                      "metrics() and the registry)",
     "recomputed_objects": "objects the recompute planner re-resolved "
-                          "under the current weights, lifetime total",
-    "read_objects": "objects get_truth calls returned truths for from "
-                    "the published copy-on-write truth snapshot, "
-                    "lifetime total",
+                          "under the current weights (per call on an "
+                          "ingest record; lifetime total in metrics() "
+                          "and the registry)",
+    "read_objects": "objects get_truth returned truths for from the "
+                    "published copy-on-write truth snapshot (per call "
+                    "on a read record; lifetime total in metrics() and "
+                    "the registry)",
     "cache_hit_rate": "always 1.0: every mutating TruthService call "
                       "resolves and publishes before it returns, so "
                       "every read is served from the published "
@@ -140,12 +146,13 @@ METRIC_FIELDS: dict[str, str] = {
                     "recent weight refresh (the serving-side "
                     "weight_delta; a convergence-stall signal when it "
                     "stops shrinking)",
-    "ingest_seconds": "latency histogram of TruthService.ingest batch "
-                      "calls, in wall seconds",
-    "read_seconds": "latency histogram of TruthService.get_truth "
-                    "calls, in wall seconds",
-    "seal_seconds": "latency histogram of window seals (one "
-                    "Algorithm-2 chunk step each), in wall seconds",
+    "ingest_seconds": "wall seconds of one TruthService.ingest batch "
+                      "call (a latency histogram in the registry)",
+    "read_seconds": "wall seconds of one TruthService.get_truth call "
+                    "(a latency histogram in the registry)",
+    "seal_seconds": "wall seconds of one window seal, i.e. one "
+                    "Algorithm-2 chunk step (a latency histogram in the "
+                    "registry)",
     "snapshot_seq": "monotone publication number of the latest "
                     "copy-on-write truth snapshot (0 is the empty "
                     "initial snapshot; the rate of change is the "
@@ -166,160 +173,21 @@ METRIC_FIELDS: dict[str, str] = {
 }
 
 
-def _record(event: str, **fields) -> dict:
-    """Assemble a record, dropping ``None`` fields and coercing numpy."""
-    record: dict = {"event": event, "v": SCHEMA_VERSION}
+def record(event: str, **fields) -> dict:
+    """One trace record: ``event`` and ``v``, then ``fields`` in call order.
+
+    ``None`` fields are dropped, numpy scalars and arrays become Python
+    numbers and lists, and a field missing from :data:`METRIC_FIELDS`
+    raises ``ValueError``, so nothing undocumented reaches a trace.
+    """
+    unknown = sorted(set(fields) - METRIC_FIELDS.keys())
+    if unknown:
+        raise ValueError(f"undocumented record fields: {unknown}")
+    out: dict = {"event": event, "v": SCHEMA_VERSION}
     for key, value in fields.items():
         if value is None:
             continue
-        if isinstance(value, np.generic):
-            value = value.item()
-        record[key] = value
-    return record
-
-
-def _weight_list(weights) -> list[float] | None:
-    """Weights as a plain list of floats (JSON-safe), or ``None``."""
-    if weights is None:
-        return None
-    return [float(w) for w in np.asarray(weights).ravel()]
-
-
-def run_started(method: str, *, n_sources: int | None = None,
-                n_objects: int | None = None,
-                n_properties: int | None = None,
-                backend: str | None = None,
-                backend_reason: str | None = None,
-                n_claims: int | None = None,
-                n_workers: int | None = None,
-                n_chunks: int | None = None) -> dict:
-    """A ``run_start`` record: method name plus dataset shape.
-
-    ``backend`` tags which execution backend the engine resolved
-    (dense/sparse/process/mmap) and ``n_claims`` how many claims it
-    holds — the pair that explains a run's memory footprint;
-    ``backend_reason`` records *why* the resolution landed there
-    (explicit request, session default, or the ``"auto"`` policy).
-    ``n_workers`` is the process backend's pool size and ``n_chunks``
-    the mmap backend's chunks-per-sweep (each absent for the other
-    backends).
-    """
-    return _record("run_start", method=method, n_sources=n_sources,
-                   n_objects=n_objects, n_properties=n_properties,
-                   backend=backend, backend_reason=backend_reason,
-                   n_claims=None if n_claims is None else int(n_claims),
-                   n_workers=None if n_workers is None else int(n_workers),
-                   n_chunks=None if n_chunks is None else int(n_chunks))
-
-
-def iteration_record(iteration: int, *, objective: float | None = None,
-                     weights=None, weight_delta: float | None = None,
-                     truth_changes: int | None = None,
-                     truth_seconds: float | None = None,
-                     weight_seconds: float | None = None) -> dict:
-    """One ``iteration`` record of Algorithm 1 (or a MapReduce round).
-
-    Carries the objective after the iteration (Eq. 1), the refreshed
-    source weights (Eq. 5), how far they moved, how many truths flipped
-    in the truth step (Eqs. 9/14/16), and per-phase wall time.
-    """
-    return _record(
-        "iteration",
-        iteration=int(iteration),
-        objective=None if objective is None else float(objective),
-        weights=_weight_list(weights),
-        weight_delta=None if weight_delta is None else float(weight_delta),
-        truth_changes=None if truth_changes is None else int(truth_changes),
-        truth_seconds=truth_seconds,
-        weight_seconds=weight_seconds,
-    )
-
-
-def mapreduce_job_record(job: str, *, map_tasks: int, reduce_tasks: int,
-                         map_input_records: int, map_output_records: int,
-                         shuffled_records: int, reduce_output_records: int,
-                         combiner_savings: int,
-                         simulated_seconds: float) -> dict:
-    """A ``mapreduce_job`` record: one executed job's volume counters."""
-    return _record(
-        "mapreduce_job",
-        job=job,
-        map_tasks=int(map_tasks),
-        reduce_tasks=int(reduce_tasks),
-        map_input_records=int(map_input_records),
-        map_output_records=int(map_output_records),
-        shuffled_records=int(shuffled_records),
-        reduce_output_records=int(reduce_output_records),
-        combiner_savings=int(combiner_savings),
-        simulated_seconds=float(simulated_seconds),
-    )
-
-
-def stream_chunk_record(chunk: int, *, n_objects: int, n_sources: int,
-                        new_sources: int, weights=None,
-                        weight_delta: float | None = None,
-                        window_advances: int | None = None,
-                        decay_applications: int | None = None) -> dict:
-    """A ``chunk`` record: one I-CRH ``partial_fit`` (Algorithm 2 pass)."""
-    return _record(
-        "chunk",
-        chunk=int(chunk),
-        n_objects=int(n_objects),
-        n_sources=int(n_sources),
-        new_sources=int(new_sources),
-        weights=_weight_list(weights),
-        weight_delta=None if weight_delta is None else float(weight_delta),
-        window_advances=window_advances,
-        decay_applications=decay_applications,
-    )
-
-
-def method_run_record(dataset: str, method: str, seed: Hashable, *,
-                      elapsed_seconds: float,
-                      error_rate: float | None = None,
-                      mnad: float | None = None) -> dict:
-    """A ``method_run`` record: one harness fit + its scores."""
-    return _record(
-        "method_run",
-        dataset=dataset,
-        method=method,
-        seed=seed,
-        elapsed_seconds=float(elapsed_seconds),
-        error_rate=None if error_rate is None else float(error_rate),
-        mnad=None if mnad is None else float(mnad),
-    )
-
-
-def experiment_record(experiment: str, *, seed: int | None = None,
-                      elapsed_seconds: float | None = None) -> dict:
-    """An ``experiment`` record: one CLI experiment invocation."""
-    return _record("experiment", experiment=experiment, seed=seed,
-                   elapsed_seconds=elapsed_seconds)
-
-
-def benchmark_record(name: str, *, seconds: float) -> dict:
-    """A ``benchmark`` record: one benchmark-harness experiment timing."""
-    return _record("benchmark", name=name, seconds=float(seconds))
-
-
-def run_finished(*, iterations: int | None = None,
-                 converged: bool | None = None,
-                 elapsed_seconds: float | None = None,
-                 **counters) -> dict:
-    """A ``run_end`` record: totals plus any engine counter snapshot.
-
-    ``counters`` takes keyword totals such as ``side_file_reads``,
-    ``map_invocations`` or ``decay_applications``; every counter name
-    must appear in :data:`METRIC_FIELDS`.
-    """
-    unknown = sorted(set(counters) - set(METRIC_FIELDS))
-    if unknown:
-        raise ValueError(f"undocumented counter fields: {unknown}")
-    return _record(
-        "run_end",
-        iterations=None if iterations is None else int(iterations),
-        converged=None if converged is None else bool(converged),
-        elapsed_seconds=elapsed_seconds,
-        **{k: int(v) if isinstance(v, (int, np.integer)) else v
-           for k, v in counters.items()},
-    )
+        if isinstance(value, (np.generic, np.ndarray)):
+            value = value.tolist()
+        out[key] = value
+    return out

@@ -18,13 +18,16 @@ import numpy as np
 
 from .tracer import read_jsonl
 
-#: run_end / mapreduce_job fields that accumulate across records
+#: run_end / mapreduce_job / serving fields that accumulate across
+#: records
 _COUNTER_FIELDS = (
     "map_tasks", "reduce_tasks", "map_input_records",
     "map_output_records", "shuffled_records", "reduce_output_records",
     "combiner_savings", "map_invocations", "reduce_invocations",
     "jobs_run", "side_file_reads", "side_file_writes",
     "window_advances", "decay_applications",
+    "ingested_claims", "windows_sealed", "recomputed_objects",
+    "read_objects",
 )
 
 

@@ -30,7 +30,7 @@ from ..core import kernels
 from ..core.regularizers import ExponentialWeights, WeightScheme
 from ..data.encoding import MISSING_CODE
 from ..data.table import TruthTable
-from ..observability import iteration_record, run_finished, run_started
+from ..observability import record
 from ..observability.tracer import Tracer
 from ..mapreduce.cost import ClusterCostModel
 from ..mapreduce.fs import SideFileStore
@@ -162,15 +162,16 @@ def parallel_crh(dataset,
     log: list[JobLogEntry] = []
     tracing = tracer is not None
     if tracing:
-        tracer.emit(run_started(
-            "Parallel-CRH",
+        tracer.emit(record(
+            "run_start",
+            method="Parallel-CRH",
             n_sources=dataset.n_sources,
             n_objects=dataset.n_objects,
             n_properties=len(dataset.schema),
             n_claims=batches.n_observations,
         ))
 
-    def record(name: str, result) -> None:
+    def log_job(name: str, result) -> None:
         log.append(JobLogEntry(
             name=name,
             input_records=result.stats.map_input_records,
@@ -189,7 +190,7 @@ def parallel_crh(dataset,
             combiner=None,
         )
         result = cluster.run(stats_job, batches.continuous)
-        record(stats_job.name, result)
+        log_job(stats_job.name, result)
         std[result.output.keys] = result.output.values["std"]
     store.write(_STD_FILE, std)
 
@@ -271,12 +272,12 @@ def parallel_crh(dataset,
         # --- truth computation (one job per data kind) -----------------
         if len(batches.continuous):
             result = cluster.run(truth_cont_job, batches.continuous)
-            record(truth_cont_job.name, result)
+            log_job(truth_cont_job.name, result)
             truth_cont[result.output.keys] = result.output.values["truth"]
         store.write(_TRUTH_CONT_FILE, truth_cont)
         if len(batches.categorical):
             result = cluster.run(truth_cat_job, batches.categorical)
-            record(truth_cat_job.name, result)
+            log_job(truth_cat_job.name, result)
             truth_cat[result.output.keys] = result.output.values["truth"]
         store.write(_TRUTH_CAT_FILE, truth_cat)
         if tracing:
@@ -285,7 +286,7 @@ def parallel_crh(dataset,
 
         # --- weight assignment -----------------------------------------
         result = cluster.run(weight_job, batches.combined)
-        record(weight_job.name, result)
+        log_job(weight_job.name, result)
         error_sum = np.zeros(k)
         count_sum = np.zeros(k)
         # With no claims the job outputs no rows and hence no columns.
@@ -299,8 +300,9 @@ def parallel_crh(dataset,
         delta = float(np.abs(new_weights - weights).max())
         weights = new_weights
         if tracing:
-            tracer.emit(iteration_record(
-                iterations,
+            tracer.emit(record(
+                "iteration",
+                iteration=iterations,
                 weights=weights,
                 weight_delta=delta,
                 truth_seconds=truth_seconds,
@@ -312,7 +314,8 @@ def parallel_crh(dataset,
 
     truths = _assemble_truths(dataset, batches, truth_cont, truth_cat)
     if tracing:
-        tracer.emit(run_finished(
+        tracer.emit(record(
+            "run_end",
             iterations=iterations,
             converged=converged,
             elapsed_seconds=time.perf_counter() - started,

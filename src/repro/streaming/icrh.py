@@ -38,7 +38,7 @@ from ..core.solver import states_to_truth_table
 from ..core.sweep import resolve_properties
 from ..data.encoding import MISSING_CODE
 from ..data.table import TruthTable
-from ..observability import run_finished, run_started, stream_chunk_record
+from ..observability import record
 from ..observability.tracer import Tracer
 from .store import GrowableArray
 from .windows import chunk_by_window
@@ -254,8 +254,9 @@ class IncrementalCRH:
         self.chunks_seen += 1
         self._history.append(current.copy())
         if self.tracer is not None:
-            self.tracer.emit(stream_chunk_record(
-                self.chunks_seen,
+            self.tracer.emit(record(
+                "chunk",
+                chunk=self.chunks_seen,
                 n_objects=chunk.n_objects,
                 n_sources=chunk.n_sources,
                 new_sources=self.n_sources - known_sources,
@@ -304,8 +305,9 @@ def icrh(dataset, window: int = 1,
     model = IncrementalCRH(config, tracer=tracer)
     tracing = tracer is not None
     if tracing:
-        tracer.emit(run_started(
-            "I-CRH",
+        tracer.emit(record(
+            "run_start",
+            method="I-CRH",
             n_sources=dataset.n_sources,
             n_objects=dataset.n_objects,
             n_properties=len(dataset.schema),
@@ -335,7 +337,8 @@ def icrh(dataset, window: int = 1,
     converged = (model.last_weight_delta is not None
                  and model.last_weight_delta <= config.tol)
     if tracing:
-        tracer.emit(run_finished(
+        tracer.emit(record(
+            "run_end",
             iterations=model.chunks_seen,
             converged=converged,
             elapsed_seconds=elapsed,

@@ -53,7 +53,8 @@ from ..data.io import load_dataset, save_dataset
 from ..data.records import Record
 from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
-from ..observability.metrics import MetricsRegistry
+from ..observability import record
+from ..observability.tracer import Tracer
 from .icrh import ICRHConfig, IncrementalCRH
 from .planner import RecomputePlanner, resolve_truths
 from .state import TruthCache
@@ -208,6 +209,10 @@ def _config_from_dict(data: dict) -> ICRHConfig:
 #: schema version stamped into ``service.json``
 SNAPSHOT_SCHEMA = 1
 
+#: the lifetime counters a service keeps and a snapshot persists
+SERVING_TOTALS = ("ingested_claims", "windows_sealed",
+                  "recomputed_objects", "read_objects")
+
 
 class TruthService:
     """Long-lived truth serving: ingest claims, read truths and weights.
@@ -224,17 +229,23 @@ class TruthService:
     vote tie-breaks — line up with the batch oracle).  Chunks
     assembled by the claim store run sparse, in ingestion claim order,
     which is what replay equivalence rests on.
+
+    With a ``tracer`` (a :class:`~repro.observability.MetricsRegistry`
+    for live metrics, or any trace sink) the service emits one record
+    per ``ingest``, seal, ``get_truth`` and publication, carrying that
+    call's deltas; without one it builds no records.  Lifetime totals
+    live on the service either way (:meth:`metrics`, snapshots).
     """
 
     def __init__(self, schema: DatasetSchema, *, window: int = 1,
                  config: ICRHConfig | None = None, codecs=None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.schema = schema
         self.window = int(window)
         self.config = config or ICRHConfig()
-        self.registry = metrics if metrics is not None else MetricsRegistry()
+        self.tracer = tracer
         self._store = ClaimStore(schema, codecs=codecs)
         self._cache = TruthCache(schema)
         self._planner = RecomputePlanner()
@@ -243,14 +254,8 @@ class TruthService:
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
         self._sealed_high: float | None = None
-        registry = self.registry
-        self._c_ingested = registry.counter("ingested_claims")
-        self._c_sealed = registry.counter("windows_sealed")
-        self._c_recomputed = registry.counter("recomputed_objects")
-        self._c_read = registry.counter("read_objects")
-        self._h_ingest = registry.histogram("ingest_seconds")
-        self._h_read = registry.histogram("read_seconds")
-        self._h_seal = registry.histogram("seal_seconds")
+        #: lifetime serving totals (metrics() and the snapshot's totals)
+        self._totals = dict.fromkeys(SERVING_TOTALS, 0)
         self._snapshot: TruthSnapshot | None = None
         self._publish()
 
@@ -360,10 +365,13 @@ class TruthService:
             dirty_after = len(store.dirty)
             recomputed = self._recompute_dirty()
             elapsed = time.perf_counter() - started
-            self._c_ingested.inc(absorbed)
-            self._c_recomputed.inc(recomputed)
-            self._h_ingest.observe(elapsed)
-            self._update_gauges()
+            self._totals["ingested_claims"] += absorbed
+            self._totals["recomputed_objects"] += recomputed
+            if self.tracer is not None:
+                self.tracer.emit(record(
+                    "ingest", ingested_claims=absorbed,
+                    recomputed_objects=recomputed, ingest_seconds=elapsed,
+                ))
             self._publish()
         if error is not None:
             raise error
@@ -389,7 +397,6 @@ class TruthService:
             window_ts = sorted(self._pending)[:self.window]
             self._seal(window_ts)
             sealed += 1
-        self._update_gauges()
         self._publish()
         return sealed
 
@@ -404,7 +411,8 @@ class TruthService:
 
     def _seal(self, window_ts) -> None:
         """Run one Algorithm-2 chunk step over the window's objects."""
-        started = time.perf_counter()
+        tracing = self.tracer is not None
+        started = time.perf_counter() if tracing else 0.0
         objects: list[int] = []
         for stamp in sorted(window_ts):
             objects.extend(self._pending.pop(stamp))
@@ -419,8 +427,12 @@ class TruthService:
         high = float(max(window_ts))
         self._sealed_high = (high if self._sealed_high is None
                              else max(self._sealed_high, high))
-        self._c_sealed.inc()
-        self._h_seal.observe(time.perf_counter() - started)
+        self._totals["windows_sealed"] += 1
+        if tracing:
+            self.tracer.emit(record(
+                "seal", windows_sealed=1,
+                seal_seconds=time.perf_counter() - started,
+            ))
 
     def _recompute_dirty(self) -> int:
         """Drain the dirty set through the planner; returns how many
@@ -451,7 +463,6 @@ class TruthService:
         indices = np.arange(self._store.n_objects, dtype=np.int64)
         self._resolve_into_cache(indices)
         self._store.dirty.clear()
-        self._update_gauges()
         self._publish()
         return int(indices.size)
 
@@ -463,7 +474,7 @@ class TruthService:
 
         Readers pick the snapshot up with one attribute read; the
         reference swap is atomic, so :meth:`get_truth` never observes
-        a half-written state.
+        a half-written state.  Traced, it emits the serving gauges.
         """
         self._cache.ensure(self._store.n_objects)
         previous = self._snapshot
@@ -472,8 +483,16 @@ class TruthService:
             seq=seq, n_objects=self._cache.n_objects,
             columns=self._cache.publish(),
         )
-        if self.registry.enabled:
-            self.registry.gauge("snapshot_seq").set(seq)
+        if self.tracer is not None:
+            drift = self._model.last_weight_delta
+            self.tracer.emit(record(
+                "publish",
+                pending_timestamps=len(self._pending),
+                truth_version=self._model.chunks_seen,
+                weight_drift=0.0 if drift is None else drift,
+                weight_entropy=self._weight_entropy(),
+                snapshot_seq=seq,
+            ))
 
     def snapshot_view(self) -> TruthSnapshot:
         """The latest published :class:`TruthSnapshot` (no lock taken)."""
@@ -490,11 +509,11 @@ class TruthService:
         publishes before it returns, so a caller always reads its own
         writes.  Unknown ids raise ``KeyError``, and so do ids an
         ingest running on another thread has not published yet.  The
-        ``read_objects`` counter and ``read_seconds`` histogram are
-        updated without a lock, so concurrent readers can undercount
-        them.
+        ``read_objects`` total is updated without a lock, so concurrent
+        readers can undercount it.
         """
-        started = time.perf_counter()
+        tracing = self.tracer is not None
+        started = time.perf_counter() if tracing else 0.0
         snapshot = self._snapshot
         ids = list(object_ids)
         index = self._store._object_index
@@ -513,8 +532,12 @@ class TruthService:
             columns=[column[indices] for column in snapshot.columns],
             codecs=self._store.codecs(),
         )
-        self._c_read.inc(len(ids))
-        self._h_read.observe(time.perf_counter() - started)
+        self._totals["read_objects"] += len(ids)
+        if tracing:
+            self.tracer.emit(record(
+                "read", read_objects=len(ids),
+                read_seconds=time.perf_counter() - started,
+            ))
         return table
 
     def get_weights(self) -> np.ndarray:
@@ -529,45 +552,22 @@ class TruthService:
         """Weights keyed by source id (convenience for reporting)."""
         return dict(zip(self._store.source_ids, self._current_weights()))
 
-    def _update_gauges(self) -> None:
-        """Refresh the registry's point-in-time serving gauges."""
-        registry = self.registry
-        if not registry.enabled:
-            return
-        registry.gauge("pending_timestamps").set(len(self._pending))
-        registry.gauge("truth_version").set(self._model.chunks_seen)
-        drift = self._model.last_weight_delta
-        registry.gauge("weight_drift").set(
-            0.0 if drift is None else drift)
+    def _weight_entropy(self) -> float:
+        """Shannon entropy of the normalized current weights (nats)."""
         weights = self._current_weights()
         total = float(weights.sum())
-        if total > 0:
-            p = weights[weights > 0] / total
-            entropy = float(-(p * np.log(p)).sum())
-        else:
-            entropy = 0.0
-        registry.gauge("weight_entropy").set(entropy)
-
-    def _serving_totals(self) -> dict:
-        """The lifetime serving counters as a plain int dict (the
-        snapshot's ``totals`` key and the counter half of
-        :meth:`metrics`)."""
-        return {
-            "ingested_claims": int(self._c_ingested.value),
-            "windows_sealed": int(self._c_sealed.value),
-            "recomputed_objects": int(self._c_recomputed.value),
-            "read_objects": int(self._c_read.value),
-        }
+        if total <= 0:
+            return 0.0
+        p = weights[weights > 0] / total
+        return float(-(p * np.log(p)).sum())
 
     def metrics(self) -> dict:
         """Serving counters: sizes, windows, reads, publications.
 
-        Backed by :attr:`registry` — the counter-valued keys read the
-        live :class:`~repro.observability.metrics.MetricsRegistry`
-        counters (all zero under a disabled registry); every key is a
-        ``docs/OBSERVABILITY.md`` glossary name.
+        The totals are the service's own, the same traced or not;
+        every key is a ``docs/OBSERVABILITY.md`` glossary name.
         """
-        totals = self._serving_totals()
+        totals = self._totals
         return {
             "n_sources": self._store.n_sources,
             "n_objects": self._store.n_objects,
@@ -620,14 +620,18 @@ class TruthService:
             "sealed_high": self._sealed_high,
             "pending": [[stamp, objs]
                         for stamp, objs in self._pending.items()],
-            "totals": self._serving_totals(),
+            "totals": dict(self._totals),
         }
         (directory / "service.json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
     def restore(cls, directory, *,
-                metrics: MetricsRegistry | None = None) -> "TruthService":
+                tracer: Tracer | None = None) -> "TruthService":
         """Rebuild a service from a :meth:`snapshot` directory.
+
+        The lifetime totals continue from the snapshot's; a ``tracer``
+        receives them as one ``restore`` record, so a registry's
+        counters continue too.
 
         Keys older snapshots carry are ignored: ``chunks_seen``,
         ``window_advances`` and ``decay_applications`` (``epoch``
@@ -648,7 +652,7 @@ class TruthService:
             window=int(meta["window"]),
             config=_config_from_dict(meta["config"]),
             codecs=matrix.codecs(),
-            metrics=metrics,
+            tracer=tracer,
         )
         service._store = ClaimStore.from_claims_matrix(matrix)
         bundle = np.load(directory / "state.npz")
@@ -676,8 +680,9 @@ class TruthService:
             for stamp, objs in meta.get("pending", [])
         }
         totals = meta.get("totals", {})
-        for name in service._serving_totals():
-            service.registry.counter(name).inc(float(totals.get(name, 0)))
-        service._update_gauges()
+        for name in SERVING_TOTALS:
+            service._totals[name] = int(totals.get(name, 0))
+        if tracer is not None:
+            tracer.emit(record("restore", **service._totals))
         service._publish()
         return service

@@ -12,7 +12,8 @@ exposition and snapshotting can all be exercised from a terminal::
     python -m repro serve-sim --prom serve.prom
     python -m repro serve-sim --http 9095     # /metrics
 
-With ``--prom`` the service registry's exposition is rewritten
+The service reports to a :class:`~repro.observability.MetricsRegistry`
+tracer.  With ``--prom`` its exposition is rewritten
 atomically (:func:`~repro.observability.export.write_prometheus`) every
 ``--export-every`` ingest batches and once at the end; ``--http PORT``
 serves the live exposition on ``/metrics``.
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..observability import write_prometheus
+from ..observability import MetricsRegistry, write_prometheus
 from .icrh import ICRHConfig
 from .service import TruthService, iter_dataset_claims
 
@@ -118,12 +119,12 @@ def serve_sim_main(argv: list[str] | None = None) -> int:
     dataset = generate_weather_dataset(config).dataset
     claims = list(iter_dataset_claims(dataset))
     rng = np.random.default_rng(args.seed)
+    registry = MetricsRegistry()
     service = TruthService(
         dataset.schema, window=args.window,
         config=ICRHConfig(decay=args.decay),
-        codecs=dataset.codecs(),
+        codecs=dataset.codecs(), tracer=registry,
     )
-    registry = service.registry
     exports = 0
     server = None
     if args.http is not None:

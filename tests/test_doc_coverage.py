@@ -128,15 +128,17 @@ def test_observability_doc_names_every_metric_field():
 
 def test_serving_metrics_use_glossary_names_only():
     """Live metrics and trace records share one vocabulary: every key
-    ``TruthService.metrics()`` returns and every instrument name its
-    registry creates must be a :data:`METRIC_FIELDS` glossary entry
+    ``TruthService.metrics()`` returns and every instrument name a
+    registry tracer folds its records into must be a :data:`METRIC_FIELDS` glossary entry
     (and therefore, by the test above, documented in
     ``docs/OBSERVABILITY.md``)."""
     from repro.data import DatasetSchema, continuous
-    from repro.observability import METRIC_FIELDS
+    from repro.observability import METRIC_FIELDS, MetricsRegistry
     from repro.streaming import Claim, TruthService
 
-    service = TruthService(DatasetSchema.of(continuous("p0")), window=1)
+    registry = MetricsRegistry()
+    service = TruthService(DatasetSchema.of(continuous("p0")), window=1,
+                           tracer=registry)
     service.ingest([Claim(0, "p0", "s0", 1.0, 0.0),
                     Claim(0, "p0", "s1", 2.0, 1.0)])
     service.flush()
@@ -146,7 +148,7 @@ def test_serving_metrics_use_glossary_names_only():
         f"metrics() keys missing from the glossary: {undocumented}"
     )
     names = {instrument.name
-             for instrument in service.registry.instruments()}
+             for instrument in registry.instruments()}
     undocumented = sorted(names - set(METRIC_FIELDS))
     assert not undocumented, (
         f"registry instruments missing from the glossary: {undocumented}"

@@ -26,10 +26,10 @@ from repro.observability import (
     JsonlTracer,
     MemoryTracer,
     RunReport,
+    MetricsRegistry,
     Tracer,
-    benchmark_record,
     exposition_metric_names,
-    run_finished,
+    record as build_record,
     write_prometheus,
 )
 from repro.parallel import parallel_crh
@@ -222,19 +222,21 @@ class TestJsonlRoundTrip:
         capsys.readouterr()
         records = (tracer.records
                    + RunReport.from_file(cli_trace).records
-                   + [benchmark_record("glossary", seconds=0.1)])
+                   + [build_record("benchmark", name="glossary",
+                                  seconds=0.1)])
         emitted = {field for record in records for field in record}
 
         weather = small_weather.dataset
+        registry = MetricsRegistry()
         service = TruthService(weather.schema, window=2,
-                               codecs=weather.codecs())
+                               codecs=weather.codecs(), tracer=registry)
         service.ingest(iter_dataset_claims(weather))
         service.flush()
         service.get_truth(list(weather.object_ids[:5]))
-        prom = write_prometheus(service.registry, tmp_path / "serve.prom")
+        prom = write_prometheus(registry, tmp_path / "serve.prom")
         emitted |= set(service.metrics())
         emitted |= {entry["name"]
-                    for kind in service.registry.snapshot().values()
+                    for kind in registry.snapshot().values()
                     for entry in kind}
         emitted |= exposition_metric_names(prom.read_text())
 
@@ -351,8 +353,24 @@ class TestHarnessTracing:
 
 class TestRecordsAndTracers:
     def test_run_finished_rejects_undocumented_counters(self):
+        """Every record, not just run_end, refuses fields the glossary
+        does not document."""
         with pytest.raises(ValueError, match="undocumented"):
-            run_finished(iterations=1, not_a_counter=3)
+            build_record("run_end", iterations=1, not_a_counter=3)
+        with pytest.raises(ValueError, match="not_a_field"):
+            build_record("iteration", iteration=1, not_a_field=0.5)
+
+    def test_record_drops_none_and_converts_numpy(self):
+        from repro.observability import SCHEMA_VERSION
+
+        built = build_record("chunk", chunk=np.int64(2), n_objects=None,
+                             weights=np.array([0.5, 1.5]),
+                             weight_delta=np.float64(0.25))
+        assert built == {"event": "chunk", "v": SCHEMA_VERSION,
+                         "chunk": 2, "weights": [0.5, 1.5],
+                         "weight_delta": 0.25}
+        assert type(built["chunk"]) is int
+        assert json.loads(json.dumps(built)) == built
 
     def test_tracers_satisfy_protocol(self):
         assert isinstance(MemoryTracer(), Tracer)
@@ -464,17 +482,15 @@ class TestParallelismRecords:
     """run_start/run_end fields added for the process backend."""
 
     def test_run_started_carries_n_workers(self):
-        from repro.observability import run_started
-
-        record = run_started(method="crh", n_sources=3, n_objects=5,
-                             n_properties=1, n_workers=2)
+        record = build_record("run_start", method="crh", n_sources=3,
+                              n_objects=5, n_properties=1, n_workers=2)
         assert record["n_workers"] == 2
-        without = run_started(method="crh", n_sources=3, n_objects=5,
-                              n_properties=1)
+        without = build_record("run_start", method="crh", n_sources=3,
+                               n_objects=5, n_properties=1, n_workers=None)
         assert "n_workers" not in without
 
     def test_run_finished_passes_parallelism_fields(self):
-        record = run_finished(iterations=4, converged=True,
+        record = build_record("run_end", iterations=4, converged=True,
                               parallel_efficiency=0.75,
                               backend="sparse",
                               backend_reason="worker crashed")

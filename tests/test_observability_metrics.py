@@ -1,10 +1,11 @@
 """The live-metrics layer: registry, exposition, export, engine.
 
 Covers the acceptance properties of the serving metrics: instrument
-semantics (counters only go up, one kind per name, disabled registries
-are empty no-ops), histogram quantiles within one bucket width of
-exact, Prometheus exposition validity, atomic exposition files, the
-``/metrics`` endpoint, and the ``repro top --check`` validation.
+semantics (counters only go up, one kind per name), the registry as a
+tracer (serving records fold into counters, gauges and histograms),
+histogram quantiles within one bucket width of exact, Prometheus
+exposition validity, atomic exposition files, the ``/metrics``
+endpoint, and the ``repro top --check`` validation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import pytest
 
 from repro.data import DatasetSchema, continuous
 from repro.observability import (
+    MemoryTracer,
     MetricsRegistry,
+    RunReport,
     default_seconds_buckets,
     exposition_metric_names,
     validate_exposition,
@@ -25,10 +28,12 @@ from repro.observability import (
 )
 from repro.observability.metrics import Histogram
 from repro.streaming import Claim, TruthService
+from repro.streaming.service import SERVING_TOTALS
 
 
-def _service(window=2) -> TruthService:
-    return TruthService(DatasetSchema.of(continuous("p0")), window=window)
+def _service(window=2, tracer=None) -> TruthService:
+    return TruthService(DatasetSchema.of(continuous("p0")), window=window,
+                        tracer=tracer)
 
 
 def _stream(service, n_claims=60, n_objects=5, n_sources=3):
@@ -81,16 +86,23 @@ class TestRegistry:
     def test_value_of_absent_metric_is_zero(self):
         assert MetricsRegistry().value("nope") == 0.0
 
-    def test_disabled_registry_is_a_shared_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("ingested_claims")
-        counter.inc(5.0)
-        registry.gauge("pending_timestamps").set(9.0)
-        registry.histogram("read_seconds").observe(0.1)
-        assert counter is registry.histogram("anything")  # shared null
-        assert registry.snapshot() == {"counters": [], "gauges": [],
-                                       "histograms": []}
-        assert registry.value("ingested_claims") == 0.0
+    def test_emit_folds_serving_fields(self):
+        """Counters add each record's delta, gauges take the latest
+        value, histograms observe; fields outside the table are
+        ignored."""
+        registry = MetricsRegistry()
+        registry.emit({"event": "ingest", "v": 4, "ingested_claims": 3,
+                       "ingest_seconds": 1e-3, "n_objects": 7})
+        registry.emit({"event": "ingest", "ingested_claims": 4,
+                       "ingest_seconds": 2e-3})
+        registry.emit({"event": "publish", "truth_version": 2})
+        registry.emit({"event": "publish", "truth_version": 1})
+        registry.close()
+        assert registry.value("ingested_claims") == 7.0
+        assert registry.value("truth_version") == 1.0
+        assert registry.histogram("ingest_seconds").count == 2
+        assert {i.name for i in registry.instruments()} == {
+            "ingested_claims", "ingest_seconds", "truth_version"}
 
     def test_snapshot_layout(self):
         registry = MetricsRegistry()
@@ -193,6 +205,23 @@ class TestPrometheusExposition:
         glossary = " ".join(METRIC_FIELDS["ingested_claims"].split())
         assert help_line == f"# HELP ingested_claims {glossary}"
 
+    def test_escaped_label_values_round_trip(self):
+        """The renderer's escapes of backslash, double quote and
+        newline, and raw commas and braces, validate clean in the first
+        and the last label alike."""
+        registry = MetricsRegistry()
+        for special in ("\\", '"', ",", "\n", "{", "}", 'C:\\tmp\\'):
+            registry.counter("ingested_claims", a=f"x{special}",
+                             b="y").inc()
+            registry.counter("read_objects", a="y",
+                             b=f"{special}x{special}").inc()
+            registry.histogram("read_seconds", a=special,
+                               b=special).observe(1e-3)
+        registry.counter("windows_sealed", a="C:\\tmp\\", b="x").inc()
+        text = registry.to_prometheus()
+        assert 'windows_sealed{a="C:\\\\tmp\\\\",b="x"} 1.0' in text
+        assert validate_exposition(text) == []
+
     def test_validator_flags_garbage(self):
         errors = validate_exposition(
             'ok_metric 1\n'
@@ -219,9 +248,10 @@ class TestTopDashboard:
     """``repro top --check``, the exposition validation CI runs."""
 
     def _export(self, tmp_path):
-        service = _stream(_service())
+        registry = MetricsRegistry()
+        service = _stream(_service(tracer=registry))
         service.get_truth(service.object_ids)
-        write_prometheus(service.registry, tmp_path / "serve.prom")
+        write_prometheus(registry, tmp_path / "serve.prom")
 
     def test_check_passes_on_real_serving_exposition(self, tmp_path,
                                                      capsys):
@@ -301,6 +331,21 @@ class TestServeSimCli:
         assert "--export-every" in capsys.readouterr().err
 
 
+def _weather_replay(tracer=None) -> TruthService:
+    """3 cities x 6 days of weather (438 claims), two reads."""
+    from repro.datasets import WeatherConfig, generate_weather_dataset
+    from repro.streaming import iter_dataset_claims
+
+    dataset = generate_weather_dataset(
+        WeatherConfig(n_cities=3, n_days=6, seed=1)).dataset
+    service = TruthService(dataset.schema, window=1,
+                           codecs=dataset.codecs(), tracer=tracer)
+    service.ingest(iter_dataset_claims(dataset))
+    service.flush()
+    service.get_truth(list(dataset.object_ids[:2]))
+    return service
+
+
 class TestServiceMetrics:
     def test_counters_track_serving_activity(self):
         service = _stream(_service(), n_claims=60)
@@ -315,53 +360,97 @@ class TestServiceMetrics:
                    if k != "cache_hit_rate")
 
     def test_gauges_and_latency_histograms_populate(self):
-        service = _stream(_service())
+        registry = MetricsRegistry()
+        service = _stream(_service(tracer=registry))
         service.get_truth(service.object_ids)
-        names = {i.name for i in service.registry.instruments()}
+        names = {i.name for i in registry.instruments()}
         assert {"pending_timestamps", "truth_version", "weight_entropy",
                 "weight_drift", "snapshot_seq"} <= names
         # names whose value could not change between calls are gone
         assert not {"dirty_objects", "cached_objects", "cache_hits",
                     "cache_misses", "cache_hit_rate",
                     "snapshot_reads"} & names
-        assert service.registry.histogram("ingest_seconds").count >= 1
-        assert service.registry.histogram("read_seconds").count >= 1
-        assert service.registry.histogram("seal_seconds").count >= 1
-        assert service.registry.value("read_objects") == \
-            len(service.object_ids)
+        assert registry.histogram("ingest_seconds").count >= 1
+        assert registry.histogram("read_seconds").count >= 1
+        assert registry.histogram("seal_seconds").count >= 1
+        assert registry.value("read_objects") == len(service.object_ids)
+        assert registry.value("snapshot_seq") == \
+            service.snapshot_view().seq
 
     def test_injected_registry_is_used(self):
         registry = MetricsRegistry()
         service = TruthService(DatasetSchema.of(continuous("p0")),
-                               window=1, metrics=registry)
-        assert service.registry is registry
+                               window=1, tracer=registry)
+        assert service.tracer is registry
         _stream(service, n_claims=10)
         assert registry.value("ingested_claims") == 10.0
 
     def test_disabled_registry_changes_no_numbers(self):
-        enabled = _stream(_service(), n_claims=60)
-        disabled = TruthService(DatasetSchema.of(continuous("p0")),
-                                window=2,
-                                metrics=MetricsRegistry(enabled=False))
-        _stream(disabled, n_claims=60)
-        np.testing.assert_array_equal(enabled.get_weights(),
-                                      disabled.get_weights())
+        """Tracing changes nothing the service computes or counts: an
+        untraced service and a registry-traced one agree on weights,
+        truths and every metrics() total."""
+        registry = MetricsRegistry()
+        traced = _stream(_service(tracer=registry), n_claims=60)
+        untraced = _stream(_service(), n_claims=60)
+        np.testing.assert_array_equal(traced.get_weights(),
+                                      untraced.get_weights())
         for col_a, col_b in zip(
-                enabled.get_truth(enabled.object_ids).columns,
-                disabled.get_truth(disabled.object_ids).columns):
+                traced.get_truth(traced.object_ids).columns,
+                untraced.get_truth(untraced.object_ids).columns):
             np.testing.assert_array_equal(col_a, col_b)
-        assert disabled.registry.snapshot()["counters"] == []
-        # counter-backed keys read the null instruments: all zero
-        assert disabled.metrics()["ingested_claims"] == 0
+        assert untraced.tracer is None
+        assert untraced.metrics() == traced.metrics()
+        assert untraced.metrics()["ingested_claims"] == 60
+
+    def test_untraced_totals_survive_snapshot_restore(self, tmp_path):
+        """The lifetime totals live on the service, so an untraced
+        service persists and restores the same totals as a traced one
+        (438/6/2 on this replay)."""
+        traced = _weather_replay(MetricsRegistry())
+        untraced = _weather_replay()
+        traced.snapshot(tmp_path / "traced")
+        untraced.snapshot(tmp_path / "untraced")
+        restored_traced = TruthService.restore(tmp_path / "traced",
+                                               tracer=MetricsRegistry())
+        restored_untraced = TruthService.restore(tmp_path / "untraced")
+        metrics = restored_untraced.metrics()
+        assert metrics == restored_traced.metrics()
+        for name in SERVING_TOTALS:
+            assert metrics[name] == untraced.metrics()[name], name
+        assert (metrics["ingested_claims"], metrics["windows_sealed"],
+                metrics["read_objects"]) == (438, 6, 2)
 
     def test_snapshot_restore_round_trips_totals(self, tmp_path):
-        service = _stream(_service(), n_claims=60)
+        service = _stream(_service(tracer=MetricsRegistry()), n_claims=60)
         service.get_truth(service.object_ids)
         service.snapshot(tmp_path)
-        restored = TruthService.restore(tmp_path)
+        registry = MetricsRegistry()
+        restored = TruthService.restore(tmp_path, tracer=registry)
         before, after = service.metrics(), restored.metrics()
         for name in ("ingested_claims", "windows_sealed",
                      "recomputed_objects", "read_objects"):
             assert after[name] == before[name], name
-        assert restored.registry.value("ingested_claims") == \
+        assert registry.value("ingested_claims") == \
             before["ingested_claims"]
+        restored.ingest([Claim(0, "p0", "s9", 1.0, 99.0)])
+        assert registry.value("ingested_claims") == \
+            before["ingested_claims"] + 1
+
+    def test_trace_summarizes_to_the_service_totals(self, tmp_path):
+        """A service trace carries per-call deltas, and a restored
+        service's trace opens with the totals it continues from, so
+        RunReport's counter totals of either trace equal that service's
+        lifetime totals."""
+        tracer = MemoryTracer()
+        service = _weather_replay(tracer)
+        assert {r["event"] for r in tracer.records} == {
+            "ingest", "seal", "read", "publish"}
+        service.snapshot(tmp_path)
+        restored_tracer = MemoryTracer()
+        restored = TruthService.restore(tmp_path, tracer=restored_tracer)
+        restored.get_truth(list(restored.object_ids[:3]))
+        for trace, served in ((tracer, service),
+                              (restored_tracer, restored)):
+            totals = RunReport.from_records(trace.records).counter_totals()
+            for name in SERVING_TOTALS:
+                assert totals[name] == served.metrics()[name], name

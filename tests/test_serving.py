@@ -31,6 +31,7 @@ from repro.data import DatasetSchema, categorical, continuous, text
 from repro.data.encoding import MISSING_CODE
 from repro.data.records import EntryId, Record
 from repro.datasets import WeatherConfig, generate_weather_dataset
+from repro.observability import MetricsRegistry
 from repro.streaming import (
     Claim,
     ClaimStore,
@@ -656,8 +657,9 @@ class TestSnapshotRestore:
         arrays["cache_versions"] = np.zeros(original.n_objects,
                                             dtype=np.int64)
         np.savez(state_path, **arrays)
-        restored = TruthService.restore(tmp_path / "snap")
-        names = {i.name for i in restored.registry.instruments()}
+        registry = MetricsRegistry()
+        restored = TruthService.restore(tmp_path / "snap", tracer=registry)
+        names = {i.name for i in registry.instruments()}
         assert not {"cache_hits", "cache_misses",
                     "snapshot_reads"} & names
         for service in (original, restored):
@@ -890,7 +892,20 @@ def same_row(row, view, position) -> bool:
 @pytest.mark.concurrency
 class TestConcurrentStress:
     """The single-writer / many-reader contract of :class:`TruthService`:
-    one thread calls ``ingest`` while readers call ``get_truth``."""
+    one thread calls ``ingest`` while readers call ``get_truth``.
+
+    Runs untraced here and under a registry tracer in
+    :class:`TestConcurrentStressTraced`, where lock-free readers also
+    emit into the shared registry."""
+
+    @staticmethod
+    def make_tracer():
+        return None
+
+    def service_for(self, dataset) -> TruthService:
+        return TruthService(dataset.schema, window=2,
+                            codecs=dataset.codecs(),
+                            tracer=self.make_tracer())
 
     def test_barrier_started_writers_and_readers(self):
         """A writer ingests the stream in slices while barrier-started
@@ -898,8 +913,7 @@ class TestConcurrentStress:
         sequential replay of the same claims."""
         dataset = weather(23, n_cities=6, n_days=10)
         claims = list(iter_dataset_claims(dataset))
-        service = TruthService(dataset.schema, window=2,
-                               codecs=dataset.codecs())
+        service = self.service_for(dataset)
         step = max(1, len(claims) // 8)
         barrier = threading.Barrier(1 + 3)
         errors: list[BaseException] = []
@@ -963,8 +977,7 @@ class TestConcurrentStress:
         """
         dataset = weather(29, n_cities=5, n_days=8)
         claims = list(iter_dataset_claims(dataset))
-        service = TruthService(dataset.schema, window=2,
-                               codecs=dataset.codecs())
+        service = self.service_for(dataset)
         view = service.snapshot_view()
         published = {view.seq: view}
         history_lock = threading.Lock()
@@ -1027,8 +1040,7 @@ class TestConcurrentStress:
         ``get_truth`` (copy-on-write contract)."""
         dataset = weather(31)
         claims = list(iter_dataset_claims(dataset))
-        service = TruthService(dataset.schema, window=2,
-                               codecs=dataset.codecs())
+        service = self.service_for(dataset)
         service.ingest(claims)
         service.flush()
         early = service.snapshot_view()
@@ -1076,3 +1088,10 @@ class TestConcurrentStress:
             np.testing.assert_array_equal(live, saved)
         with pytest.raises(ValueError):
             early.columns[0][...] = 0  # read-only
+
+
+class TestConcurrentStressTraced(TestConcurrentStress):
+    """:class:`TestConcurrentStress` with a :class:`MetricsRegistry`
+    tracer: the same oracles hold while every call emits."""
+
+    make_tracer = staticmethod(MetricsRegistry)
